@@ -33,13 +33,14 @@
 //! Writes the machine-readable result to `BENCH_attribution.json` at
 //! the workspace root (schema-checked by `tests/bench_artifact.rs` via
 //! `ador_bench::schema::validate_bench_attribution`) and mirrors it as
-//! an `artifact:` line. Pass `--quick` for the CI smoke run.
+//! an `artifact:` line. Pass `--quick` for the CI smoke run, which writes
+//! to `target/bench-quick/` instead and leaves the committed file alone.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use ador_bench::{artifact, f, json, table};
+use ador_bench::{f, json, table};
 use ador_core::baselines;
 use ador_core::cluster::scenarios::{
     disagg_cluster, disagg_engine, disagg_mix, scale_fleet, scale_mix, DISAGG_RATE,
@@ -442,8 +443,5 @@ fn main() {
     ]);
     ador_bench::schema::validate_bench_attribution(&doc)
         .expect("emitted artifact passes its own schema");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_attribution.json");
-    std::fs::write(path, format!("{doc}\n")).expect("write BENCH_attribution.json");
-    println!("wrote {path}");
-    artifact("bench_attribution", &doc);
+    ador_bench::write_artifact("attribution", &doc, quick).expect("write BENCH_attribution.json");
 }

@@ -20,11 +20,12 @@
 //! Writes the machine-readable grid to `BENCH_telemetry.json` at the
 //! workspace root (schema-checked by `tests/bench_artifact.rs` via
 //! `ador_bench::schema::validate_bench_telemetry`) and mirrors it as an
-//! `artifact:` line. Pass `--quick` for the CI smoke grid.
+//! `artifact:` line. Pass `--quick` for the CI smoke grid, which writes
+//! to `target/bench-quick/` instead and leaves the committed file alone.
 
 use std::time::Instant;
 
-use ador_bench::{artifact, f, json, table};
+use ador_bench::{f, json, table};
 use ador_core::baselines;
 use ador_core::cluster::scenarios::{scale_fleet, scale_mix, SCALE_RATE_PER_REPLICA, SCALE_SEED};
 use ador_core::cluster::{ClusterSim, DriveMode, FleetReport};
@@ -178,8 +179,5 @@ fn main() {
         ("cells", json::array(&cells)),
     ]);
     ador_bench::schema::validate_bench_telemetry(&doc).expect("emitted grid passes its own schema");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_telemetry.json");
-    std::fs::write(path, format!("{doc}\n")).expect("write BENCH_telemetry.json");
-    println!("wrote {path}");
-    artifact("bench_telemetry", &doc);
+    ador_bench::write_artifact("telemetry", &doc, quick).expect("write BENCH_telemetry.json");
 }

@@ -14,9 +14,11 @@
 //! workspace root (schema-checked by `tests/bench_artifact.rs` via
 //! `ador_bench::schema::validate_bench_disagg`) and mirrors it as an
 //! `artifact:` line. Pass `--quick` for the CI smoke run (fewer requests;
-//! the disagg-beats-homogeneous pin is only enforced on full runs).
+//! the disagg-beats-homogeneous pin is only enforced on full runs), which
+//! writes to `target/bench-quick/` instead and leaves the committed file
+//! alone.
 
-use ador_bench::{artifact, claim, f, json, table};
+use ador_bench::{claim, f, json, table};
 use ador_core::cluster::scenarios::{
     disagg_engine, disagg_link, disagg_mix, DISAGG_RATE, DISAGG_REPLICAS, DISAGG_REQUESTS,
     DISAGG_SEED,
@@ -150,8 +152,5 @@ fn main() {
         ("disagg_wins", disagg_wins.to_string()),
     ]);
     ador_bench::schema::validate_bench_disagg(&doc).expect("emitted result passes its own schema");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_disagg.json");
-    std::fs::write(path, format!("{doc}\n")).expect("write BENCH_disagg.json");
-    println!("wrote {path}");
-    artifact("bench_disagg", &doc);
+    ador_bench::write_artifact("disagg", &doc, quick).expect("write BENCH_disagg.json");
 }

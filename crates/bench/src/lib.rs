@@ -6,6 +6,7 @@
 #![forbid(unsafe_code)]
 
 use std::fmt::Display;
+use std::path::Path;
 
 /// Prints a titled, pipe-separated table: one header row, then the body
 /// rows. Keeping the format regular makes `bench_output.txt` diffable.
@@ -318,6 +319,30 @@ pub mod json {
 /// greppable out of `bench_output.txt` by perf-tracking tooling.
 pub fn artifact(name: &str, json: &str) {
     println!("artifact: {name} {json}");
+}
+
+/// Writes a bench's JSON document to `BENCH_<stem>.json` and mirrors it
+/// as an `artifact: bench_<stem>` line. A full run writes the committed
+/// file at the repository root; a `--quick` smoke run writes the same
+/// file name under `target/bench-quick/`, so a smoke run can never
+/// overwrite a committed artifact.
+///
+/// # Errors
+///
+/// Returns the I/O error if the directory or the file cannot be written.
+pub fn write_artifact(stem: &str, doc: &str, quick: bool) -> std::io::Result<()> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let dir = if quick {
+        root.join("target").join("bench-quick")
+    } else {
+        root
+    };
+    std::fs::create_dir_all(&dir)?;
+    let path = dir.join(format!("BENCH_{stem}.json"));
+    std::fs::write(&path, format!("{doc}\n"))?;
+    println!("wrote {}", path.display());
+    artifact(&format!("bench_{stem}"), doc);
+    Ok(())
 }
 
 /// Schema checks for committed perf artifacts. CI runs these through the

@@ -154,6 +154,23 @@ impl Active {
     }
 }
 
+/// The per-step working vectors of [`Engine::step`], owned by the engine
+/// and reused every step: cleared, never shrunk, so once they have grown
+/// to the largest batch a steady step allocates nothing.
+#[derive(Debug, Default)]
+struct StepScratch {
+    /// Speculation depth per active slot.
+    depths: Vec<usize>,
+    /// Verify outcome per active slot (`None` while prefilling).
+    plan: Vec<Option<Verify>>,
+    /// Prefill grants: (active slot, tokens).
+    chunks: Vec<(usize, usize)>,
+    /// Prefill tokens each active slot received this step.
+    received: Vec<usize>,
+    /// Active slots whose request finished this step, ascending.
+    finished: Vec<usize>,
+}
+
 /// What one [`Engine::step`] call did.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StepEvent {
@@ -244,6 +261,9 @@ pub struct Engine<'a> {
     /// oracle after every iteration.
     backlog: usize,
 
+    /// Working vectors reused by every step (see [`StepScratch`]).
+    scratch: StepScratch,
+
     /// Telemetry event sink — `None` when tracing is off, in which case
     /// the engine performs no per-event work at all.
     sink: Option<EngineSink>,
@@ -329,6 +349,7 @@ impl<'a> Engine<'a> {
             rejected_tokens: 0,
             prev_step_prefilled: false,
             backlog: 0,
+            scratch: StepScratch::default(),
             sink: match cfg.telemetry.events {
                 EventSinkKind::Off => None,
                 EventSinkKind::Log => Some(EngineSink::Log(VecSink::new())),
@@ -621,6 +642,18 @@ impl<'a> Engine<'a> {
                 }
             }
 
+            // The step's working vectors are engine-owned scratch, taken
+            // here and put back before the step returns or retries (an
+            // error return drops them; the next step regrows them).
+            let mut scratch = std::mem::take(&mut self.scratch);
+            let StepScratch {
+                depths,
+                plan,
+                chunks,
+                received,
+                finished,
+            } = &mut scratch;
+
             // Speculation plan: assign each decoding request a draft
             // depth, run its seeded verify draw, and commit
             // `accepted + 1` tokens this step — exactly 1 with
@@ -628,7 +661,8 @@ impl<'a> Engine<'a> {
             // because multi-token commits are this step's KV growth.
             let mut decoders = self.active.iter().filter(|a| a.is_decoding()).count();
             let spec = self.cfg.speculation;
-            let mut depths = vec![0usize; self.active.len()];
+            depths.clear();
+            depths.resize(self.active.len(), 0);
             match spec.policy {
                 _ if !spec.speculates() => {}
                 SpeculationPolicy::Off => {}
@@ -680,17 +714,28 @@ impl<'a> Engine<'a> {
                     }
                 }
             }
-            let mut plan: Vec<Option<Verify>> = Vec::with_capacity(self.active.len());
+            plan.clear();
             let mut growth = 0usize;
-            for (i, a) in self.active.iter_mut().enumerate() {
+            for (a, &depth) in self.active.iter_mut().zip(depths.iter()) {
                 if !a.is_decoding() {
                     plan.push(None);
                     continue;
                 }
-                let job = &mut a.job;
-                let remaining = job.request.output_tokens - job.generated;
-                let rate = job.request.accept_rate.unwrap_or(spec.default_acceptance);
-                let verify = job.draft.verify(depths[i], remaining, rate);
+                // Depth 0 drafts nothing, so the verify pass's own token
+                // is the whole commit: no draw, and no acceptance rate to
+                // check — a request's rate matters only when it drafts.
+                let verify = if depth == 0 {
+                    Verify {
+                        drafted: 0,
+                        accepted: 0,
+                        committed: 1,
+                    }
+                } else {
+                    let job = &mut a.job;
+                    let remaining = job.request.output_tokens - job.generated;
+                    let rate = job.request.accept_rate.unwrap_or(spec.default_acceptance);
+                    job.draft.verify(depth, remaining, rate)
+                };
                 growth += verify.committed;
                 plan.push(Some(verify));
             }
@@ -746,7 +791,7 @@ impl<'a> Engine<'a> {
             let evictable = self.cache.as_ref().map_or(0, PrefixCache::evictable_tokens);
             let mut kv_headroom =
                 (self.kv_budget_tokens + evictable).saturating_sub(self.kv_in_use + growth);
-            let mut chunks: Vec<(usize, usize)> = Vec::new();
+            chunks.clear();
             for (i, a) in self.active.iter().enumerate() {
                 if chunk_budget == 0 {
                     break;
@@ -858,6 +903,7 @@ impl<'a> Engine<'a> {
             // All actives mid-prefill with zero headroom and nobody
             // decoding: evict the youngest so the oldest can proceed.
             if decoders == 0 && chunks.is_empty() && self.active.len() > 1 {
+                self.scratch = scratch;
                 self.preempt_youngest();
                 #[cfg(feature = "profile")]
                 self.profile
@@ -915,8 +961,9 @@ impl<'a> Engine<'a> {
             // completed publish their full-block prefix into the cache so
             // later requests of the same group (and later session turns)
             // can share it.
-            let mut received = vec![0usize; self.active.len()];
-            for &(i, take) in &chunks {
+            received.clear();
+            received.resize(self.active.len(), 0);
+            for &(i, take) in chunks.iter() {
                 received[i] = take;
                 self.charge_kv(take);
                 self.prefilled_tokens += take;
@@ -934,7 +981,7 @@ impl<'a> Engine<'a> {
                     },
                 );
             }
-            for &(i, _) in &chunks {
+            for &(i, _) in chunks.iter() {
                 if self.active[i].is_decoding() {
                     self.cache_publish(i);
                 }
@@ -952,7 +999,7 @@ impl<'a> Engine<'a> {
             // free — exactly how speculation buys mean TBT.
             let per_token_events = self.cfg.telemetry.detail == EventDetail::PerToken;
             let mut batch_now = 0usize;
-            let mut finished: Vec<usize> = Vec::new();
+            finished.clear();
             for (i, &got) in received.iter().enumerate() {
                 let verify = plan.get(i).copied().flatten();
                 let commit = match verify {
@@ -1048,6 +1095,13 @@ impl<'a> Engine<'a> {
                 self.kv_in_use,
                 self.kv_budget_tokens
             );
+            debug_assert!(
+                self.cache
+                    .as_ref()
+                    .is_none_or(PrefixCache::lru_matches_scan),
+                "prefix-cache LRU index drifted from the slab scan"
+            );
+            self.scratch = scratch;
             #[cfg(feature = "profile")]
             {
                 self.profile

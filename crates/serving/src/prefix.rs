@@ -22,12 +22,17 @@
 //!   leaf first. Because every holder of a block also holds all its
 //!   ancestors, a refcount-0 block never has a referenced descendant, so
 //!   leaf-first eviction can always free the entire dead tail of a chain.
+//! - The evictable leaves (resident, unreferenced, childless blocks) are
+//!   kept in an ordered LRU index keyed by `(last_use, slot)`. The index
+//!   changes only where a block's refcount crosses zero (acquire, extend,
+//!   release) or an eviction exposes an unreferenced parent, so evicting
+//!   one block costs `O(log n)` and never scans the trie.
 //!
 //! The cache deliberately owns no budget of its own: it shares the
 //! engine's token-granular KV budget, and the [`Engine`](crate::Engine)
 //! drives eviction (`evict`) before resorting to preemption.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use ador_units::conv;
 
@@ -74,6 +79,7 @@ impl PrefixCacheStats {
 
 /// One cached block: a node of the prefix trie.
 #[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq))]
 struct Node {
     /// Block hash (position in the owning group's chain is implied by
     /// trie depth). [`DEAD`] marks a recycled slab slot.
@@ -107,6 +113,10 @@ pub struct PrefixCache {
     live: usize,
     /// Live blocks with `refs > 0`.
     referenced: usize,
+    /// The evictable leaves — resident, unreferenced, childless, non-root
+    /// slots — ordered by `(last_use, slot)`: the first entry is the next
+    /// block [`PrefixCache::evict`] frees.
+    lru: BTreeSet<(u64, usize)>,
     /// Logical clock for LRU ordering; bumped once per acquire/extend.
     clock: u64,
     stats: PrefixCacheStats,
@@ -137,6 +147,7 @@ impl PrefixCache {
             free_slots: Vec::new(),
             live: 0,
             referenced: 0,
+            lru: BTreeSet::new(),
             clock: 0,
             stats: PrefixCacheStats::default(),
         }
@@ -183,11 +194,7 @@ impl PrefixCache {
                 break;
             };
             node = child;
-            if self.nodes[node].refs == 0 {
-                self.referenced += 1;
-            }
-            self.nodes[node].refs += 1;
-            self.nodes[node].last_use = self.clock;
+            self.hold(node);
             matched += 1;
         }
         (matched * PREFIX_BLOCK_TOKENS, node)
@@ -208,6 +215,10 @@ impl PrefixCache {
     /// another request already inserted are deduplicated (the caller's
     /// private copy of those tokens is redundant and must be released
     /// from the KV ledger).
+    ///
+    /// The caller must hold `node` (or pass [`PrefixCache::ROOT`]): a held
+    /// block is never an evictable leaf, so growing a child under it
+    /// leaves the LRU index untouched.
     pub fn extend(
         &mut self,
         group: u64,
@@ -215,6 +226,10 @@ impl PrefixCache {
         held_tokens: usize,
         context_tokens: usize,
     ) -> (usize, usize) {
+        debug_assert!(
+            node == ROOT || self.nodes[node].refs > 0,
+            "extend needs a held chain"
+        );
         self.clock += 1;
         let mut depth = held_tokens / PREFIX_BLOCK_TOKENS;
         debug_assert_eq!(held_tokens % PREFIX_BLOCK_TOKENS, 0);
@@ -235,11 +250,7 @@ impl PrefixCache {
                 }
             };
             node = child;
-            if self.nodes[node].refs == 0 {
-                self.referenced += 1;
-            }
-            self.nodes[node].refs += 1;
-            self.nodes[node].last_use = self.clock;
+            self.hold(node);
             depth += 1;
         }
         (node, fresh * PREFIX_BLOCK_TOKENS)
@@ -247,7 +258,8 @@ impl PrefixCache {
 
     /// Releases one reference on every block from `node` up to the root
     /// (the holder is dropping its whole chain). Released blocks stay
-    /// resident until evicted.
+    /// resident until evicted; one whose last reference this drops
+    /// joins the LRU index if it has no children.
     pub fn release(&mut self, mut node: usize) {
         while node != ROOT {
             let n = &mut self.nodes[node];
@@ -255,6 +267,9 @@ impl PrefixCache {
             n.refs -= 1;
             if n.refs == 0 {
                 self.referenced -= 1;
+                if n.children.is_empty() {
+                    self.lru.insert((n.last_use, node));
+                }
             }
             node = n.parent;
         }
@@ -264,33 +279,19 @@ impl PrefixCache {
     /// `want_tokens` are freed or nothing evictable remains. Returns the
     /// tokens actually freed.
     ///
-    /// One slab scan seeds a min-heap of evictable leaves; evicting a
-    /// leaf that exposes its parent pushes the parent, so a whole dead
-    /// chain drains in LRU order without rescanning — `O(n)` once per
-    /// call instead of per block.
+    /// Each block comes off the front of the LRU index, so blocks leave
+    /// in `(last_use, slot)` order; evicting a leaf that exposes an
+    /// unreferenced parent indexes the parent, so a whole dead chain
+    /// drains in LRU order. `O(log n)` per evicted block, with no scan.
     pub fn evict(&mut self, want_tokens: usize) -> usize {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        if want_tokens == 0 || self.live == self.referenced {
-            return 0;
-        }
-        let mut candidates: BinaryHeap<Reverse<(u64, usize)>> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|&(i, n)| i != ROOT && n.hash != DEAD && n.refs == 0 && n.children.is_empty())
-            .map(|(i, n)| Reverse((n.last_use, i)))
-            .collect();
         let mut freed = 0usize;
         while freed < want_tokens {
-            let Some(Reverse((_, v))) = candidates.pop() else {
+            let Some((_, v)) = self.lru.pop_first() else {
                 break;
             };
             let (hash, parent) = (self.nodes[v].hash, self.nodes[v].parent);
             self.nodes[parent].children.remove(&hash);
             self.nodes[v].hash = DEAD;
-            self.nodes[v].children = BTreeMap::new();
             self.free_slots.push(v);
             self.live -= 1;
             freed += PREFIX_BLOCK_TOKENS;
@@ -298,10 +299,40 @@ impl PrefixCache {
             // The eviction may have exposed a new dead leaf above it.
             let p = &self.nodes[parent];
             if parent != ROOT && p.refs == 0 && p.children.is_empty() {
-                candidates.push(Reverse((p.last_use, parent)));
+                self.lru.insert((p.last_use, parent));
             }
         }
         freed
+    }
+
+    /// Whether the LRU index equals its recompute-from-scratch definition
+    /// (every resident, unreferenced, childless non-root slot) — the
+    /// oracle debug builds check after every engine step.
+    pub(crate) fn lru_matches_scan(&self) -> bool {
+        let mut leaves = 0usize;
+        for (slot, n) in self.nodes.iter().enumerate() {
+            if slot != ROOT && n.hash != DEAD && n.refs == 0 && n.children.is_empty() {
+                if !self.lru.contains(&(n.last_use, slot)) {
+                    return false;
+                }
+                leaves += 1;
+            }
+        }
+        leaves == self.lru.len()
+    }
+
+    /// Takes one reference on `node` and stamps it with the current clock.
+    /// A block leaving refcount 0 stops being evictable.
+    fn hold(&mut self, node: usize) {
+        let n = &mut self.nodes[node];
+        if n.refs == 0 {
+            self.referenced += 1;
+            if n.children.is_empty() {
+                self.lru.remove(&(n.last_use, node));
+            }
+        }
+        n.refs += 1;
+        n.last_use = self.clock;
     }
 
     fn alloc(&mut self, hash: u64, parent: usize) -> usize {
@@ -468,6 +499,125 @@ mod tests {
         assert!(c.nodes.len() <= 3, "slab grew to {}", c.nodes.len());
         assert_eq!(c.resident_tokens(), 0);
         assert_eq!(c.stats().evicted_tokens, 8 * B);
+    }
+
+    /// The scan-and-heap evictor the LRU index replaced, kept as the
+    /// reference the index must reproduce block for block: one slab scan
+    /// per call seeds a min-heap of evictable leaves, and evicting a leaf
+    /// that exposes its parent pushes the parent. It never touches the
+    /// index, so only the slab of a cache it evicts is meaningful.
+    fn evict_by_scan(c: &mut PrefixCache, want_tokens: usize) -> usize {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        if want_tokens == 0 || c.live == c.referenced {
+            return 0;
+        }
+        let mut candidates: BinaryHeap<Reverse<(u64, usize)>> = c
+            .nodes
+            .iter()
+            .enumerate()
+            .filter(|&(i, n)| i != ROOT && n.hash != DEAD && n.refs == 0 && n.children.is_empty())
+            .map(|(i, n)| Reverse((n.last_use, i)))
+            .collect();
+        let mut freed = 0usize;
+        while freed < want_tokens {
+            let Some(Reverse((_, v))) = candidates.pop() else {
+                break;
+            };
+            let (hash, parent) = (c.nodes[v].hash, c.nodes[v].parent);
+            c.nodes[parent].children.remove(&hash);
+            c.nodes[v].hash = DEAD;
+            c.nodes[v].children = BTreeMap::new();
+            c.free_slots.push(v);
+            c.live -= 1;
+            freed += PREFIX_BLOCK_TOKENS;
+            c.stats.evicted_tokens += PREFIX_BLOCK_TOKENS;
+            let p = &c.nodes[parent];
+            if parent != ROOT && p.refs == 0 && p.children.is_empty() {
+                candidates.push(Reverse((p.last_use, parent)));
+            }
+        }
+        freed
+    }
+
+    /// Asserts two caches agree on everything eviction can change.
+    fn assert_same_slab(reference: &PrefixCache, indexed: &PrefixCache, context: &str) {
+        assert!(reference.nodes == indexed.nodes, "slab differs {context}");
+        assert_eq!(reference.free_slots, indexed.free_slots, "{context}");
+        assert_eq!(reference.live, indexed.live, "{context}");
+        assert_eq!(reference.referenced, indexed.referenced, "{context}");
+        assert_eq!(reference.stats, indexed.stats, "{context}");
+    }
+
+    #[test]
+    fn lru_index_evicts_exactly_like_the_slab_scan() {
+        // Seeded random acquire / extend / release / evict sequences over
+        // a few groups, so holders share prefixes and acquires are rolled
+        // back, driven through two clones of one cache: one evicts with
+        // the reference scan, the other with the index.
+        let mut evicted_calls = 0usize;
+        for seed in 0..24u64 {
+            let mut state = splitmix64(seed);
+            let mut roll = |n: usize| {
+                state = splitmix64(state);
+                (state % n as u64) as usize
+            };
+            let mut reference = PrefixCache::new();
+            let mut indexed = reference.clone();
+            // (group, held node, held tokens) per live holder.
+            let mut holders: Vec<(u64, usize, usize)> = Vec::new();
+            for op in 0..400 {
+                let context = format!("(seed {seed}, op {op})");
+                match roll(10) {
+                    0..=2 => {
+                        let group = roll(4) as u64;
+                        let want = roll(12) * B + roll(B);
+                        let got = reference.acquire(group, want);
+                        assert_eq!(got, indexed.acquire(group, want), "{context}");
+                        if roll(3) == 0 {
+                            // Admission rollback: the acquire is undone.
+                            reference.release(got.1);
+                            indexed.release(got.1);
+                        } else {
+                            holders.push((group, got.1, got.0));
+                        }
+                    }
+                    3 | 4 if !holders.is_empty() => {
+                        let h = roll(holders.len());
+                        let (group, node, held) = holders[h];
+                        let to = held + roll(6) * B + roll(B);
+                        let got = reference.extend(group, node, held, to);
+                        assert_eq!(got, indexed.extend(group, node, held, to), "{context}");
+                        holders[h] = (group, got.0, held.max(to / B * B));
+                    }
+                    5 | 6 if !holders.is_empty() => {
+                        let (_, node, _) = holders.swap_remove(roll(holders.len()));
+                        reference.release(node);
+                        indexed.release(node);
+                    }
+                    _ => {
+                        let want = roll(8) * B + roll(B);
+                        let freed = evict_by_scan(&mut reference, want);
+                        assert_eq!(freed, indexed.evict(want), "freed tokens {context}");
+                        assert_same_slab(&reference, &indexed, &context);
+                        evicted_calls += usize::from(freed > 0);
+                    }
+                }
+                assert!(indexed.lru_matches_scan(), "index drifted {context}");
+            }
+            // Drain: release every holder, then evict everything.
+            for (_, node, _) in holders {
+                reference.release(node);
+                indexed.release(node);
+            }
+            let all = indexed.resident_tokens();
+            assert_eq!(evict_by_scan(&mut reference, all), indexed.evict(all));
+            assert_same_slab(&reference, &indexed, &format!("(seed {seed}, drain)"));
+            assert_eq!(indexed.resident_tokens(), 0);
+            assert!(indexed.lru.is_empty() && indexed.lru_matches_scan());
+        }
+        assert!(evicted_calls > 100, "only {evicted_calls} evicting calls");
     }
 
     #[test]

@@ -11,7 +11,7 @@ use ador::model::presets;
 use ador::perf::Deployment;
 use ador::serving::{
     QosReport, Request, RequestGenerator, ServingSim, SimConfig, Slo, SpeculationConfig,
-    SpeculationPolicy, TraceProfile,
+    SpeculationPolicy, StepEvent, TraceProfile,
 };
 use ador::units::Seconds;
 use proptest::prelude::*;
@@ -186,6 +186,33 @@ fn speculation_off_is_bit_identical_to_the_baseline_engine() {
         assert_eq!(plain.max_tbt, tagged.max_tbt);
         assert_eq!(plain.e2e, tagged.e2e);
     }
+}
+
+/// A request's acceptance rate is ignored unless the engine speculates,
+/// so even an out-of-range rate must not panic a speculation-off engine:
+/// a decoder that drafts nothing never consults it.
+#[test]
+fn speculation_off_ignores_an_out_of_range_accept_rate() {
+    let arch = ador::baselines::ador_table3();
+    let model = presets::llama3_8b();
+    let mut engine = ServingSim::new(
+        &arch,
+        &model,
+        Deployment::single_device(),
+        SimConfig::new(1.0, 8).with_speculation(SpeculationConfig::off()),
+    )
+    .unwrap()
+    .engine();
+    engine
+        .submit(Request {
+            accept_rate: Some(1.5),
+            ..Request::new(0, Seconds::ZERO, 128, 4)
+        })
+        .unwrap();
+    while engine.step().unwrap() != StepEvent::Idle {}
+    assert_eq!(engine.completed(), 1);
+    assert_eq!(engine.counters().generated_tokens, 4);
+    assert_eq!(engine.counters().drafted_tokens, 0);
 }
 
 /// The acceptance process is seeded and deterministic: the same
