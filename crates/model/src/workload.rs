@@ -10,7 +10,7 @@
 use ador_units::{Bytes, FlopCount};
 use serde::{Deserialize, Serialize};
 
-use crate::{graph, ModelConfig, OpClass, Phase};
+use crate::{graph, ModelConfig, OpClass, Operator, Phase};
 
 /// Totals for one inference step of a model under a given phase.
 ///
@@ -47,7 +47,17 @@ pub struct StepSummary {
 impl StepSummary {
     /// Computes the summary for `cfg` under `phase`.
     pub fn compute(cfg: &ModelConfig, phase: Phase) -> Self {
-        let layers = cfg.layers as f64;
+        Self::from_operators(
+            &graph::layer_operators(cfg, phase),
+            cfg.layers,
+            &graph::once_operators(cfg, phase),
+        )
+    }
+
+    /// Totals an already-built step: `layer_ops` repeated `layers` times
+    /// plus `once_ops` run once — the lists [`graph::layer_operators`] and
+    /// [`graph::once_operators`] return.
+    pub fn from_operators(layer_ops: &[Operator], layers: usize, once_ops: &[Operator]) -> Self {
         let mut s = Self {
             flops: FlopCount::ZERO,
             weight_bytes: Bytes::ZERO,
@@ -58,7 +68,7 @@ impl StepSummary {
             weight_matmul_flops: FlopCount::ZERO,
             vector_flops: FlopCount::ZERO,
         };
-        let mut add = |ops: &[crate::Operator], mult: f64| {
+        let mut add = |ops: &[Operator], mult: f64| {
             for op in ops {
                 let f = op.flops() * mult;
                 s.flops += f;
@@ -73,8 +83,8 @@ impl StepSummary {
                 }
             }
         };
-        add(&graph::layer_operators(cfg, phase), layers);
-        add(&graph::once_operators(cfg, phase), 1.0);
+        add(layer_ops, layers as f64);
+        add(once_ops, 1.0);
         s
     }
 

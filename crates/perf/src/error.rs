@@ -2,6 +2,7 @@
 
 use core::fmt;
 
+use ador_model::Phase;
 use ador_units::Bytes;
 
 /// Why a performance evaluation could not proceed.
@@ -28,6 +29,15 @@ pub enum PerfError {
     },
     /// The architecture failed validation.
     InvalidArchitecture(String),
+    /// The phase has a zero batch or a zero prompt/context length.
+    InvalidPhase(Phase),
+    /// A step plan was priced on an evaluator bound to another model.
+    PlanModelMismatch {
+        /// The model the plan was built for.
+        plan: String,
+        /// The model the evaluator is bound to.
+        evaluator: String,
+    },
 }
 
 impl fmt::Display for PerfError {
@@ -50,6 +60,16 @@ impl fmt::Display for PerfError {
                 )
             }
             PerfError::InvalidArchitecture(msg) => write!(f, "invalid architecture: {msg}"),
+            PerfError::InvalidPhase(phase) => {
+                write!(
+                    f,
+                    "{phase} has nothing to run: batch and length must be positive"
+                )
+            }
+            PerfError::PlanModelMismatch { plan, evaluator } => write!(
+                f,
+                "step plan for '{plan}' priced on an evaluator bound to '{evaluator}'"
+            ),
         }
     }
 }

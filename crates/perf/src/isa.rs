@@ -15,6 +15,7 @@ use ador_model::Phase;
 use ador_units::{Bytes, FlopCount, Seconds};
 use serde::{Deserialize, Serialize};
 
+use crate::op_latency::StreamRates;
 use crate::schedule::UnitChoice;
 use crate::Deployment;
 
@@ -178,7 +179,7 @@ pub struct CycleExecutor<'a> {
     arch: &'a Architecture,
     deployment: Deployment,
     phase: Phase,
-    step_flops: FlopCount,
+    rates: StreamRates,
 }
 
 impl<'a> CycleExecutor<'a> {
@@ -194,7 +195,7 @@ impl<'a> CycleExecutor<'a> {
             arch,
             deployment,
             phase,
-            step_flops,
+            rates: StreamRates::new(arch, step_flops),
         }
     }
 
@@ -231,26 +232,13 @@ impl<'a> CycleExecutor<'a> {
         let mut sync = Seconds::ZERO;
         for instr in &bundle.instrs {
             match instr {
-                Instruction::StreamWeights { bytes } => {
-                    let bw = profile
-                        .weight_stream
-                        .effective(self.arch.dram.bandwidth, self.step_flops);
-                    mem += *bytes / bw;
-                }
+                Instruction::StreamWeights { bytes } => mem += *bytes / self.rates.weight,
                 Instruction::ReadKv { bytes, on_chip } => {
                     if !on_chip {
-                        let bw = profile
-                            .attention_stream
-                            .effective(self.arch.dram.bandwidth, self.step_flops);
-                        mem += *bytes / bw;
+                        mem += *bytes / self.rates.attention;
                     }
                 }
-                Instruction::WriteKv { bytes } => {
-                    let bw = profile
-                        .attention_stream
-                        .effective(self.arch.dram.bandwidth, self.step_flops);
-                    mem += *bytes / bw;
-                }
+                Instruction::WriteKv { bytes } => mem += *bytes / self.rates.attention,
                 Instruction::MatMul {
                     unit,
                     m,

@@ -17,12 +17,19 @@
 //! * tensor-parallel devices synchronize per sub-block with exposed wire
 //!   time and barriers from [`ador_parallel`].
 //!
-//! Entry point: [`Evaluator`].
+//! Entry point: [`Evaluator`]. A step is priced in two halves. A
+//! [`StepPlan`] holds what depends only on the (model, phase) pair: the
+//! operator lists, the step's FLOPs and DRAM bytes, and its KV footprint.
+//! [`Evaluator::price`] adds what depends on the architecture and
+//! deployment. [`Evaluator::step`] does both for one phase; a caller that
+//! prices one phase on many architectures, like the design search, plans
+//! it once and prices it per candidate. [`lower`] lowers the same plan
+//! into an instruction [`Program`].
 //!
 //! # Examples
 //!
 //! ```
-//! use ador_perf::{Deployment, Evaluator};
+//! use ador_perf::{Deployment, Evaluator, StepPlan};
 //! use ador_model::{presets, Phase};
 //! use ador_baselines::ador_table3;
 //!
@@ -32,6 +39,10 @@
 //! let decode = eval.step(Phase::decode(16, 1024)).unwrap();
 //! let prefill = eval.step(Phase::prefill(1, 1024)).unwrap();
 //! assert!(decode.total < prefill.total); // one token vs a thousand
+//!
+//! // The same decode step, planned once and priced.
+//! let plan = StepPlan::new(&model, Phase::decode(16, 1024)).unwrap();
+//! assert_eq!(eval.price(&plan).unwrap(), decode);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -52,4 +63,4 @@ pub use isa::{Bundle, CycleExecutor, ExecutionReport, Instruction, Program};
 pub use lowering::lower;
 pub use op_latency::{BoundKind, OpLatency};
 pub use schedule::{FabricRates, UnitChoice};
-pub use step::{Evaluator, StepLatency};
+pub use step::{Evaluator, StepLatency, StepPlan};

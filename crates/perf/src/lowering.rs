@@ -2,14 +2,11 @@
 //! and "instruction generator" boxes of Fig. 14a).
 
 use ador_hw::Architecture;
-use ador_model::workload::StepSummary;
-use ador_model::{graph, ModelConfig, OpKind, Operator, Phase};
-use ador_units::{Bytes, Seconds};
+use ador_model::{ModelConfig, OpKind, Operator, Phase};
 
 use crate::isa::{Bundle, Instruction, Program};
-use crate::op_latency::operator_latency;
 use crate::schedule;
-use crate::Deployment;
+use crate::{Deployment, PerfError, StepPlan};
 
 /// Lowers one inference step of `model` under `phase` into a per-device
 /// instruction program for `arch`.
@@ -17,6 +14,10 @@ use crate::Deployment;
 /// The decoder stack becomes one bundle per operator with
 /// `repeat = model.layers`; the embedding/final-norm/LM-head run once; TP
 /// deployments get an explicit `SyncDevices` bundle per layer.
+///
+/// # Errors
+///
+/// Returns [`PerfError::InvalidPhase`] for a zero batch or length.
 ///
 /// # Examples
 ///
@@ -29,30 +30,28 @@ use crate::Deployment;
 ///     &presets::llama3_8b(),
 ///     Phase::decode(32, 1024),
 ///     Deployment::single_device(),
-/// );
+/// )?;
 /// assert!(program.dynamic_instruction_count() > 500);
+/// # Ok::<(), ador_perf::PerfError>(())
 /// ```
 pub fn lower(
     arch: &Architecture,
     model: &ModelConfig,
     phase: Phase,
     deployment: Deployment,
-) -> Program {
+) -> Result<Program, PerfError> {
+    let plan = StepPlan::new(model, phase)?;
     let mut program = Program::new();
 
-    for op in &graph::layer_operators(model, phase) {
+    for op in plan.layer_operators() {
         program.push(lower_op(arch, op, phase, deployment, model.layers));
     }
     if deployment.devices > 1 {
         // The instruction generator schedules communication to pipeline
         // behind compute (Fig. 6d); only the *exposed* remainder is emitted
         // as an explicit sync stall, mirroring the analytical model.
-        let msg = Bytes::new((phase.rows() * model.hidden) as u64 * model.dtype.bytes());
-        let cost = deployment.strategy.block_cost(deployment.devices, msg);
-        let wire = cost.wire_time(deployment.link.bandwidth());
-        let window = layer_busy_time(arch, model, phase, deployment) / 2.0;
-        let tp = deployment.tensor_parallel_plan();
-        let exposed = tp.overlap().exposed(window, wire);
+        let (_, layer_time) = plan.price_on(arch, deployment);
+        let (cost, exposed) = plan.block_sync(deployment, layer_time);
         let exposed_bytes = deployment.link.bandwidth() * exposed;
         program.push(Bundle {
             label: "tp_sync".to_string(),
@@ -67,25 +66,10 @@ pub fn lower(
             repeat: model.layers,
         });
     }
-    for op in &graph::once_operators(model, phase) {
+    for op in plan.once_operators() {
         program.push(lower_op(arch, op, phase, deployment, 1));
     }
-    program
-}
-
-/// One decoder layer's busy time — the overlap window available per block
-/// pair (same quantity the analytical path uses).
-fn layer_busy_time(
-    arch: &Architecture,
-    model: &ModelConfig,
-    phase: Phase,
-    deployment: Deployment,
-) -> Seconds {
-    let step_flops = StepSummary::compute(model, phase).flops * (1.0 / deployment.devices as f64);
-    graph::layer_operators(model, phase)
-        .iter()
-        .map(|op| operator_latency(arch, op, phase, deployment, step_flops).total())
-        .sum()
+    Ok(program)
 }
 
 fn lower_op(
@@ -178,7 +162,7 @@ mod tests {
 
     fn cross_validate(arch: &Architecture, phase: Phase, deployment: Deployment, tol: f64) {
         let model = presets::llama3_8b();
-        let program = lower(arch, &model, phase, deployment);
+        let program = lower(arch, &model, phase, deployment).unwrap();
         let step_flops =
             StepSummary::compute(&model, phase).flops * (1.0 / deployment.devices as f64);
         let exec = CycleExecutor::new(arch, deployment, phase, step_flops).run(&program);
@@ -234,7 +218,8 @@ mod tests {
             &model,
             Phase::decode(16, 512),
             Deployment::tensor_parallel(8),
-        );
+        )
+        .unwrap();
         assert!(program.bundles().iter().any(|b| b.label == "tp_sync"));
     }
 
@@ -246,7 +231,8 @@ mod tests {
             &model,
             Phase::decode(8, 512),
             Deployment::single_device(),
-        );
+        )
+        .unwrap();
         let has_dram_kv = program
             .bundles()
             .iter()

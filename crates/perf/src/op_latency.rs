@@ -4,7 +4,7 @@ use core::fmt;
 
 use ador_hw::Architecture;
 use ador_model::{OpClass, OpKind, Operator, Phase};
-use ador_units::{FlopCount, FlopRate, Seconds};
+use ador_units::{Bandwidth, FlopCount, FlopRate, Seconds};
 use serde::{Deserialize, Serialize};
 
 use crate::schedule::{self, UnitChoice};
@@ -56,18 +56,44 @@ impl OpLatency {
     }
 }
 
+/// The DRAM bandwidth each traffic class achieves during one step. The
+/// Fig. 10 law reads only the step's per-device work, so every operator of
+/// the step streams at the same two rates.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StreamRates {
+    /// Weight streaming.
+    pub weight: Bandwidth,
+    /// KV-cache reads and writes.
+    pub attention: Bandwidth,
+}
+
+impl StreamRates {
+    /// The rates on `arch` for a step of `step_flops_per_device` work.
+    pub(crate) fn new(arch: &Architecture, step_flops_per_device: FlopCount) -> Self {
+        let profile = &arch.profile;
+        Self {
+            weight: profile
+                .weight_stream
+                .effective(arch.dram.bandwidth, step_flops_per_device),
+            attention: profile
+                .attention_stream
+                .effective(arch.dram.bandwidth, step_flops_per_device),
+        }
+    }
+}
+
 /// Computes the latency of `op` on `arch` for one step of `phase`.
 ///
-/// `step_flops_per_device` is the whole step's per-device work — the
-/// argument of the Fig. 10 effective-bandwidth law. `deployment` shards the
-/// operator across tensor-parallel devices (weights and heads split; every
-/// device processes the full token batch).
-pub fn operator_latency(
+/// `rates` are the step's stream rates ([`StreamRates::new`] at the whole
+/// step's per-device work). `deployment` shards the operator across
+/// tensor-parallel devices (weights and heads split; every device processes
+/// the full token batch).
+pub(crate) fn operator_latency(
     arch: &Architecture,
     op: &Operator,
     phase: Phase,
     deployment: Deployment,
-    step_flops_per_device: FlopCount,
+    rates: StreamRates,
 ) -> OpLatency {
     let d = deployment.devices as f64;
     let profile = &arch.profile;
@@ -76,12 +102,6 @@ pub fn operator_latency(
     // -- Memory side ------------------------------------------------------
     let weight_share = op.weight_bytes * (1.0 / d);
     let kv_share = op.kv_read_bytes * (1.0 / d) + op.kv_write_bytes * (1.0 / d);
-    let weight_bw = profile
-        .weight_stream
-        .effective(arch.dram.bandwidth, step_flops_per_device);
-    let attn_bw = profile
-        .attention_stream
-        .effective(arch.dram.bandwidth, step_flops_per_device);
 
     let memory = match op.class {
         OpClass::Attention => {
@@ -91,19 +111,19 @@ pub fn operator_latency(
             if phase.is_prefill() && kv_share <= arch.global_mem {
                 Seconds::ZERO
             } else {
-                kv_share / attn_bw
+                kv_share / rates.attention
             }
         }
         _ => {
             let wt = if weight_share.is_zero() {
                 Seconds::ZERO
             } else {
-                weight_share / weight_bw
+                weight_share / rates.weight
             };
             let kt = if kv_share.is_zero() {
                 Seconds::ZERO
             } else {
-                kv_share / attn_bw
+                kv_share / rates.attention
             };
             wt + kt
         }
@@ -237,6 +257,23 @@ mod tests {
 
     const STEP: FlopCount = FlopCount::ZERO;
 
+    /// The operator's latency within a step of `step_flops` per device.
+    fn latency(
+        arch: &Architecture,
+        op: &Operator,
+        phase: Phase,
+        deployment: Deployment,
+        step_flops: FlopCount,
+    ) -> OpLatency {
+        operator_latency(
+            arch,
+            op,
+            phase,
+            deployment,
+            StreamRates::new(arch, step_flops),
+        )
+    }
+
     fn big_step() -> FlopCount {
         FlopCount::new(1e12)
     }
@@ -246,7 +283,7 @@ mod tests {
         let model = presets::llama3_8b();
         let arch = ador_table3();
         let op = weight_op(&model, Phase::decode(1, 512));
-        let lat = operator_latency(
+        let lat = latency(
             &arch,
             &op,
             Phase::decode(1, 512),
@@ -264,7 +301,7 @@ mod tests {
         let arch = ador_table3();
         let phase = Phase::prefill(1, 1024);
         let op = weight_op(&model, phase);
-        let lat = operator_latency(&arch, &op, phase, Deployment::single_device(), big_step());
+        let lat = latency(&arch, &op, phase, Deployment::single_device(), big_step());
         assert_eq!(lat.bound, BoundKind::Compute);
     }
 
@@ -274,7 +311,7 @@ mod tests {
         let arch = ador_table3();
         let phase = Phase::prefill(1, 1024);
         let op = attention_op(&model, phase);
-        let lat = operator_latency(&arch, &op, phase, Deployment::single_device(), big_step());
+        let lat = latency(&arch, &op, phase, Deployment::single_device(), big_step());
         assert_eq!(lat.memory, Seconds::ZERO, "chunk KV must stay on-chip");
     }
 
@@ -284,7 +321,7 @@ mod tests {
         let arch = ador_table3();
         let phase = Phase::decode(32, 1024);
         let op = attention_op(&model, phase);
-        let lat = operator_latency(&arch, &op, phase, Deployment::single_device(), big_step());
+        let lat = latency(&arch, &op, phase, Deployment::single_device(), big_step());
         assert!(lat.memory > Seconds::ZERO);
         assert_eq!(lat.unit, UnitChoice::MacTree);
     }
@@ -294,8 +331,8 @@ mod tests {
         let model = presets::llama3_8b();
         let phase = Phase::decode(1, 128);
         let op = weight_op(&model, phase);
-        let gpu = operator_latency(&a100(), &op, phase, Deployment::single_device(), STEP);
-        let npu = operator_latency(
+        let gpu = latency(&a100(), &op, phase, Deployment::single_device(), STEP);
+        let npu = latency(
             &ador_table3(),
             &op,
             phase,
@@ -311,8 +348,8 @@ mod tests {
         let arch = ador_table3();
         let phase = Phase::decode(16, 1024);
         let op = weight_op(&model, phase);
-        let one = operator_latency(&arch, &op, phase, Deployment::single_device(), big_step());
-        let eight = operator_latency(
+        let one = latency(&arch, &op, phase, Deployment::single_device(), big_step());
+        let eight = latency(
             &arch,
             &op,
             phase,
@@ -330,8 +367,8 @@ mod tests {
         let model = presets::llama3_8b();
         let phase = Phase::decode(1, 128);
         let op = weight_op(&model, phase);
-        let tpu = operator_latency(&tpuv4(), &op, phase, Deployment::single_device(), STEP);
-        let ador = operator_latency(
+        let tpu = latency(&tpuv4(), &op, phase, Deployment::single_device(), STEP);
+        let ador = latency(
             &ador_table3(),
             &op,
             phase,
@@ -350,7 +387,7 @@ mod tests {
             .into_iter()
             .find(|o| o.name == ador_model::OpName::AttnNorm)
             .unwrap();
-        let lat = operator_latency(
+        let lat = latency(
             &ador_table3(),
             &op,
             phase,

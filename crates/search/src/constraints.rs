@@ -123,9 +123,16 @@ impl Workload {
     ///
     /// # Errors
     ///
-    /// Returns [`SearchError::DeploymentPlanning`] when the model cannot be
-    /// placed within the vendor's device budget.
+    /// Returns [`SearchError::DeploymentPlanning`] when the batch or the
+    /// sequence length is zero, or when the model cannot be placed within
+    /// the vendor's device budget.
     pub fn deployment(&self, vendor: &VendorConstraints) -> Result<Deployment, SearchError> {
+        if self.batch == 0 || self.seq_len == 0 {
+            return Err(SearchError::DeploymentPlanning(format!(
+                "workload needs batch > 0 and seq_len > 0, got batch {} and seq_len {}",
+                self.batch, self.seq_len
+            )));
+        }
         let kv = self.model.kv_cache_bytes(self.batch, 2 * self.seq_len);
         let plan = ador_parallel::ParallelPlan::for_memory(
             &self.model,

@@ -57,8 +57,9 @@ pub use pareto::{pareto_frontier, ParetoPoint};
 pub use report::{SearchError, SearchOutcome, SearchStep};
 pub use sizing::{mt_candidates, sa_candidates, size_memories};
 
-use ador_hw::{AreaModel, MacTree, SystolicArray};
-use ador_perf::Evaluator;
+use ador_hw::{Architecture, AreaBreakdown, AreaModel, MacTree, SystolicArray};
+use ador_model::Phase;
+use ador_perf::{Deployment, Evaluator, StepPlan};
 use ador_units::Seconds;
 
 /// Runs the full Fig. 9 search loop.
@@ -67,87 +68,80 @@ use ador_units::Seconds;
 ///
 /// Returns [`SearchError::NoFeasibleCandidate`] when not a single candidate
 /// fits the vendor's area/memory budget at all (distinct from "fits but
-/// misses QoS", which yields `satisfied = false` plus the feedback notes).
+/// misses QoS", which yields `satisfied = false` plus the feedback notes),
+/// and [`SearchError::DeploymentPlanning`] when the workload has a zero
+/// batch or sequence length or cannot be placed on the device budget.
 pub fn search(input: &SearchInput) -> Result<SearchOutcome, SearchError> {
     let vendor = &input.vendor;
     let user = &input.user;
     let workload = &input.workload;
-    let area_model = AreaModel::default();
 
     let deployment = workload.deployment(vendor)?;
+    // The operating point's two steps depend only on the model, so they are
+    // planned once here and priced on every candidate below.
+    let plan = |phase| {
+        StepPlan::new(&workload.model, phase)
+            .map_err(|e| SearchError::DeploymentPlanning(e.to_string()))
+    };
+    let prefill = plan(Phase::Prefill {
+        batch: 1,
+        prompt_len: workload.seq_len,
+    })?;
+    let decode = plan(Phase::Decode {
+        batch: workload.batch,
+        context_len: workload.seq_len,
+    })?;
     let mut steps: Vec<SearchStep> = Vec::new();
     let mut best: Option<(f64, SearchOutcome)> = None; // keyed by area
     let mut best_effort: Option<(f64, SearchOutcome)> = None; // keyed by QoS score
 
-    let mts = mt_candidates(vendor, workload);
-    for mt in &mts {
-        for sa in sa_candidates() {
-            for cores in [8usize, 16, 32, 64, 128] {
-                let Some((local, global)) = size_memories(vendor, workload, cores) else {
-                    continue;
-                };
-                let candidate = build_candidate(vendor, *mt, sa, cores, local, global);
-                let breakdown = area_model.estimate(&candidate);
-                let area = breakdown.total();
-                if area > vendor.area_budget {
-                    continue;
-                }
-                // Step 2: interconnect floors for this candidate.
-                let mut candidate = candidate;
-                candidate.noc_bandwidth = solve_noc_bandwidth(&candidate, workload);
-                candidate.p2p_bandwidth = solve_p2p_bandwidth(&candidate, workload, deployment);
-                let breakdown = area_model.estimate(&candidate);
-                let area = breakdown.total();
-                if area > vendor.area_budget {
-                    continue;
-                }
+    for (candidate, breakdown) in candidates(vendor, workload, deployment) {
+        let area = breakdown.total();
 
-                // Step 3: evaluate QoS at the operating point.
-                let Ok(eval) = Evaluator::new(&candidate, &workload.model, deployment) else {
-                    continue;
-                };
-                let Ok(ttft) = eval.ttft(1, workload.seq_len) else {
-                    continue;
-                };
-                let Ok(tbt) = eval.decode_interval(workload.batch, workload.seq_len) else {
-                    continue;
-                };
+        // Step 3: evaluate QoS at the operating point.
+        let Ok(eval) = Evaluator::new(&candidate, &workload.model, deployment) else {
+            continue;
+        };
+        let Ok(ttft) = eval.price(&prefill).map(|step| step.total) else {
+            continue;
+        };
+        let Ok(tbt) = eval.price(&decode).map(|step| step.total) else {
+            continue;
+        };
 
-                let ttft_score = ttft.get() / user.ttft_max.get();
-                let tbt_score = tbt.get() / user.tbt_max.get();
-                let qos_score = ttft_score.max(tbt_score);
-                let satisfied = qos_score <= 1.0;
+        let ttft_score = ttft.get() / user.ttft_max.get();
+        let tbt_score = tbt.get() / user.tbt_max.get();
+        let qos_score = ttft_score.max(tbt_score);
+        let satisfied = qos_score <= 1.0;
 
-                steps.push(SearchStep {
-                    candidate: candidate.name.clone(),
-                    area,
-                    ttft,
-                    tbt,
-                    satisfied,
-                });
+        steps.push(SearchStep {
+            candidate: candidate.name.clone(),
+            area,
+            ttft,
+            tbt,
+            satisfied,
+        });
 
-                let outcome = SearchOutcome {
-                    architecture: candidate,
-                    area: breakdown,
-                    deployment,
-                    ttft,
-                    tbt,
-                    satisfied,
-                    qos_margin: 1.0 - qos_score,
-                    steps: Vec::new(),
-                    notes: Vec::new(),
-                };
-                if satisfied {
-                    let key = area.as_mm2();
-                    if best.as_ref().is_none_or(|(a, _)| key < *a) {
-                        best = Some((key, outcome));
-                    }
-                } else {
-                    let key = qos_score;
-                    if best_effort.as_ref().is_none_or(|(s, _)| key < *s) {
-                        best_effort = Some((key, outcome));
-                    }
-                }
+        let outcome = SearchOutcome {
+            architecture: candidate,
+            area: breakdown,
+            deployment,
+            ttft,
+            tbt,
+            satisfied,
+            qos_margin: 1.0 - qos_score,
+            steps: Vec::new(),
+            notes: Vec::new(),
+        };
+        if satisfied {
+            let key = area.as_mm2();
+            if best.as_ref().is_none_or(|(a, _)| key < *a) {
+                best = Some((key, outcome));
+            }
+        } else {
+            let key = qos_score;
+            if best_effort.as_ref().is_none_or(|(s, _)| key < *s) {
+                best_effort = Some((key, outcome));
             }
         }
     }
@@ -170,6 +164,39 @@ pub fn search(input: &SearchInput) -> Result<SearchOutcome, SearchError> {
     }
 }
 
+/// Steps 1 and 2: every candidate that still fits the area budget once its
+/// interconnect is sized, with its itemized area, in sweep order.
+fn candidates(
+    vendor: &VendorConstraints,
+    workload: &Workload,
+    deployment: Deployment,
+) -> Vec<(Architecture, AreaBreakdown)> {
+    let area_model = AreaModel::default();
+    let mut out = Vec::new();
+    for mt in mt_candidates(vendor, workload) {
+        for sa in sa_candidates() {
+            for cores in [8usize, 16, 32, 64, 128] {
+                let Some((local, global)) = size_memories(vendor, workload, cores) else {
+                    continue;
+                };
+                let mut candidate = build_candidate(vendor, mt, sa, cores, local, global);
+                if area_model.estimate(&candidate).total() > vendor.area_budget {
+                    continue;
+                }
+                // Step 2: interconnect floors for this candidate.
+                candidate.noc_bandwidth = solve_noc_bandwidth(&candidate, workload);
+                candidate.p2p_bandwidth = solve_p2p_bandwidth(&candidate, workload, deployment);
+                let breakdown = area_model.estimate(&candidate);
+                if breakdown.total() > vendor.area_budget {
+                    continue;
+                }
+                out.push((candidate, breakdown));
+            }
+        }
+    }
+    out
+}
+
 fn build_candidate(
     vendor: &VendorConstraints,
     mt: MacTree,
@@ -177,8 +204,8 @@ fn build_candidate(
     cores: usize,
     local: ador_units::Bytes,
     global: ador_units::Bytes,
-) -> ador_hw::Architecture {
-    ador_hw::Architecture::builder(format!(
+) -> Architecture {
+    Architecture::builder(format!(
         "ADOR sa{}x{} mt{}x{} c{}",
         sa.rows(),
         sa.cols(),
@@ -322,6 +349,58 @@ mod tests {
             "expected a real sweep, got {}",
             outcome.steps.len()
         );
+    }
+
+    #[test]
+    fn logged_steps_match_fresh_evaluations() {
+        let seventy_b = SearchInput {
+            workload: Workload::new(presets::llama3_70b(), 64, 2048),
+            ..a100_class_input()
+        };
+        for input in [a100_class_input(), seventy_b] {
+            let outcome = search(&input).unwrap();
+            let w = &input.workload;
+            let mut logged = outcome.steps.iter();
+            for (candidate, _) in candidates(&input.vendor, w, outcome.deployment) {
+                let Ok(eval) = Evaluator::new(&candidate, &w.model, outcome.deployment) else {
+                    continue;
+                };
+                let (Ok(ttft), Ok(tbt)) = (
+                    eval.ttft(1, w.seq_len),
+                    eval.decode_interval(w.batch, w.seq_len),
+                ) else {
+                    continue;
+                };
+                let step = logged.next().expect("every priced candidate is logged");
+                assert_eq!(step.candidate, candidate.name);
+                assert_eq!(
+                    step.ttft.get().to_bits(),
+                    ttft.get().to_bits(),
+                    "{}",
+                    step.candidate
+                );
+                assert_eq!(
+                    step.tbt.get().to_bits(),
+                    tbt.get().to_bits(),
+                    "{}",
+                    step.candidate
+                );
+            }
+            assert!(logged.next().is_none(), "a logged step has no candidate");
+        }
+    }
+
+    #[test]
+    fn zero_sized_workloads_are_errors_not_panics() {
+        for (batch, seq_len) in [(0, 1024), (128, 0)] {
+            let mut input = a100_class_input();
+            input.workload.batch = batch;
+            input.workload.seq_len = seq_len;
+            assert!(
+                matches!(search(&input), Err(SearchError::DeploymentPlanning(_))),
+                "batch {batch}, seq_len {seq_len}"
+            );
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ fn cross_validate(
     phase: Phase,
     deployment: Deployment,
 ) -> (f64, f64) {
-    let program = lower(arch, model, phase, deployment);
+    let program = lower(arch, model, phase, deployment).unwrap();
     let step_flops = StepSummary::compute(model, phase).flops * (1.0 / deployment.devices as f64);
     let exec = CycleExecutor::new(arch, deployment, phase, step_flops).run(&program);
     let analytical = Evaluator::new(arch, model, deployment)
@@ -138,7 +138,8 @@ proptest! {
     fn lowering_covers_the_model(batch in 1usize..64) {
         let arch = baselines::ador_table3();
         let model = presets::llama3_8b();
-        let program = lower(&arch, &model, Phase::decode(batch, 256), Deployment::single_device());
+        let program =
+            lower(&arch, &model, Phase::decode(batch, 256), Deployment::single_device()).unwrap();
         prop_assert!(program.dynamic_instruction_count() >= model.layers * 10);
     }
 }
