@@ -14,7 +14,7 @@
 //! outcomes (pinned by `tests/cluster_serving.rs`).
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use ador_hw::Architecture;
 use ador_model::ModelConfig;
@@ -28,6 +28,7 @@ use ador_telemetry::{
 use ador_units::{conv, Seconds};
 use serde::Serialize;
 
+use crate::ledger::Ledger;
 use crate::report::{imbalance, FleetAttribution, FleetTelemetry};
 use crate::{
     ClusterRequest, FleetReport, FleetSpec, KvLink, PoolRole, ReplicaSnapshot, Router,
@@ -209,14 +210,15 @@ impl Ord for ReadyAt {
 }
 
 /// A KV-context transfer in flight between pools: the decode-side
-/// continuation request, keyed by the instant its context finishes
-/// landing (prefill completion + link latency + serialization). Min-heap
-/// ordered via [`Reverse`]; ties break by request id, so delivery order
-/// is part of the pinned trace.
+/// continuation request and its ledger slot, keyed by the instant its
+/// context finishes landing (prefill completion + link latency +
+/// serialization). Min-heap ordered via [`Reverse`]; ties break by
+/// request id, so delivery order is part of the pinned trace.
 #[derive(Debug, Clone, Copy)]
 struct TransferAt {
     time: Seconds,
     request: Request,
+    slot: usize,
 }
 
 impl PartialEq for TransferAt {
@@ -294,9 +296,9 @@ pub struct ClusterSim<'a> {
     stream: VecDeque<ClusterRequest>,
     classes: Vec<TenantClass>,
     offered: usize,
-    /// Tenant tag per request id (`BTreeMap` by the determinism
-    /// contract — see `ador-lint`; lookups are by exact id).
-    tenant_of: BTreeMap<u64, usize>,
+    /// Per-request tenant and split bookkeeping, built by
+    /// [`ClusterSim::submit_stream`].
+    ledger: Ledger,
     submitted_per_tenant: Vec<usize>,
     rejected_per_tenant: Vec<usize>,
     assignments: Vec<(u64, Option<usize>)>,
@@ -334,11 +336,6 @@ pub struct ClusterSim<'a> {
     /// Per-engine cursor into [`Engine::outcomes`]: completions before
     /// it are already classified (split bookkeeping done).
     seen_outcomes: Vec<usize>,
-    /// Original requests of in-progress splits, by id (`BTreeMap` by the
-    /// determinism contract — see `ador-lint`).
-    origs: BTreeMap<u64, Request>,
-    /// Completed prefill halves awaiting their decode half, by id.
-    pending_stitch: BTreeMap<u64, RequestOutcome>,
     /// Fully stitched end-to-end outcomes (disaggregated runs only).
     stitched: Vec<RequestOutcome>,
     /// Requests finished end-to-end under disaggregation.
@@ -366,9 +363,11 @@ impl<'a> ClusterSim<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::EmptyConfig`] for a zero replica count and
-    /// propagates per-replica construction errors (model does not fit,
-    /// no KV headroom, …).
+    /// Returns [`SimError::EmptyConfig`] for a zero replica count,
+    /// [`SimError::InvalidKvLink`] for a disaggregated topology over a
+    /// link without positive bandwidth and a positive, finite latency
+    /// (see [`KvLink`]), and propagates per-replica construction errors
+    /// (model does not fit, no KV headroom, …).
     pub fn new(
         arch: &'a Architecture,
         model: &'a ModelConfig,
@@ -394,8 +393,10 @@ impl<'a> ClusterSim<'a> {
     /// # Errors
     ///
     /// Returns [`SimError::EmptyConfig`] for an empty fleet or a
-    /// disaggregated topology whose prefill or decode pool is empty, and
-    /// propagates per-replica construction errors.
+    /// disaggregated topology whose prefill or decode pool is empty,
+    /// [`SimError::InvalidKvLink`] for a disaggregated topology over an
+    /// invalid link (see [`KvLink`]), and propagates per-replica
+    /// construction errors.
     pub fn new_fleet(
         fleet: &'a FleetSpec,
         model: &'a ModelConfig,
@@ -430,6 +431,12 @@ impl<'a> ClusterSim<'a> {
     ) -> Result<Self, SimError> {
         let link = match cfg.topology {
             Topology::Aggregated => None,
+            Topology::Disaggregated(link) if !link.is_valid() => {
+                return Err(SimError::InvalidKvLink {
+                    latency: link.latency,
+                    bandwidth: link.bandwidth,
+                })
+            }
             Topology::Disaggregated(link) => Some(link),
         };
         let prefill_pool: Vec<usize> = roles
@@ -457,7 +464,7 @@ impl<'a> ClusterSim<'a> {
             stream: VecDeque::new(),
             classes: Vec::new(),
             offered: 0,
-            tenant_of: BTreeMap::new(),
+            ledger: Ledger::default(),
             submitted_per_tenant: Vec::new(),
             rejected_per_tenant: Vec::new(),
             assignments: Vec::new(),
@@ -470,8 +477,6 @@ impl<'a> ClusterSim<'a> {
             kv_bytes_per_token: model.kv_bytes_per_token().get(),
             transfers: BinaryHeap::new(),
             seen_outcomes: vec![0; replicas],
-            origs: BTreeMap::new(),
-            pending_stitch: BTreeMap::new(),
             stitched: Vec::new(),
             finished: 0,
             transfer_events: Vec::new(),
@@ -539,14 +544,9 @@ impl<'a> ClusterSim<'a> {
                 cr.tenant,
                 self.classes.len()
             );
-            assert!(
-                !self.tenant_of.contains_key(&cr.request.id),
-                "duplicate request id {}",
-                cr.request.id
-            );
-            self.tenant_of.insert(cr.request.id, cr.tenant);
             self.submitted_per_tenant[cr.tenant] += 1;
         }
+        self.ledger = Ledger::new(&stream);
         self.offered = stream.len();
         self.stream = stream.into();
     }
@@ -678,14 +678,13 @@ impl<'a> ClusterSim<'a> {
     /// requests finish directly.
     fn scan_completions(&mut self) {
         for idx in 0..self.engines.len() {
-            let fresh: Vec<RequestOutcome> =
-                self.engines[idx].outcomes()[self.seen_outcomes[idx]..].to_vec();
-            self.seen_outcomes[idx] += fresh.len();
-            for o in fresh {
+            while let Some(&o) = self.engines[idx].outcomes().get(self.seen_outcomes[idx]) {
+                self.seen_outcomes[idx] += 1;
+                let slot = self.ledger.slot(o.request.id);
                 if o.request.imported_context > 0 {
-                    self.stitch(o);
-                } else if self.origs.contains_key(&o.request.id) {
-                    self.launch_transfer(idx, o);
+                    self.stitch(slot, o);
+                } else if let Some(orig) = self.ledger.split_orig(slot) {
+                    self.launch_transfer(idx, slot, orig, o);
                 } else {
                     self.stitched.push(o);
                     self.finished += 1;
@@ -694,11 +693,11 @@ impl<'a> ClusterSim<'a> {
         }
     }
 
-    /// A prefill half just completed on replica `src`: price the KV
-    /// handoff (latency + context × bytes-per-token over the link) and
-    /// schedule the decode-side continuation at its maturity.
-    fn launch_transfer(&mut self, src: usize, prefill: RequestOutcome) {
-        let orig = self.origs[&prefill.request.id];
+    /// The prefill half of `orig` (ledger `slot`) just completed on
+    /// replica `src`: price the KV handoff (latency + context ×
+    /// bytes-per-token over the link) and schedule the decode-side
+    /// continuation at its maturity.
+    fn launch_transfer(&mut self, src: usize, slot: usize, orig: Request, prefill: RequestOutcome) {
         // ador-lint: allow(panic) — invariant: transfers only exist under disaggregation
         let link = self.link.expect("disaggregated driver");
         let done_at = orig.arrival + prefill.e2e;
@@ -733,21 +732,19 @@ impl<'a> ClusterSim<'a> {
                 },
             ));
         }
-        self.pending_stitch.insert(orig.id, prefill);
+        self.ledger.land_prefill(slot, prefill);
         self.transfers.push(Reverse(TransferAt {
             time: maturity,
             request,
+            slot,
         }));
     }
 
-    /// A decode half just completed: join it with its stored prefill
-    /// half into the original request's end-to-end outcome.
-    fn stitch(&mut self, decode: RequestOutcome) {
-        let id = decode.request.id;
-        // ador-lint: allow(panic) — invariant: a decode half always follows its recorded split
-        let orig = self.origs.remove(&id).expect("split");
-        // ador-lint: allow(panic) — invariant: the prefill half was stored before the transfer
-        let prefill = self.pending_stitch.remove(&id).expect("split");
+    /// The decode half of the request in ledger `slot` just completed:
+    /// join it with its stored prefill half into the original request's
+    /// end-to-end outcome.
+    fn stitch(&mut self, slot: usize, decode: RequestOutcome) {
+        let (orig, prefill) = self.ledger.close_split(slot);
         let ttft = prefill.ttft;
         let e2e = (decode.request.arrival + decode.e2e) - orig.arrival;
         // Token 1 lands at the prefill side's first-token instant, token
@@ -770,7 +767,7 @@ impl<'a> ClusterSim<'a> {
     /// admission control happened at the front door).
     fn deliver_transfer(&mut self, t: TransferAt) -> Result<(), SimError> {
         self.clock = self.clock.max(t.time);
-        let tenant = self.tenant_of[&t.request.id];
+        let tenant = self.ledger.tenant(t.slot);
         let idx = self.decode_router.route_pool(
             tenant,
             self.classes.len(),
@@ -818,7 +815,8 @@ impl<'a> ClusterSim<'a> {
             let mut job = cr.request;
             if job.output_tokens > 1 {
                 job.output_tokens = 1;
-                self.origs.insert(cr.request.id, cr.request);
+                let slot = self.ledger.slot(job.id);
+                self.ledger.open_split(slot, cr.request);
             }
             self.engines[idx].submit(job)?;
             self.snapshots[idx] = snapshot(&self.engines[idx]);
@@ -1090,11 +1088,7 @@ impl<'a> ClusterSim<'a> {
         } else if completed_reports.is_empty() {
             None
         } else {
-            let pooled: Vec<RequestOutcome> = self
-                .engines
-                .iter()
-                .flat_map(|e| e.outcomes().iter().copied())
-                .collect();
+            let pooled: Vec<RequestOutcome> = self.e2e_outcomes().copied().collect();
             Some(QosReport::merge_exact(&completed_reports, &pooled))
         };
 
@@ -1110,18 +1104,8 @@ impl<'a> ClusterSim<'a> {
             .collect();
 
         let mut per_tenant: Vec<Vec<RequestOutcome>> = vec![Vec::new(); self.classes.len()];
-        if self.link.is_some() {
-            for outcome in &self.stitched {
-                let tenant = self.tenant_of[&outcome.request.id];
-                per_tenant[tenant].push(*outcome);
-            }
-        } else {
-            for engine in &self.engines {
-                for outcome in engine.outcomes() {
-                    let tenant = self.tenant_of[&outcome.request.id];
-                    per_tenant[tenant].push(*outcome);
-                }
-            }
+        for outcome in self.e2e_outcomes() {
+            per_tenant[self.tenant_of(outcome)].push(*outcome);
         }
         let tenants: Vec<TenantQos> = self
             .classes
@@ -1206,25 +1190,11 @@ impl<'a> ClusterSim<'a> {
             Some(interval) => {
                 let mut completions: Vec<Vec<(Seconds, u64)>> =
                     vec![Vec::new(); self.classes.len()];
-                let mut record = |o: &RequestOutcome| {
-                    let tenant = self.tenant_of[&o.request.id];
-                    completions[tenant].push((
+                for o in self.e2e_outcomes() {
+                    completions[self.tenant_of(o)].push((
                         o.request.arrival + o.e2e,
                         conv::u64_from_usize(o.request.output_tokens),
                     ));
-                };
-                if self.link.is_some() {
-                    // Halves are bookkeeping; goodput counts end-to-end
-                    // service once, on the stitched outcomes.
-                    for o in &self.stitched {
-                        record(o);
-                    }
-                } else {
-                    for engine in &self.engines {
-                        for o in engine.outcomes() {
-                            record(o);
-                        }
-                    }
                 }
                 let per_tenant = completions
                     .iter()
@@ -1249,33 +1219,18 @@ impl<'a> ClusterSim<'a> {
     /// dominant loss, and shed requests are counted without time-loss.
     /// The fleet ledger is the exact merge of the tenant ledgers.
     fn attribute(&self, events: &[Vec<Event>]) -> FleetAttribution {
-        let mut met: BTreeMap<u64, bool> = BTreeMap::new();
-        let mut judge = |o: &RequestOutcome, classes: &[TenantClass]| {
-            let slo = classes[self.tenant_of[&o.request.id]].slo;
-            met.insert(o.request.id, slo.met(o));
-        };
-        if self.link.is_some() {
-            // Halves mean nothing to a user: judge stitched end-to-end
-            // outcomes, exactly like the per-tenant QoS does.
-            for o in &self.stitched {
-                judge(o, &self.classes);
-            }
-        } else {
-            for engine in &self.engines {
-                for o in engine.outcomes() {
-                    judge(o, &self.classes);
-                }
-            }
+        // Per ledger slot: whether the request's end-to-end outcome
+        // missed its tenant's SLO. Requests with no outcome (still in
+        // flight at a truncated ring's horizon) cannot have missed.
+        let mut missed = vec![false; self.ledger.len()];
+        for o in self.e2e_outcomes() {
+            let slot = self.ledger.slot(o.request.id);
+            missed[slot] = !self.classes[self.ledger.tenant(slot)].slo.met(o);
         }
         let mut per_tenant = vec![AttributionReport::default(); self.classes.len()];
         for attr in ador_telemetry::attribute_events(events) {
-            let Some(&tenant) = self.tenant_of.get(&attr.request) else {
-                continue;
-            };
-            // Requests with no judged outcome (still in flight at a
-            // truncated ring's horizon) cannot have missed.
-            let missed = !met.get(&attr.request).copied().unwrap_or(true);
-            per_tenant[tenant].record(&attr, missed);
+            let slot = self.ledger.slot(attr.request);
+            per_tenant[self.ledger.tenant(slot)].record(&attr, missed[slot]);
         }
         for (tenant, &rejected) in self.rejected_per_tenant.iter().enumerate() {
             per_tenant[tenant].record_shed(conv::u64_from_usize(rejected));
@@ -1285,6 +1240,25 @@ impl<'a> ClusterSim<'a> {
             fleet.merge(tenant);
         }
         FleetAttribution { per_tenant, fleet }
+    }
+
+    /// The completed end-to-end outcomes the report judges: under
+    /// disaggregation the stitched ones (halves are bookkeeping and mean
+    /// nothing to a user), otherwise every replica's, replica by replica.
+    fn e2e_outcomes(&self) -> impl Iterator<Item = &RequestOutcome> {
+        let (stitched, engines): (&[RequestOutcome], &[Engine<'a>]) = if self.link.is_some() {
+            (&self.stitched, &[])
+        } else {
+            (&[], &self.engines)
+        };
+        stitched
+            .iter()
+            .chain(engines.iter().flat_map(|e| e.outcomes()))
+    }
+
+    /// The tenant of a completed request.
+    fn tenant_of(&self, outcome: &RequestOutcome) -> usize {
+        self.ledger.tenant(self.ledger.slot(outcome.request.id))
     }
 }
 
@@ -1560,6 +1534,44 @@ mod tests {
         let err =
             ClusterSim::new_fleet(&fleet, &model, Deployment::single_device(), cfg).unwrap_err();
         assert_eq!(err, SimError::EmptyConfig);
+    }
+
+    /// The error of building a 2 + 2 disaggregated fleet over `link` (a
+    /// struct literal, which skips `KvLink::new`'s check).
+    fn link_error(link: KvLink) -> SimError {
+        let model = presets::llama3_8b();
+        let fleet = pd_fleet(2, 2);
+        let cfg = ClusterConfig::new(0, RouterPolicy::JoinShortestQueue).with_disaggregation(link);
+        ClusterSim::new_fleet(&fleet, &model, Deployment::single_device(), cfg).unwrap_err()
+    }
+
+    #[test]
+    fn zero_latency_links_are_an_error() {
+        // Without the check the causality guard stops advancing and the
+        // driver spins forever.
+        let link = KvLink {
+            latency: Seconds::ZERO,
+            ..disagg_link()
+        };
+        assert_eq!(
+            link_error(link),
+            SimError::InvalidKvLink {
+                latency: Seconds::ZERO,
+                bandwidth: link.bandwidth,
+            }
+        );
+    }
+
+    #[test]
+    fn zero_bandwidth_links_are_an_error() {
+        // Without the check every transfer lasts forever and the drain
+        // panics on an infinite time span.
+        let link = KvLink {
+            bandwidth: ador_units::Bandwidth::from_gbps(0.0),
+            ..disagg_link()
+        };
+        let err = link_error(link);
+        assert!(matches!(err, SimError::InvalidKvLink { .. }), "{err}");
     }
 
     #[test]

@@ -154,15 +154,18 @@ impl FleetSpec {
 /// Moving a finished context of `c` tokens costs
 /// `latency + c × kv_bytes_per_token / bandwidth` on the fleet clock —
 /// the continuation cannot start decoding anywhere before that instant.
-/// The latency must be strictly positive: it is also the causality
-/// guard the drivers use to bound how far any replica may be swept
-/// while a prefill completion (and hence a future delivery) is still
-/// undiscovered.
+/// The latency must be strictly positive and finite: it is also the
+/// causality guard the drivers use to bound how far any replica may be
+/// swept while a prefill completion (and hence a future delivery) is
+/// still undiscovered. A fleet built over a link that breaks this (or
+/// has no bandwidth) is refused with
+/// [`SimError::InvalidKvLink`](ador_serving::SimError::InvalidKvLink).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct KvLink {
-    /// Link bandwidth available to one context transfer.
+    /// Link bandwidth available to one context transfer. Must be > 0.
     pub bandwidth: Bandwidth,
-    /// Fixed per-transfer latency (setup + first-byte). Must be > 0.
+    /// Fixed per-transfer latency (setup + first-byte). Must be finite
+    /// and > 0.
     pub latency: Seconds,
 }
 
@@ -171,13 +174,22 @@ impl KvLink {
     ///
     /// # Panics
     ///
-    /// Panics unless both bandwidth and latency are strictly positive.
+    /// Panics unless the bandwidth is positive and the latency positive
+    /// and finite.
     pub fn new(bandwidth: Bandwidth, latency: Seconds) -> Self {
+        let link = Self { bandwidth, latency };
         assert!(
-            bandwidth.as_bytes_per_sec() > 0.0 && latency.get() > 0.0,
+            link.is_valid(),
             "KV links need positive bandwidth and latency"
         );
-        Self { bandwidth, latency }
+        link
+    }
+
+    /// Whether a fleet can run over this link: positive bandwidth and a
+    /// positive, finite latency (NaN in either fails).
+    pub(crate) fn is_valid(&self) -> bool {
+        let latency = self.latency.get();
+        self.bandwidth.as_bytes_per_sec() > 0.0 && latency > 0.0 && latency.is_finite()
     }
 }
 

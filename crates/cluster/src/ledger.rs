@@ -1,0 +1,337 @@
+//! The fleet's per-request ledger: each request's tenant and, while its
+//! prefill/decode split is in flight, the split's bookkeeping.
+
+use ador_serving::{Request, RequestOutcome};
+use ador_units::conv;
+
+use crate::ClusterRequest;
+
+/// Per-request bookkeeping of one fleet run, indexed by *slot*: a
+/// request's position in the stream's ids sorted ascending. Lookups by
+/// id are binary searches over that sorted list (the determinism
+/// contract rules out hash maps), and ids may be any `u64`s.
+///
+/// A slot holds only the tenant and, for a request split across pools,
+/// a handle into a slab of in-flight splits. Slab entries are recycled
+/// once their decode half is stitched, so the slab stays as small as the
+/// number of splits in flight at once.
+#[derive(Debug, Default)]
+pub(crate) struct Ledger {
+    /// Every request id of the stream, ascending.
+    ids: Vec<u64>,
+    /// Index-aligned with `ids`.
+    slots: Vec<Slot>,
+    splits: Vec<Split>,
+    /// Slab entries free for reuse.
+    free: Vec<u32>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    tenant: u32,
+    split: Option<u32>,
+}
+
+/// One in-flight split: the original request and, once it completes,
+/// its prefill half.
+#[derive(Debug, Clone, Copy)]
+struct Split {
+    orig: Request,
+    prefill: Option<RequestOutcome>,
+}
+
+impl Ledger {
+    /// The ledger of one stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a duplicate request id.
+    pub(crate) fn new(stream: &[ClusterRequest]) -> Self {
+        let mut entries: Vec<(u64, u32)> = stream
+            .iter()
+            .map(|cr| (cr.request.id, conv::u32_from_usize(cr.tenant)))
+            .collect();
+        entries.sort_unstable();
+        for pair in entries.windows(2) {
+            if let [(a, _), (b, _)] = pair {
+                assert!(a != b, "duplicate request id {a}");
+            }
+        }
+        Self {
+            ids: entries.iter().map(|&(id, _)| id).collect(),
+            slots: entries
+                .iter()
+                .map(|&(_, tenant)| Slot {
+                    tenant,
+                    split: None,
+                })
+                .collect(),
+            splits: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// Requests in the stream.
+    pub(crate) fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// The slot of request `id`.
+    pub(crate) fn slot(&self, id: u64) -> usize {
+        self.ids
+            .binary_search(&id)
+            // ador-lint: allow(panic) — invariant: every id the fleet handles came from its stream
+            .expect("request id is in the stream")
+    }
+
+    /// The tenant of the request in `slot`.
+    pub(crate) fn tenant(&self, slot: usize) -> usize {
+        conv::usize_from_u32(self.slots[slot].tenant)
+    }
+
+    /// Records that the request in `slot` was split into a prefill half
+    /// and a decode continuation; `orig` is the request as offered.
+    pub(crate) fn open_split(&mut self, slot: usize, orig: Request) {
+        let split = Split {
+            orig,
+            prefill: None,
+        };
+        let handle = match self.free.pop() {
+            Some(handle) => {
+                self.splits[conv::usize_from_u32(handle)] = split;
+                handle
+            }
+            None => {
+                self.splits.push(split);
+                conv::u32_from_usize(self.splits.len() - 1)
+            }
+        };
+        self.slots[slot].split = Some(handle);
+    }
+
+    /// The original request of `slot`'s in-flight split (`None` when
+    /// the request was never split).
+    pub(crate) fn split_orig(&self, slot: usize) -> Option<Request> {
+        let handle = self.slots[slot].split?;
+        Some(self.splits[conv::usize_from_u32(handle)].orig)
+    }
+
+    /// Stores the completed prefill half of `slot`'s split.
+    pub(crate) fn land_prefill(&mut self, slot: usize, prefill: RequestOutcome) {
+        if let Some(handle) = self.slots[slot].split {
+            self.splits[conv::usize_from_u32(handle)].prefill = Some(prefill);
+        }
+    }
+
+    /// Closes `slot`'s split once its decode half completed: returns the
+    /// original request and the prefill half, and frees the slab entry.
+    pub(crate) fn close_split(&mut self, slot: usize) -> (Request, RequestOutcome) {
+        // ador-lint: allow(panic) — invariant: a decode half always follows its recorded split
+        let handle = self.slots[slot].split.take().expect("split");
+        let split = self.splits[conv::usize_from_u32(handle)];
+        self.free.push(handle);
+        // ador-lint: allow(panic) — invariant: the prefill half was stored before the transfer
+        let prefill = split.prefill.expect("prefill half");
+        (split.orig, prefill)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    // tests may unwrap: a failed unwrap is exactly the test failing
+    #![allow(clippy::unwrap_used)]
+
+    use std::collections::BTreeMap;
+
+    use ador_model::presets;
+    use ador_perf::Deployment;
+    use ador_serving::SimConfig;
+    use ador_telemetry::{Event, EventDetail, EventKind, TelemetryConfig};
+    use ador_units::Seconds;
+
+    use super::*;
+    use crate::{
+        scenarios, ClusterConfig, ClusterSim, FleetReport, FleetSpec, ReplicaSpec, RouterPolicy,
+        TenantClass, TenantMix,
+    };
+
+    fn tagged(id: u64, tenant: usize) -> ClusterRequest {
+        ClusterRequest {
+            request: Request::new(id, Seconds::ZERO, 8, 4),
+            tenant,
+        }
+    }
+
+    #[test]
+    fn slots_follow_sorted_ids_and_split_entries_are_reused() {
+        let stream = [tagged(u64::MAX, 1), tagged(7, 0), tagged(1 << 40, 2)];
+        let mut ledger = Ledger::new(&stream);
+        assert_eq!(ledger.len(), 3);
+        assert_eq!(ledger.slot(7), 0);
+        assert_eq!(ledger.slot(1 << 40), 1);
+        assert_eq!(ledger.slot(u64::MAX), 2);
+        assert_eq!(ledger.tenant(ledger.slot(u64::MAX)), 1);
+
+        let outcome = |id: u64| RequestOutcome {
+            request: Request::new(id, Seconds::ZERO, 8, 1),
+            ttft: Seconds::new(0.5),
+            mean_tbt: Seconds::ZERO,
+            max_tbt: Seconds::ZERO,
+            e2e: Seconds::new(0.5),
+        };
+        ledger.open_split(2, stream[0].request);
+        assert_eq!(ledger.split_orig(2), Some(stream[0].request));
+        assert_eq!(ledger.split_orig(0), None);
+        ledger.land_prefill(2, outcome(u64::MAX));
+        let (orig, prefill) = ledger.close_split(2);
+        assert_eq!(orig, stream[0].request);
+        assert_eq!(prefill, outcome(u64::MAX));
+        assert_eq!(ledger.split_orig(2), None, "a closed split is gone");
+        // The freed slab entry serves the next split.
+        ledger.open_split(0, stream[1].request);
+        assert_eq!(ledger.splits.len(), 1);
+        assert_eq!(ledger.split_orig(0), Some(stream[1].request));
+    }
+
+    /// Sparse, non-monotone ids near `u64::MAX` (a bijection on any
+    /// dense `0..2^20` id range; id 5 maps to `u64::MAX` itself).
+    fn sparse(id: u64) -> u64 {
+        u64::MAX - (id ^ 5) * 1_000_003
+    }
+
+    /// Runs `stream` as generated (dense ids `0..n`) and relabeled with
+    /// [`sparse`] ids, maps every id in the relabeled report back, and
+    /// returns both reports.
+    fn dense_and_relabeled(
+        run: impl Fn(Vec<ClusterRequest>) -> FleetReport,
+        stream: Vec<ClusterRequest>,
+    ) -> (FleetReport, FleetReport) {
+        let back: BTreeMap<u64, u64> = stream
+            .iter()
+            .map(|cr| (sparse(cr.request.id), cr.request.id))
+            .collect();
+        let relabeled = stream
+            .iter()
+            .map(|cr| {
+                let mut cr = *cr;
+                cr.request.id = sparse(cr.request.id);
+                cr
+            })
+            .collect();
+        let dense = run(stream);
+        let mut mapped = run(relabeled);
+        for (id, _) in &mut mapped.assignments {
+            *id = back[id];
+        }
+        let telemetry = mapped.telemetry.as_mut().expect("traced run");
+        for e in telemetry.events.iter_mut().flatten() {
+            e.request = back[&e.request];
+        }
+        for (_, e) in &mut telemetry.transfer_events {
+            e.request = back[&e.request];
+        }
+        // The transfer lane breaks equal-time ties by request id (starts
+        // before ends); restore the order the dense ids give.
+        let is_end = |e: &Event| matches!(e.kind, EventKind::KvTransferEnd { .. });
+        telemetry.transfer_events.sort_by(|(_, a), (_, b)| {
+            a.time
+                .partial_cmp(&b.time)
+                .unwrap()
+                .then(a.request.cmp(&b.request))
+                .then(is_end(a).cmp(&is_end(b)))
+        });
+        (dense, mapped)
+    }
+
+    fn traced() -> TelemetryConfig {
+        TelemetryConfig::trace()
+            .with_series(Seconds::from_millis(250.0))
+            .with_attribution()
+    }
+
+    #[test]
+    fn disaggregated_reports_do_not_depend_on_request_ids() {
+        let model = presets::llama3_8b();
+        let engine =
+            scenarios::disagg_engine().with_telemetry(traced().with_detail(EventDetail::Lifecycle));
+        let fleet = FleetSpec::prefill_decode(
+            &ReplicaSpec::new(ador_baselines::prefill_optimized(), engine),
+            2,
+            &ReplicaSpec::new(ador_baselines::decode_optimized(), engine),
+            2,
+        );
+        let mix = scenarios::disagg_mix(16.0);
+        let run = |stream| {
+            ClusterSim::new_fleet(
+                &fleet,
+                &model,
+                Deployment::single_device(),
+                scenarios::disagg_cluster(true),
+            )
+            .unwrap()
+            .run_stream(&mix, stream)
+            .unwrap()
+        };
+        let (dense, relabeled) = dense_and_relabeled(run, mix.generate(150, 3));
+        assert!(dense.kv_transfers > 0 && dense.attribution.is_some());
+        assert_eq!(relabeled, dense);
+    }
+
+    #[test]
+    fn aggregated_reports_do_not_depend_on_request_ids() {
+        let arch = ador_baselines::ador_table3();
+        let model = presets::llama3_8b();
+        let mix = TenantMix::new(vec![
+            TenantClass::chatbot(40.0),
+            TenantClass::summarization(20.0),
+        ]);
+        // A tight queue cap makes the run shed, so shed stamps and the
+        // per-tenant rejection counts go through the ledger too.
+        let cfg = ClusterConfig::new(3, RouterPolicy::JoinShortestQueue)
+            .with_engine(SimConfig::new(1.0, 16))
+            .with_queue_cap(4)
+            .with_telemetry(traced());
+        let run = |stream| {
+            ClusterSim::new(&arch, &model, Deployment::single_device(), cfg)
+                .unwrap()
+                .run_stream(&mix, stream)
+                .unwrap()
+        };
+        let (dense, relabeled) = dense_and_relabeled(run, mix.generate(150, 9));
+        assert!(dense.rejected > 0 && dense.attribution.is_some());
+        assert_eq!(relabeled, dense);
+    }
+
+    fn one_class_fleet() -> (ador_hw::Architecture, ador_model::ModelConfig, TenantMix) {
+        let mix = TenantMix::new(vec![TenantClass::chatbot(4.0)]);
+        (ador_baselines::ador_table3(), presets::llama3_8b(), mix)
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate request id 9")]
+    fn submit_stream_panics_on_a_duplicate_id() {
+        let (arch, model, mix) = one_class_fleet();
+        let mut sim = ClusterSim::new(
+            &arch,
+            &model,
+            Deployment::single_device(),
+            ClusterConfig::new(1, RouterPolicy::RoundRobin),
+        )
+        .unwrap();
+        sim.submit_stream(&mix, vec![tagged(9, 0), tagged(u64::MAX, 0), tagged(9, 0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "tenant tag 1 out of range for a 1-class mix")]
+    fn submit_stream_panics_on_an_out_of_range_tenant() {
+        let (arch, model, mix) = one_class_fleet();
+        let mut sim = ClusterSim::new(
+            &arch,
+            &model,
+            Deployment::single_device(),
+            ClusterConfig::new(1, RouterPolicy::RoundRobin),
+        )
+        .unwrap();
+        sim.submit_stream(&mix, vec![tagged(3, 0), tagged(4, 1)]);
+    }
+}

@@ -90,6 +90,7 @@
 mod capacity;
 mod cluster;
 mod fleet;
+mod ledger;
 mod report;
 mod router;
 pub mod scenarios;

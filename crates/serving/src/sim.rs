@@ -38,7 +38,7 @@ use ador_model::ModelConfig;
 use ador_perf::{Deployment, Evaluator, PerfError};
 use ador_spec::SpeculationConfig;
 use ador_telemetry::TelemetryConfig;
-use ador_units::conv;
+use ador_units::{conv, Bandwidth, Seconds};
 use serde::{Deserialize, Serialize};
 
 use crate::engine::{Engine, StepEvent};
@@ -193,6 +193,16 @@ pub enum SimError {
         /// Id of the offending request.
         id: u64,
     },
+    /// A disaggregated fleet's KV link needs a positive, finite latency
+    /// and a positive bandwidth: a zero latency stalls the driver's
+    /// causality guard, and a zero bandwidth makes every transfer last
+    /// forever.
+    InvalidKvLink {
+        /// The link's per-transfer latency.
+        latency: Seconds,
+        /// The link's bandwidth.
+        bandwidth: Bandwidth,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -212,6 +222,11 @@ impl fmt::Display for SimError {
             SimError::InvalidRequest { id } => {
                 write!(f, "request {id} has a zero-length prompt or response")
             }
+            SimError::InvalidKvLink { latency, bandwidth } => write!(
+                f,
+                "KV link needs a positive finite latency and a positive bandwidth, \
+                 got {latency} and {bandwidth}"
+            ),
         }
     }
 }

@@ -41,8 +41,6 @@
 //! evicted from a [`crate::FlightRecorder`] ring, shed at the router,
 //! or still in flight — are skipped, not guessed at.
 
-use std::collections::BTreeMap;
-
 use ador_units::{conv, Seconds};
 use serde::Serialize;
 
@@ -351,11 +349,70 @@ enum Ph {
 /// by request id. Returns one [`RequestAttribution`] per request with a
 /// complete, well-formed lifecycle, ordered by request id; truncated
 /// (ring-evicted), shed, or in-flight requests are skipped.
+///
+/// Cost: for `n` events, one `sort_unstable` of `n` packed (request id,
+/// recording position) keys groups the events by request; each group is
+/// then copied into one reused buffer, stably time-sorted and walked.
+/// Nothing is allocated per request, except inside the standard
+/// library's stable sort, which takes heap scratch for a lifecycle too
+/// long for its on-stack buffer (more than 128 events with today's
+/// `std`: long per-token streams).
 #[must_use]
 pub fn attribute_events(replicas: &[Vec<Event>]) -> Vec<RequestAttribution> {
-    // Per-replica sorted prefill-chunk timelines: the witness used to
-    // decide whether decode stretch was prefill interference.
-    let prefill_ts: Vec<Vec<u64>> = replicas
+    let prefill_ts = prefill_timelines(replicas);
+
+    // One key per event: (request id, recording position), where the
+    // position counts through the streams in replica order; `starts[r]`
+    // is replica `r`'s first position. Keys are unique, so the unstable
+    // sort is deterministic: requests come out in id order and each
+    // request's events in recording order. Comparing the pair as one
+    // packed `u128` sorts faster than the tuple's field-by-field order.
+    let mut starts = Vec::with_capacity(replicas.len());
+    let mut keys: Vec<(u64, usize)> = Vec::with_capacity(replicas.iter().map(Vec::len).sum());
+    for stream in replicas {
+        let base = keys.len();
+        starts.push(base);
+        keys.extend(
+            stream
+                .iter()
+                .enumerate()
+                .map(|(i, e)| (e.request, base + i)),
+        );
+    }
+    keys.sort_unstable_by_key(|&(request, pos)| {
+        u128::from(request) << 64 | u128::from(conv::u64_from_usize(pos))
+    });
+
+    let mut out = Vec::new();
+    let mut events: Vec<(u64, usize, EventKind)> = Vec::new();
+    let mut intervals: Vec<DecodeInterval> = Vec::new();
+    for group in keys.chunk_by(|a, b| a.0 == b.0) {
+        let Some(&(request, _)) = group.first() else {
+            continue;
+        };
+        events.clear();
+        events.extend(group.iter().map(|&(_, pos)| {
+            // `starts[0] == 0 <= pos`, so the partition point is >= 1.
+            let replica = starts.partition_point(|&s| s <= pos) - 1;
+            let e = &replicas[replica][pos - starts[replica]];
+            (nanos(e.time), replica, e.kind)
+        }));
+        // Stable sort: `Enqueue` is stamped at arrival time (possibly
+        // before previously recorded events), so streams are not
+        // globally time-ordered; ties keep recording order.
+        events.sort_by_key(|&(t, _, _)| t);
+        if let Some(attr) = walk(request, &events, &prefill_ts, &mut intervals) {
+            debug_assert!(attr.conserved(), "attribution must conserve e2e time");
+            out.push(attr);
+        }
+    }
+    out
+}
+
+/// Per-replica sorted prefill-chunk timelines: the witness used to
+/// decide whether decode stretch was prefill interference.
+fn prefill_timelines(replicas: &[Vec<Event>]) -> Vec<Vec<u64>> {
+    replicas
         .iter()
         .map(|stream| {
             let mut ts: Vec<u64> = stream
@@ -366,46 +423,25 @@ pub fn attribute_events(replicas: &[Vec<Event>]) -> Vec<RequestAttribution> {
             ts.sort_unstable();
             ts
         })
-        .collect();
-
-    let mut per_request: BTreeMap<u64, Vec<(u64, usize, EventKind)>> = BTreeMap::new();
-    for (replica, stream) in replicas.iter().enumerate() {
-        for e in stream {
-            per_request
-                .entry(e.request)
-                .or_default()
-                .push((nanos(e.time), replica, e.kind));
-        }
-    }
-
-    let mut out = Vec::new();
-    for (request, mut events) in per_request {
-        // Stable sort: `Enqueue` is stamped at arrival time (possibly
-        // before previously recorded events), so streams are not
-        // globally time-ordered; ties keep recording order.
-        events.sort_by_key(|&(t, _, _)| t);
-        if let Some(attr) = walk(request, &events, &prefill_ts) {
-            debug_assert!(attr.conserved(), "attribution must conserve e2e time");
-            out.push(attr);
-        }
-    }
-    out
+        .collect()
 }
 
 /// Walks one request's time-ordered events, charging every inter-event
 /// gap to exactly one component. Returns `None` on any malformed or
-/// truncated lifecycle.
+/// truncated lifecycle. `intervals` is scratch space, reused across
+/// requests.
 fn walk(
     request: u64,
     events: &[(u64, usize, EventKind)],
     prefill_ts: &[Vec<u64>],
+    intervals: &mut Vec<DecodeInterval>,
 ) -> Option<RequestAttribution> {
     let (&(start, _, first), rest) = events.split_first()?;
     if first != EventKind::Enqueue {
         return None;
     }
     let mut c = Components::default();
-    let mut intervals: Vec<DecodeInterval> = Vec::new();
+    intervals.clear();
     let mut at = start;
     let mut end = start;
     let mut ph = Ph::Queued;
@@ -513,7 +549,7 @@ fn walk(
     if !matches!(ph, Ph::Done) {
         return None;
     }
-    finalize_decode(&mut c, &intervals, prefill_ts);
+    finalize_decode(&mut c, intervals, prefill_ts);
     Some(RequestAttribution {
         request,
         e2e_ns: end - start,
@@ -527,28 +563,17 @@ fn walk(
 /// inside the interval, decode stall otherwise. Integer partitions
 /// throughout, so the interval durations are conserved exactly.
 fn finalize_decode(c: &mut Components, intervals: &[DecodeInterval], prefill_ts: &[Vec<u64>]) {
-    let mut nets: Vec<(u64, u64)> = Vec::with_capacity(intervals.len());
-    let mut min_rate: Option<u64> = None;
-    for iv in intervals {
-        let dur = iv.end - iv.start;
-        if iv.committed == 0 {
-            nets.push((dur, 0));
-            continue;
-        }
-        let rejected = iv.drafted.saturating_sub(iv.accepted);
-        // The verify step processed `drafted + 1` candidate positions;
-        // the rejected share of its time is speculative waste.
-        let waste = dur * rejected / (iv.drafted + 1);
-        let net = dur - waste;
-        let rate = net / iv.committed;
-        min_rate = Some(min_rate.map_or(rate, |m| m.min(rate)));
-        nets.push((net, waste));
-    }
     // The request-alone decode baseline: its own best observed net
     // per-token time. `m * committed <= net` for every interval by
     // construction, so the stretch split below never underflows.
-    let m = min_rate.unwrap_or(0);
-    for (iv, &(net, waste)) in intervals.iter().zip(&nets) {
+    let m = intervals
+        .iter()
+        .filter(|iv| iv.committed > 0)
+        .map(|iv| net_and_waste(iv).0 / iv.committed)
+        .min()
+        .unwrap_or(0);
+    for iv in intervals {
+        let (net, waste) = net_and_waste(iv);
         c.spec_waste_ns += waste;
         if iv.committed == 0 {
             c.decode_ns += net;
@@ -565,6 +590,20 @@ fn finalize_decode(c: &mut Components, intervals: &[DecodeInterval], prefill_ts:
     }
 }
 
+/// A decode interval's duration split into net service and speculative
+/// waste. The verify step processed `drafted + 1` candidate positions;
+/// the rejected share of its time is the waste. Intervals that commit
+/// nothing (elided steady decode) are all net service.
+fn net_and_waste(iv: &DecodeInterval) -> (u64, u64) {
+    let dur = iv.end - iv.start;
+    if iv.committed == 0 {
+        return (dur, 0);
+    }
+    let rejected = iv.drafted.saturating_sub(iv.accepted);
+    let waste = dur * rejected / (iv.drafted + 1);
+    (dur - waste, waste)
+}
+
 /// True when any prefill chunk landed on the replica in `(start, end]`.
 fn overlaps_prefill(ts: &[u64], start: u64, end: u64) -> bool {
     let lo = ts.partition_point(|&x| x <= start);
@@ -573,6 +612,8 @@ fn overlaps_prefill(ts: &[u64], start: u64, end: u64) -> bool {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     fn ev(time: f64, request: u64, kind: EventKind) -> Event {
@@ -751,5 +792,214 @@ mod tests {
         assert_eq!(merged.miss_count(MissCause::Queue), 2);
         assert_eq!(merged.lost_ns(MissCause::Queue), 100_000_000);
         assert_eq!(merged.total_lost_ns(), merged.totals.lost_ns());
+    }
+
+    /// The grouping `attribute_events` used before its single sort: one
+    /// `BTreeMap` probe per event and one `Vec` per request. Kept as the
+    /// oracle the sort-based grouping must match exactly.
+    fn reference_attribute_events(replicas: &[Vec<Event>]) -> Vec<RequestAttribution> {
+        let prefill_ts = prefill_timelines(replicas);
+        let mut per_request: BTreeMap<u64, Vec<(u64, usize, EventKind)>> = BTreeMap::new();
+        for (replica, stream) in replicas.iter().enumerate() {
+            for e in stream {
+                per_request
+                    .entry(e.request)
+                    .or_default()
+                    .push((nanos(e.time), replica, e.kind));
+            }
+        }
+        let mut intervals = Vec::new();
+        per_request
+            .into_iter()
+            .filter_map(|(request, mut events)| {
+                events.sort_by_key(|&(t, _, _)| t);
+                walk(request, &events, &prefill_ts, &mut intervals)
+            })
+            .collect()
+    }
+
+    /// SplitMix64, the random source of [`random_fleet`].
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn chance(&mut self, percent: u64) -> bool {
+            self.below(100) < percent
+        }
+    }
+
+    /// One generated lifecycle: (replica, millisecond tick, kind) in the
+    /// order the request lives through them.
+    struct Life {
+        at: u64,
+        events: Vec<(usize, u64, EventKind)>,
+    }
+
+    impl Life {
+        /// Appends `kind` 0-2 ms after the previous event, so equal
+        /// timestamps within one request are common.
+        fn push(&mut self, rng: &mut Rng, replica: usize, kind: EventKind) {
+            self.at += rng.below(3);
+            self.events.push((replica, self.at, kind));
+        }
+
+        /// Enqueue through the first token on `replica`, possibly with a
+        /// mid-prefill preemption.
+        fn prefill(&mut self, rng: &mut Rng, replica: usize) {
+            self.push(rng, replica, EventKind::Enqueue);
+            let ideal_us = rng.below(3_000) as u32;
+            self.push(rng, replica, admit(0, ideal_us));
+            for _ in 0..rng.below(3) {
+                self.push(rng, replica, EventKind::PrefillChunk { tokens: 64 });
+            }
+            if rng.chance(15) {
+                self.push(rng, replica, EventKind::Preempt);
+                self.push(rng, replica, EventKind::Resume);
+            }
+            self.push(rng, replica, commit(1, 0, 0));
+        }
+
+        /// `steps` decode steps on `replica`, then `Complete`. Under
+        /// `Lifecycle` detail only the first commit after a resume and
+        /// draft-carrying commits are recorded, as the engine does.
+        fn decode(&mut self, rng: &mut Rng, replica: usize, steps: u64, per_token: bool) {
+            let mut boundary = false;
+            for _ in 0..steps {
+                if rng.chance(4) {
+                    self.push(rng, replica, EventKind::Preempt);
+                    self.push(rng, replica, EventKind::Resume);
+                    boundary = true;
+                }
+                let drafted = if rng.chance(20) { rng.below(4) } else { 0 };
+                let accepted = rng.below(drafted + 1);
+                self.at += rng.below(4);
+                if per_token || boundary || drafted > 0 {
+                    let kind = commit(accepted as u32 + 1, drafted as u32, accepted as u32);
+                    self.events.push((replica, self.at, kind));
+                }
+                boundary = false;
+            }
+            self.push(rng, replica, EventKind::Complete);
+        }
+    }
+
+    /// A random multi-replica recording. Requests get sparse random ids
+    /// and are whole, split across two replicas (in either index order),
+    /// shed, or cut short in flight; a few decode for a long time, so a
+    /// per-token lifecycle can outgrow the stable sort's on-stack
+    /// scratch. Per replica, events are recorded in time order except
+    /// that some `Enqueue`s are recorded late, after events with later
+    /// timestamps. Some streams then pass through a small
+    /// [`FlightRecorder`](crate::FlightRecorder), which drops their
+    /// oldest events.
+    fn random_fleet(rng: &mut Rng, per_token: bool) -> Vec<Vec<Event>> {
+        use crate::EventSink;
+
+        let replicas = 1 + rng.below(4) as usize;
+        // (replica, recording key, generation order, event)
+        let mut recorded: Vec<(usize, u64, usize, Event)> = Vec::new();
+        for _ in 0..rng.below(24) {
+            let id = rng.next();
+            let home = rng.below(replicas as u64) as usize;
+            let mut life = Life {
+                at: rng.below(40),
+                events: Vec::new(),
+            };
+            let steps = if rng.chance(10) {
+                120 + rng.below(80)
+            } else {
+                rng.below(12)
+            };
+            if rng.chance(10) {
+                life.push(rng, home, EventKind::Shed);
+            } else if replicas > 1 && rng.chance(35) {
+                let away = (home + 1 + rng.below(replicas as u64 - 1) as usize) % replicas;
+                life.prefill(rng, home);
+                life.push(rng, home, EventKind::Complete);
+                life.push(rng, home, EventKind::KvTransferStart { tokens: 64 });
+                life.push(rng, away, EventKind::KvTransferEnd { tokens: 64 });
+                life.prefill(rng, away);
+                life.decode(rng, away, steps, per_token);
+            } else {
+                life.prefill(rng, home);
+                life.decode(rng, home, steps, per_token);
+            }
+            if rng.chance(10) {
+                let keep = rng.below(life.events.len() as u64 + 1) as usize;
+                life.events.truncate(keep);
+            }
+            for (replica, tick, kind) in life.events {
+                let late = if kind == EventKind::Enqueue && rng.chance(30) {
+                    1 + rng.below(4)
+                } else {
+                    0
+                };
+                let event = ev(tick as f64 * 1e-3, id, kind);
+                recorded.push((replica, tick + late, recorded.len(), event));
+            }
+        }
+        recorded.sort_by_key(|&(replica, key, order, _)| (replica, key, order));
+        let mut streams = vec![Vec::new(); replicas];
+        for (replica, _, _, event) in recorded {
+            streams[replica].push(event);
+        }
+        for stream in &mut streams {
+            if rng.chance(25) {
+                let mut ring =
+                    crate::FlightRecorder::new(rng.below(stream.len() as u64 + 1) as usize);
+                for e in stream.iter() {
+                    ring.record(e);
+                }
+                *stream = ring.drain();
+            }
+        }
+        streams
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The single-sort grouping returns exactly what the per-request
+        /// map grouping did, at both event detail levels.
+        #[test]
+        fn grouping_matches_the_reference(seed in 0u64..u64::MAX, per_token in 0u8..2) {
+            let streams = random_fleet(&mut Rng(seed), per_token == 1);
+            proptest::prop_assert_eq!(
+                attribute_events(&streams),
+                reference_attribute_events(&streams)
+            );
+        }
+    }
+
+    #[test]
+    fn random_fleets_reach_every_grouping_case() {
+        let (mut attributed, mut handoffs, mut preempted, mut long) = (0, 0, 0, 0);
+        for seed in 0..200 {
+            let streams = random_fleet(&mut Rng(seed), seed % 2 == 0);
+            let attrs = attribute_events(&streams);
+            assert_eq!(attrs, reference_attribute_events(&streams));
+            attributed += attrs.len();
+            handoffs += attrs.iter().filter(|a| a.components.handoff_ns > 0).count();
+            preempted += attrs
+                .iter()
+                .filter(|a| a.components.preempt_stall_ns > 0)
+                .count();
+            long += attrs.iter().filter(|a| a.e2e_ns > 200_000_000).count();
+        }
+        assert!(attributed > 500, "{attributed} attributed requests");
+        assert!(handoffs > 50, "{handoffs} disaggregated handoffs");
+        assert!(preempted > 20, "{preempted} preempted lifecycles");
+        assert!(long > 20, "{long} long lifecycles");
     }
 }
