@@ -1,10 +1,10 @@
 //! `ador-lint`: a workspace static-analysis pass enforcing the
 //! simulator's determinism and panic-safety contracts.
 //!
-//! The whole ADOR reproduction rests on bit-identical replay: the
-//! event-driven fleet core is only trustworthy because lockstep/event
-//! equality is pinned, and every pinned scenario assumes a seeded run
-//! reproduces exactly. This crate enforces the contract *statically*,
+//! The whole ADOR reproduction rests on bit-identical replay: the fleet
+//! event loop is only trustworthy because its equality with a
+//! sweep-every-replica reference is pinned, and every pinned scenario
+//! assumes a seeded run reproduces exactly. This crate enforces the contract *statically*,
 //! in the same hand-rolled offline idiom as `ador-bench`'s JSON parser:
 //! a small Rust lexer ([`lexer`]), a token-pattern rule engine
 //! ([`rules`]), per-line suppression comments, and a committed baseline

@@ -46,7 +46,7 @@ use ador_core::cluster::scenarios::{
     disagg_cluster, disagg_engine, disagg_mix, scale_fleet, scale_mix, DISAGG_RATE,
     DISAGG_REPLICAS, DISAGG_REQUESTS, DISAGG_SEED, SCALE_RATE_PER_REPLICA, SCALE_SEED,
 };
-use ador_core::cluster::{ClusterSim, DriveMode, FleetReport, FleetSpec, ReplicaSpec};
+use ador_core::cluster::{ClusterSim, FleetReport, FleetSpec, ReplicaSpec};
 use ador_core::model::presets;
 use ador_core::perf::Deployment;
 use ador_core::serving::{Request, ServingSim, SimConfig};
@@ -126,7 +126,7 @@ fn run_cell(
             &arch,
             &model,
             Deployment::single_device(),
-            scale_fleet(replicas, DriveMode::EventDriven).with_telemetry(telemetry),
+            scale_fleet(replicas).with_telemetry(telemetry),
         )
         .expect("fleet builds");
         let start = Instant::now();

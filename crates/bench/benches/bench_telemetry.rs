@@ -28,7 +28,7 @@ use std::time::Instant;
 use ador_bench::{f, json, table};
 use ador_core::baselines;
 use ador_core::cluster::scenarios::{scale_fleet, scale_mix, SCALE_RATE_PER_REPLICA, SCALE_SEED};
-use ador_core::cluster::{ClusterSim, DriveMode, FleetReport};
+use ador_core::cluster::{ClusterSim, FleetReport};
 use ador_core::model::presets;
 use ador_core::perf::Deployment;
 use ador_core::telemetry::{EventDetail, TelemetryConfig};
@@ -74,7 +74,7 @@ fn run_cell(
             &arch,
             &model,
             Deployment::single_device(),
-            scale_fleet(replicas, DriveMode::EventDriven).with_telemetry(telemetry),
+            scale_fleet(replicas).with_telemetry(telemetry),
         )
         .expect("fleet builds");
         let start = Instant::now();

@@ -1,17 +1,17 @@
-//! The fleet simulator: N engine replicas behind a router, driven by a
-//! discrete-event core on one global clock.
+//! The fleet simulator: N engine replicas behind a router, driven by one
+//! discrete-event loop on one global clock.
 //!
-//! The default driver ([`DriveMode::EventDriven`]) keeps a binary-heap
-//! event queue over the two event kinds a fleet has — request arrivals
-//! and replica-ready instants ([`Engine::next_event_time`]) — and always
-//! processes the earliest. A replica is stepped only when it actually has
-//! work scheduled before the next routing decision, so idle replicas cost
-//! nothing per arrival, and every routing decision and metric is stamped
-//! from the single global clock. The previous lockstep driver
-//! ([`DriveMode::Lockstep`]), which swept all N replicas up to each
-//! arrival and let per-replica clocks diverge during the drain, is kept
-//! as the regression oracle: both drivers produce identical per-request
-//! outcomes (pinned by `tests/cluster_serving.rs`).
+//! Each [`ClusterSim::advance`] call processes one *boundary instant*:
+//! the earliest of the next request arrival, the next KV-transfer
+//! maturity and, when the fleet has a [`KvLink`], a causality guard. A
+//! binary-heap event queue keyed by [`Engine::next_event_time`] picks out
+//! the replicas with work strictly before the instant, and only those are
+//! swept up to it, so idle replicas cost nothing. With a link, the
+//! completions that surfaced are then classified and the matured KV
+//! transfers delivered; last, the arrivals at the instant are routed.
+//! An aggregated fleet is the case with no link and no guard. The unit
+//! tests hold the loop equal to a reference that sweeps every replica to
+//! every instant.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
@@ -35,33 +35,6 @@ use crate::{
     RouterPolicy, TenantClass, TenantMix, TenantQos, Topology,
 };
 
-/// How the fleet driver advances its replicas.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
-pub enum DriveMode {
-    /// The discrete-event core (default): a binary-heap event queue over
-    /// arrivals and replica-ready instants. Each replica advances only
-    /// when it has work scheduled before the next event, so per-arrival
-    /// cost scales with the *busy* replicas, not the fleet size.
-    #[default]
-    EventDriven,
-    /// The original lockstep driver, kept as the regression oracle: every
-    /// replica is swept up to each arrival instant, and after the last
-    /// arrival the fleet drains round-robin, one iteration per replica
-    /// per round. O(replicas) work per arrival even when most replicas
-    /// are idle. Produces per-request outcomes identical to
-    /// [`DriveMode::EventDriven`].
-    Lockstep,
-}
-
-impl std::fmt::Display for DriveMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            DriveMode::EventDriven => "event-driven",
-            DriveMode::Lockstep => "lockstep",
-        })
-    }
-}
-
 /// Fleet-level configuration: replica count, routing policy, admission
 /// control, and the per-replica engine knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -77,10 +50,6 @@ pub struct ClusterConfig {
     /// scheduler policy). The `arrival_rate`, `requests` and `seed`
     /// fields are unused — the cluster's [`TenantMix`] owns the workload.
     pub engine: SimConfig,
-    /// How the driver advances replicas. The event-driven core and the
-    /// lockstep oracle produce identical reports; the knob exists for
-    /// regression testing and the `bench_cluster` wall-clock comparison.
-    pub drive: DriveMode,
     /// How the fleet divides request lifecycles across replicas
     /// ([`Topology::Aggregated`] by default; see
     /// [`ClusterConfig::with_disaggregation`]).
@@ -102,7 +71,6 @@ impl ClusterConfig {
             policy,
             queue_cap: None,
             engine: SimConfig::new(1.0, 128),
-            drive: DriveMode::EventDriven,
             topology: Topology::Aggregated,
             decode_policy: RouterPolicy::LeastKvLoad,
         }
@@ -128,12 +96,6 @@ impl ClusterConfig {
     /// Sets the per-replica engine configuration.
     pub fn with_engine(mut self, engine: SimConfig) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Selects the fleet driver (event-driven by default).
-    pub fn with_drive_mode(mut self, drive: DriveMode) -> Self {
-        self.drive = drive;
         self
     }
 
@@ -247,22 +209,17 @@ impl Ord for TransferAt {
 
 /// A fleet of engine replicas behind a [`Router`].
 ///
-/// The default driver is a discrete-event core on one global clock: a
-/// binary-heap event queue holds each busy replica keyed by the instant
-/// it next has work ([`Engine::next_event_time`]), and the sorted arrival
-/// stream supplies the other event kind. [`ClusterSim::advance`] always
-/// processes the earliest event — it either sweeps the soonest-ready
-/// replica up to the next arrival, or (when no replica has work strictly
-/// before the next arrival) routes that arrival from cached load
-/// snapshots that are refreshed only when a replica steps or receives a
-/// request. Idle
-/// replicas are never touched, so per-event cost scales with the busy
-/// part of the fleet; the drain after the last arrival is the same loop
-/// with no arrivals left, on the same clock.
-///
-/// [`DriveMode::Lockstep`] selects the original sweep-all-replicas
-/// driver, retained as a regression oracle — both drivers produce
-/// identical per-request outcomes and fleet reports.
+/// The driver is one discrete-event loop on one global clock. Each
+/// [`ClusterSim::advance`] call processes one boundary instant: the
+/// earliest of the next arrival, the next KV-transfer maturity and, over
+/// a [`KvLink`], a causality guard. A binary-heap event queue holds each
+/// busy replica keyed by the instant it next has work
+/// ([`Engine::next_event_time`]), so only the replicas with work before
+/// the instant are swept to it; idle replicas are never touched, and the
+/// cost of an instant scales with the busy part of the fleet. The
+/// arrivals at the instant are then routed from cached load snapshots
+/// that are refreshed only when a replica steps or receives a request.
+/// The drain after the last arrival runs on the same clock.
 ///
 /// [`ClusterSim::run`] does all of this in one call; the incremental
 /// [`ClusterSim::submit_stream`] / [`ClusterSim::advance`] /
@@ -305,8 +262,8 @@ pub struct ClusterSim<'a> {
     /// The global fleet clock: the latest event instant processed. Every
     /// routing decision is stamped at or after this time.
     clock: Seconds,
-    /// The event queue of the discrete-event driver: busy replicas keyed
-    /// by [`Engine::next_event_time`]. Entries are invalidated lazily —
+    /// The event queue of the driver: busy replicas keyed by
+    /// [`Engine::next_event_time`]. Entries are invalidated lazily —
     /// every state change pushes a fresh entry, and a popped entry whose
     /// key no longer matches its replica's live peek is discarded.
     ready: BinaryHeap<Reverse<ReadyAt>>,
@@ -314,16 +271,19 @@ pub struct ClusterSim<'a> {
     /// steps or receives a submission (its load state changes exactly
     /// then, and never merely by time passing).
     snapshots: Vec<ReplicaSnapshot>,
-    /// Replica indices serving fresh prompts under disaggregation.
-    prefill_pool: Vec<usize>,
-    /// Replica indices serving transferred contexts under disaggregation.
+    /// Replica indices the front door routes fresh arrivals over: every
+    /// replica under [`Topology::Aggregated`], the prefill pool
+    /// (`Prefill` and `Unified` roles) under disaggregation.
+    front_pool: Vec<usize>,
+    /// Replica indices serving transferred contexts under disaggregation
+    /// (`Decode` and `Unified` roles).
     decode_pool: Vec<usize>,
     /// Decode-pool router (consulted only under disaggregation; it only
     /// ever sees the decode pool, so its policy state stays coherent).
     decode_router: Router,
     /// The KV interconnect — `Some` exactly under
-    /// [`Topology::Disaggregated`], which is what switches the drivers
-    /// onto the disaggregated round loop.
+    /// [`Topology::Disaggregated`]. Only with it do boundary instants
+    /// carry the causality guard and completions get classified.
     link: Option<KvLink>,
     /// Full-model KV bytes per token (transfer serialization sizing).
     kv_bytes_per_token: u64,
@@ -363,11 +323,9 @@ impl<'a> ClusterSim<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::EmptyConfig`] for a zero replica count,
-    /// [`SimError::InvalidKvLink`] for a disaggregated topology over a
-    /// link without positive bandwidth and a positive, finite latency
-    /// (see [`KvLink`]), and propagates per-replica construction errors
-    /// (model does not fit, no KV headroom, …).
+    /// Returns [`SimError::EmptyConfig`] for a zero replica count, and
+    /// propagates per-replica construction errors (model does not fit,
+    /// no KV headroom, …).
     pub fn new(
         arch: &'a Architecture,
         model: &'a ModelConfig,
@@ -393,10 +351,8 @@ impl<'a> ClusterSim<'a> {
     /// # Errors
     ///
     /// Returns [`SimError::EmptyConfig`] for an empty fleet or a
-    /// disaggregated topology whose prefill or decode pool is empty,
-    /// [`SimError::InvalidKvLink`] for a disaggregated topology over an
-    /// invalid link (see [`KvLink`]), and propagates per-replica
-    /// construction errors.
+    /// disaggregated topology whose prefill or decode pool is empty, and
+    /// propagates per-replica construction errors.
     pub fn new_fleet(
         fleet: &'a FleetSpec,
         model: &'a ModelConfig,
@@ -431,27 +387,18 @@ impl<'a> ClusterSim<'a> {
     ) -> Result<Self, SimError> {
         let link = match cfg.topology {
             Topology::Aggregated => None,
-            Topology::Disaggregated(link) if !link.is_valid() => {
-                return Err(SimError::InvalidKvLink {
-                    latency: link.latency,
-                    bandwidth: link.bandwidth,
-                })
-            }
             Topology::Disaggregated(link) => Some(link),
         };
-        let prefill_pool: Vec<usize> = roles
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| **r != PoolRole::Decode)
-            .map(|(i, _)| i)
-            .collect();
-        let decode_pool: Vec<usize> = roles
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| **r != PoolRole::Prefill)
-            .map(|(i, _)| i)
-            .collect();
-        if link.is_some() && (prefill_pool.is_empty() || decode_pool.is_empty()) {
+        // Under disaggregation a replica serves the pools its role allows
+        // (`Unified` joins both); an aggregated fleet ignores roles.
+        let pool = |excluded: PoolRole| -> Vec<usize> {
+            (0..roles.len())
+                .filter(|&i| link.is_none() || roles[i] != excluded)
+                .collect()
+        };
+        let front_pool = pool(PoolRole::Decode);
+        let decode_pool = pool(PoolRole::Prefill);
+        if link.is_some() && (front_pool.is_empty() || decode_pool.is_empty()) {
             return Err(SimError::EmptyConfig);
         }
         let snapshots = engines.iter().map(snapshot).collect();
@@ -471,7 +418,7 @@ impl<'a> ClusterSim<'a> {
             clock: Seconds::ZERO,
             ready: BinaryHeap::new(),
             snapshots,
-            prefill_pool,
+            front_pool,
             decode_pool,
             link,
             kv_bytes_per_token: model.kv_bytes_per_token().get(),
@@ -551,122 +498,120 @@ impl<'a> ClusterSim<'a> {
         self.stream = stream.into();
     }
 
-    /// Advances the fleet by one event and returns `false` once fully
-    /// drained.
+    /// Advances the fleet by one boundary instant and returns `false`
+    /// once fully drained.
     ///
-    /// Under [`DriveMode::EventDriven`] one event is either a sweep of
-    /// the soonest-ready replica up to the next arrival (its full drain
-    /// once the stream is exhausted) or one routing decision — whichever
-    /// is earliest on the global clock. Under
-    /// [`DriveMode::Lockstep`] one event is one routed arrival (with every
-    /// replica first swept up to the arrival instant) or one round-robin
-    /// drain round. Both drivers preserve the conservation invariant
-    /// `submitted == completed + rejected + in_flight` between calls and
-    /// produce identical per-request outcomes.
+    /// The instant is the earliest of the next arrival, the next
+    /// KV-transfer maturity and, under [`Topology::Disaggregated`], the
+    /// causality guard: the earliest instant any prefill-pool replica
+    /// could still discover a completion, plus the link latency. One call
+    /// sweeps each replica with work strictly before the instant up to
+    /// it; then, with a link, classifies the completions that surfaced in
+    /// replica-index order (launching KV transfers) and delivers the
+    /// transfers matured by the instant; last, routes the arrivals at the
+    /// instant. With no instant left nothing can create a submission
+    /// again, and the call drains every replica. The conservation
+    /// invariant `submitted == completed + rejected + in_flight +
+    /// in_transfer` holds between calls.
     ///
     /// # Errors
     ///
     /// Propagates engine errors.
     pub fn advance(&mut self) -> Result<bool, SimError> {
-        if self.link.is_some() {
-            return self.advance_disagg();
+        let Some(instant) = self.horizon() else {
+            return self.drain();
+        };
+        while let Some(ev) = self.peek_ready() {
+            if ev.time >= instant {
+                break;
+            }
+            self.ready.pop();
+            self.sweep(ev.replica, instant)?;
+            self.push_ready(ev.replica);
         }
-        match self.cfg.drive {
-            DriveMode::EventDriven => self.advance_event(),
-            DriveMode::Lockstep => self.advance_lockstep(),
-        }
+        self.settle(instant)?;
+        Ok(true)
     }
 
-    /// The next round horizon of a disaggregated fleet: the earliest of
-    /// the next arrival, the next transfer maturity, and the *causality
-    /// guard* — the earliest instant any prefill-pool replica could
-    /// still discover a completion, plus the link latency. A completion
+    /// The next boundary instant: the earliest of the next arrival, the
+    /// next transfer maturity, and (with a link) the *causality guard* —
+    /// the earliest instant any prefill-pool replica could still
+    /// discover a completion, plus the link latency. A completion
     /// discovered at `t ≥ e` spawns a transfer maturing at
-    /// `≥ t + latency ≥ guard`, so nothing swept up to the horizon can
-    /// ever be swept past an undelivered submission (this is why
-    /// [`KvLink::latency`] must be strictly positive). `None` means no
-    /// event can create a new submission anywhere — the fleet just
-    /// drains.
-    fn disagg_horizon(&self) -> Option<Seconds> {
-        // ador-lint: allow(panic) — invariant: only the disaggregated driver calls this
-        let link = self.link.expect("disaggregated driver");
+    /// `≥ t + latency ≥ guard`, so nothing swept up to the instant can
+    /// ever be swept past an undelivered submission (this is why a
+    /// [`KvLink`]'s latency is strictly positive). `None` means no event
+    /// can create a new submission anywhere — the fleet just drains.
+    fn horizon(&self) -> Option<Seconds> {
         let arrival = self.stream.front().map(|cr| cr.request.arrival);
         let transfer = self.transfers.peek().map(|&Reverse(t)| t.time);
-        let guard = self
-            .prefill_pool
-            .iter()
-            .filter_map(|&i| self.engines[i].next_event_time())
-            .reduce(Seconds::min)
-            .map(|t| t + link.latency);
+        let guard = self.link.and_then(|link| {
+            self.front_pool
+                .iter()
+                .filter_map(|&i| self.engines[i].next_event_time())
+                .reduce(Seconds::min)
+                .map(|t| t + link.latency())
+        });
         [arrival, transfer, guard]
             .into_iter()
             .flatten()
             .reduce(Seconds::min)
     }
 
-    /// One round of the disaggregated driver, identical under both drive
-    /// modes: sweep every replica's work strictly before the round
-    /// horizon, classify the completions that surfaced (launching
-    /// transfers), then process the boundary events *at* the horizon —
-    /// matured transfers first (heap order: maturity, then id), then
-    /// arrivals. The horizon strictly increases round over round, and
-    /// the two sweeps differ only in skipping replicas that provably
-    /// have no work (for which a sweep is a no-op), so the drive modes
-    /// stay bit-identical.
-    fn advance_disagg(&mut self) -> Result<bool, SimError> {
-        let Some(h) = self.disagg_horizon() else {
-            // No arrivals, no in-flight transfers, no prefill-side work:
-            // nothing can create a submission anywhere again. Drain the
-            // remaining (decode-side) work and classify the stragglers.
-            if self.engines.iter().all(|e| e.is_drained()) {
-                return Ok(false);
-            }
-            for idx in 0..self.engines.len() {
-                while !self.engines[idx].is_drained() {
-                    self.engines[idx].step()?;
-                }
-                self.clock = self.clock.max(self.engines[idx].now());
-                self.snapshots[idx] = snapshot(&self.engines[idx]);
-            }
+    /// Steps replica `idx` through its work strictly before `instant`
+    /// (an iteration that starts before it may end after it) and
+    /// refreshes the clock and the replica's snapshot.
+    fn sweep(&mut self, idx: usize, instant: Seconds) -> Result<(), SimError> {
+        self.engines[idx].step_until(instant)?;
+        self.clock = self.clock.max(self.engines[idx].now());
+        self.snapshots[idx] = snapshot(&self.engines[idx]);
+        Ok(())
+    }
+
+    /// The rest of boundary instant `instant`, once every replica with
+    /// work before it is swept: with a link, classify the completions
+    /// that surfaced and deliver the transfers matured by then (heap
+    /// order: maturity, then id); last, route the arrivals at the
+    /// instant.
+    fn settle(&mut self, instant: Seconds) -> Result<(), SimError> {
+        if self.link.is_some() {
             self.scan_completions();
-            return Ok(true);
-        };
-        match self.cfg.drive {
-            DriveMode::EventDriven => {
-                while let Some(ev) = self.peek_ready() {
-                    if ev.time >= h {
-                        break;
-                    }
-                    self.ready.pop();
-                    self.engines[ev.replica].step_until(h)?;
-                    self.clock = self.clock.max(self.engines[ev.replica].now());
-                    self.snapshots[ev.replica] = snapshot(&self.engines[ev.replica]);
-                    self.push_ready(ev.replica);
-                }
-            }
-            DriveMode::Lockstep => {
-                for idx in 0..self.engines.len() {
-                    self.engines[idx].step_until(h)?;
-                    self.clock = self.clock.max(self.engines[idx].now());
-                    self.snapshots[idx] = snapshot(&self.engines[idx]);
-                }
-            }
         }
-        self.scan_completions();
-        while self.transfers.peek().is_some_and(|&Reverse(t)| t.time <= h) {
-            // ador-lint: allow(panic) — invariant: the loop condition peeked the heap
-            let Reverse(t) = self.transfers.pop().expect("peeked");
+        while let Some(&Reverse(t)) = self.transfers.peek() {
+            if t.time > instant {
+                break;
+            }
+            self.transfers.pop();
             self.deliver_transfer(t)?;
         }
-        while self
-            .stream
-            .front()
-            .is_some_and(|cr| cr.request.arrival <= h)
-        {
-            // ador-lint: allow(panic) — invariant: the loop condition peeked the stream front
-            let cr = self.stream.pop_front().expect("peeked");
+        while let Some(&cr) = self.stream.front() {
+            if cr.request.arrival > instant {
+                break;
+            }
+            self.stream.pop_front();
             self.clock = self.clock.max(cr.request.arrival);
-            self.route_and_submit_disagg(cr)?;
+            self.route_and_submit(cr)?;
+        }
+        Ok(())
+    }
+
+    /// No boundary instant is left, so nothing can create a submission
+    /// anywhere again: drain every replica in index order and, with a
+    /// link, classify the stragglers. Returns `false` once there is
+    /// nothing left to drain.
+    fn drain(&mut self) -> Result<bool, SimError> {
+        if self.engines.iter().all(Engine::is_drained) {
+            return Ok(false);
+        }
+        for idx in 0..self.engines.len() {
+            while !self.engines[idx].is_drained() {
+                self.engines[idx].step()?;
+            }
+            self.clock = self.clock.max(self.engines[idx].now());
+            self.snapshots[idx] = snapshot(&self.engines[idx]);
+        }
+        if self.link.is_some() {
+            self.scan_completions();
         }
         Ok(true)
     }
@@ -698,16 +643,16 @@ impl<'a> ClusterSim<'a> {
     /// bytes-per-token over the link) and schedule the decode-side
     /// continuation at its maturity.
     fn launch_transfer(&mut self, src: usize, slot: usize, orig: Request, prefill: RequestOutcome) {
-        // ador-lint: allow(panic) — invariant: transfers only exist under disaggregation
-        let link = self.link.expect("disaggregated driver");
+        // ador-lint: allow(panic) — invariant: only classification with a link launches transfers
+        let link = self.link.expect("disaggregated fleet");
         let done_at = orig.arrival + prefill.e2e;
         // The whole landed context moves: the prompt plus its first token.
         let ctx = orig.input_tokens + 1;
         let wire = Seconds::new(
             conv::f64_from_u64(self.kv_bytes_per_token) * conv::f64_from_usize(ctx)
-                / link.bandwidth.as_bytes_per_sec(),
+                / link.bandwidth().as_bytes_per_sec(),
         );
-        let maturity = done_at + link.latency + wire;
+        let maturity = done_at + link.latency() + wire;
         let request = Request {
             id: orig.id,
             arrival: maturity,
@@ -787,146 +732,30 @@ impl<'a> ClusterSim<'a> {
                 },
             ));
         }
-        self.engines[idx].submit(t.request)?;
-        self.snapshots[idx] = snapshot(&self.engines[idx]);
-        if self.cfg.drive == DriveMode::EventDriven {
-            self.push_ready(idx);
-        }
-        Ok(())
+        self.submit(idx, t.request)
     }
 
-    /// Routes one fresh arrival within the prefill pool, splitting it
-    /// into its prefill half (same id, `output_tokens == 1`) unless the
-    /// request generates nothing beyond its first token — those complete
-    /// on the prefill side and are never shipped.
-    fn route_and_submit_disagg(&mut self, cr: ClusterRequest) -> Result<(), SimError> {
+    /// Routes one fresh arrival through the front door and submits or
+    /// sheds it. The front-door pool is every replica under
+    /// [`Topology::Aggregated`] and the prefill pool under
+    /// disaggregation, where an admitted request is split into its
+    /// prefill half (same id, `output_tokens == 1`) unless it generates
+    /// nothing beyond its first token — those complete on the prefill
+    /// side and are never shipped. The snapshots reflect every replica
+    /// swept past all its work before the arrival instant.
+    fn route_and_submit(&mut self, cr: ClusterRequest) -> Result<(), SimError> {
         let idx = self.router.route_pool(
             cr.tenant,
             self.classes.len(),
             cr.request.prefix_group,
             &self.snapshots,
-            &self.prefill_pool,
+            &self.front_pool,
         );
         let admit = self
             .cfg
             .queue_cap
             .is_none_or(|cap| self.snapshots[idx].queue_depth < cap);
-        if admit {
-            let mut job = cr.request;
-            if job.output_tokens > 1 {
-                job.output_tokens = 1;
-                let slot = self.ledger.slot(job.id);
-                self.ledger.open_split(slot, cr.request);
-            }
-            self.engines[idx].submit(job)?;
-            self.snapshots[idx] = snapshot(&self.engines[idx]);
-            if self.cfg.drive == DriveMode::EventDriven {
-                self.push_ready(idx);
-            }
-            self.assignments.push((cr.request.id, Some(idx)));
-        } else {
-            if let Some(sink) = self.engines[idx].event_sink_mut() {
-                sink.record(&Event {
-                    time: self.clock,
-                    request: cr.request.id,
-                    kind: EventKind::Shed,
-                });
-            }
-            self.rejected_per_tenant[cr.tenant] += 1;
-            self.assignments.push((cr.request.id, None));
-        }
-        Ok(())
-    }
-
-    /// One discrete event: the earlier of (replica-ready, next arrival).
-    /// A ready replica is swept up to the next arrival in one go (its
-    /// iterations are internal to the engine — no other event can
-    /// interleave, since engines are independent); work scheduled exactly
-    /// *at* the arrival instant runs after routing, matching the lockstep
-    /// sweep's `now < arrival` bound, so both drivers route from
-    /// identical snapshots. With no arrivals left, the soonest-ready
-    /// replica drains completely — per-replica timelines that would drift
-    /// apart under lockstep's round-robin drain all end on the one global
-    /// clock here.
-    fn advance_event(&mut self) -> Result<bool, SimError> {
-        let next_arrival = self.stream.front().map(|cr| cr.request.arrival);
-        match (next_arrival, self.peek_ready()) {
-            (arrival, Some(ev)) if arrival.is_none_or(|t| ev.time < t) => {
-                self.ready.pop();
-                let engine = &mut self.engines[ev.replica];
-                match arrival {
-                    Some(horizon) => engine.step_until(horizon)?,
-                    None => {
-                        while !engine.is_drained() {
-                            engine.step()?;
-                        }
-                    }
-                }
-                self.clock = self.clock.max(self.engines[ev.replica].now());
-                self.snapshots[ev.replica] = snapshot(&self.engines[ev.replica]);
-                self.push_ready(ev.replica);
-                Ok(true)
-            }
-            (Some(arrival), _) => {
-                // ador-lint: allow(panic) — invariant: the match arm peeked the stream front
-                let cr = self.stream.pop_front().expect("peeked");
-                self.clock = self.clock.max(arrival);
-                self.route_and_submit(cr)?;
-                Ok(true)
-            }
-            (None, _) => Ok(false),
-        }
-    }
-
-    /// The lockstep oracle: sweep every replica up to the arrival, route,
-    /// and (once the stream is exhausted) drain round-robin on diverging
-    /// per-replica clocks. Engines are independent, so the per-request
-    /// outcomes still match the event core exactly; only the driver's
-    /// per-arrival cost (O(replicas), idle or not) differs.
-    fn advance_lockstep(&mut self) -> Result<bool, SimError> {
-        if let Some(cr) = self.stream.pop_front() {
-            let arrival = cr.request.arrival;
-            for (idx, engine) in self.engines.iter_mut().enumerate() {
-                engine.step_until(arrival)?;
-                self.snapshots[idx] = snapshot(engine);
-            }
-            self.clock = self.clock.max(arrival);
-            self.route_and_submit(cr)?;
-            return Ok(true);
-        }
-        let mut any = false;
-        for engine in &mut self.engines {
-            if !engine.is_drained() {
-                engine.step()?;
-                any = true;
-            }
-        }
-        Ok(any)
-    }
-
-    /// Routes one arrival from the current snapshots and submits (or
-    /// sheds) it. The snapshots reflect every replica advanced past all
-    /// work scheduled before the arrival instant, whichever driver
-    /// maintained them.
-    fn route_and_submit(&mut self, cr: ClusterRequest) -> Result<(), SimError> {
-        let idx = self.router.route(
-            cr.tenant,
-            self.classes.len(),
-            cr.request.prefix_group,
-            &self.snapshots,
-        );
-        let admit = self
-            .cfg
-            .queue_cap
-            .is_none_or(|cap| self.snapshots[idx].queue_depth < cap);
-        if admit {
-            self.engines[idx].submit(cr.request)?;
-            self.snapshots[idx] = snapshot(&self.engines[idx]);
-            if self.cfg.drive == DriveMode::EventDriven {
-                self.push_ready(idx);
-            }
-            self.assignments.push((cr.request.id, Some(idx)));
-        } else {
+        if !admit {
             // The shed is attributed to the replica the router *would*
             // have used — that is the queue whose pressure caused it.
             if let Some(sink) = self.engines[idx].event_sink_mut() {
@@ -938,7 +767,25 @@ impl<'a> ClusterSim<'a> {
             }
             self.rejected_per_tenant[cr.tenant] += 1;
             self.assignments.push((cr.request.id, None));
+            return Ok(());
         }
+        let mut job = cr.request;
+        if self.link.is_some() && job.output_tokens > 1 {
+            job.output_tokens = 1;
+            let slot = self.ledger.slot(job.id);
+            self.ledger.open_split(slot, cr.request);
+        }
+        self.submit(idx, job)?;
+        self.assignments.push((cr.request.id, Some(idx)));
+        Ok(())
+    }
+
+    /// Submits `request` to replica `idx`, refreshing its snapshot and
+    /// its ready event.
+    fn submit(&mut self, idx: usize, request: Request) -> Result<(), SimError> {
+        self.engines[idx].submit(request)?;
+        self.snapshots[idx] = snapshot(&self.engines[idx]);
+        self.push_ready(idx);
         Ok(())
     }
 
@@ -1019,9 +866,9 @@ impl<'a> ClusterSim<'a> {
     }
 
     /// Per-replica completed outcomes (completion order within each
-    /// replica) — the raw populations behind the report, exposed so the
-    /// event-core/lockstep equivalence tests can compare per-request
-    /// outcomes directly rather than through aggregates.
+    /// replica) — the raw populations behind the report, exposed so tests
+    /// can compare per-request outcomes directly rather than through
+    /// aggregates. Under disaggregation these are the split halves.
     pub fn replica_outcomes(&self) -> Vec<&[RequestOutcome]> {
         self.engines.iter().map(|e| e.outcomes()).collect()
     }
@@ -1290,8 +1137,10 @@ mod tests {
     #![allow(clippy::unwrap_used)]
 
     use super::*;
+    use crate::scenarios;
     use ador_baselines::ador_table3;
     use ador_model::presets;
+    use proptest::prelude::*;
 
     fn two_class_mix(rate: f64) -> TenantMix {
         TenantMix::new(vec![
@@ -1414,6 +1263,7 @@ mod tests {
             ador_units::Bandwidth::from_gbps(64.0),
             Seconds::from_millis(0.25),
         )
+        .unwrap()
     }
 
     fn pd_fleet(prefill: usize, decode: usize) -> FleetSpec {
@@ -1453,22 +1303,15 @@ mod tests {
     }
 
     #[test]
-    fn disaggregated_drivers_are_bit_identical() {
+    fn disaggregated_event_loop_matches_the_reference() {
         let model = presets::llama3_8b();
         let fleet = pd_fleet(2, 2);
         let mix = two_class_mix(8.0);
-        let run = |drive: DriveMode| {
-            let cfg = ClusterConfig::new(0, RouterPolicy::JoinShortestQueue)
-                .with_disaggregation(disagg_link())
-                .with_drive_mode(drive);
-            ClusterSim::new_fleet(&fleet, &model, Deployment::single_device(), cfg)
-                .unwrap()
-                .run(&mix, 80, 13)
-                .unwrap()
-        };
-        let event = run(DriveMode::EventDriven);
-        let lockstep = run(DriveMode::Lockstep);
-        assert_eq!(event, lockstep);
+        let cfg = ClusterConfig::new(0, RouterPolicy::JoinShortestQueue)
+            .with_disaggregation(disagg_link());
+        let build =
+            || ClusterSim::new_fleet(&fleet, &model, Deployment::single_device(), cfg).unwrap();
+        assert_matches_reference(build, &mix, mix.generate(80, 13));
     }
 
     #[test]
@@ -1515,7 +1358,8 @@ mod tests {
         let slow = run(KvLink::new(
             ador_units::Bandwidth::from_gbps(1.0),
             Seconds::from_millis(20.0),
-        ));
+        )
+        .unwrap());
         let (fast_qos, slow_qos) = (fast.fleet.unwrap(), slow.fleet.unwrap());
         // A slower link cannot change TTFT (prefill side is untouched)
         // but must show up in the handoff gap and end-to-end latency.
@@ -1534,44 +1378,6 @@ mod tests {
         let err =
             ClusterSim::new_fleet(&fleet, &model, Deployment::single_device(), cfg).unwrap_err();
         assert_eq!(err, SimError::EmptyConfig);
-    }
-
-    /// The error of building a 2 + 2 disaggregated fleet over `link` (a
-    /// struct literal, which skips `KvLink::new`'s check).
-    fn link_error(link: KvLink) -> SimError {
-        let model = presets::llama3_8b();
-        let fleet = pd_fleet(2, 2);
-        let cfg = ClusterConfig::new(0, RouterPolicy::JoinShortestQueue).with_disaggregation(link);
-        ClusterSim::new_fleet(&fleet, &model, Deployment::single_device(), cfg).unwrap_err()
-    }
-
-    #[test]
-    fn zero_latency_links_are_an_error() {
-        // Without the check the causality guard stops advancing and the
-        // driver spins forever.
-        let link = KvLink {
-            latency: Seconds::ZERO,
-            ..disagg_link()
-        };
-        assert_eq!(
-            link_error(link),
-            SimError::InvalidKvLink {
-                latency: Seconds::ZERO,
-                bandwidth: link.bandwidth,
-            }
-        );
-    }
-
-    #[test]
-    fn zero_bandwidth_links_are_an_error() {
-        // Without the check every transfer lasts forever and the drain
-        // panics on an infinite time span.
-        let link = KvLink {
-            bandwidth: ador_units::Bandwidth::from_gbps(0.0),
-            ..disagg_link()
-        };
-        let err = link_error(link);
-        assert!(matches!(err, SimError::InvalidKvLink { .. }), "{err}");
     }
 
     #[test]
@@ -1637,5 +1443,171 @@ mod tests {
         assert_eq!(fleet.fleet.as_ref(), Some(&solo));
         assert_eq!(fleet.per_replica[0].as_ref(), Some(&solo));
         assert_eq!(fleet.imbalance, 0.0);
+    }
+
+    /// The reference the event loop is held equal to: the same boundary
+    /// instants, but every replica is swept to each one in index order,
+    /// whether or not it has work before it. Sweeping a replica without
+    /// such work is a no-op, so any difference from
+    /// [`ClusterSim::advance`] is a replica the ready heap failed to
+    /// sweep, or swept at the wrong time.
+    fn advance_reference(sim: &mut ClusterSim<'_>) -> Result<bool, SimError> {
+        let Some(instant) = sim.horizon() else {
+            return sim.drain();
+        };
+        for idx in 0..sim.engines.len() {
+            sim.sweep(idx, instant)?;
+        }
+        sim.settle(instant)?;
+        Ok(true)
+    }
+
+    /// What driving a fleet to completion leaves behind: the global clock
+    /// at drain, every replica's completed outcomes, and the report.
+    type Drive = (Seconds, Vec<Vec<RequestOutcome>>, FleetReport);
+
+    /// Drives `sim` over `stream` to completion with the event loop, or
+    /// with [`advance_reference`] when `reference` is set.
+    fn drive(
+        mut sim: ClusterSim<'_>,
+        mix: &TenantMix,
+        stream: Vec<ClusterRequest>,
+        reference: bool,
+    ) -> Drive {
+        sim.submit_stream(mix, stream);
+        loop {
+            let more = if reference {
+                advance_reference(&mut sim)
+            } else {
+                sim.advance()
+            };
+            if !more.unwrap() {
+                break;
+            }
+        }
+        let outcomes = sim
+            .replica_outcomes()
+            .into_iter()
+            .map(<[_]>::to_vec)
+            .collect();
+        (sim.now(), outcomes, sim.finish())
+    }
+
+    /// Drives two fleets from `build` over `stream`, one with the event
+    /// loop and one with the reference, and asserts they agree on every
+    /// per-replica outcome (completion order included), the clock at
+    /// drain and the full report. Returns the event loop's report.
+    fn assert_matches_reference<'a>(
+        build: impl Fn() -> ClusterSim<'a>,
+        mix: &TenantMix,
+        stream: Vec<ClusterRequest>,
+    ) -> FleetReport {
+        let (ev_now, ev_outcomes, ev_report) = drive(build(), mix, stream.clone(), false);
+        let (ref_now, ref_outcomes, ref_report) = drive(build(), mix, stream, true);
+        assert_eq!(
+            ev_outcomes, ref_outcomes,
+            "per-replica, per-request outcomes must be identical"
+        );
+        assert_eq!(ev_now, ref_now, "drained fleets end on the same clock");
+        assert_eq!(ev_report, ref_report);
+        ev_report
+    }
+
+    /// The pinned scarce-KV scenario (the router-ordering pin of
+    /// `tests/cluster_serving.rs`): the event loop reproduces the
+    /// reference exactly — per-request outcomes replica by replica, the
+    /// routing trace, the clock and the full report.
+    #[test]
+    fn event_loop_matches_the_reference_on_the_pinned_scenario() {
+        let arch = ador_table3();
+        let model = presets::llama3_8b();
+        let mix = scenarios::skewed_two_tenant(scenarios::SKEWED_MIX_RATE);
+        let stream = mix.generate(scenarios::SKEWED_MIX_REQUESTS, scenarios::SKEWED_MIX_SEED);
+        let cfg = scenarios::scarce_kv_fleet(4, RouterPolicy::JoinShortestQueue);
+        let build = || ClusterSim::new(&arch, &model, Deployment::single_device(), cfg).unwrap();
+        assert_matches_reference(build, &mix, stream);
+    }
+
+    /// The pin extended to a heterogeneous two-pool fleet: on the pinned
+    /// disaggregation scenario (2 prefill-optimized + 2 decode-optimized
+    /// replicas over the pinned KV link, interactive + bursty-ingest mix)
+    /// the event loop reproduces the reference exactly, stitched
+    /// outcomes and KV-transfer accounting included.
+    #[test]
+    fn disaggregated_event_loop_matches_the_reference_on_the_heterogeneous_pin() {
+        let model = presets::llama3_8b();
+        let mix = scenarios::disagg_mix(scenarios::DISAGG_RATE);
+        let fleet = scenarios::disagg_fleet(
+            &ador_baselines::prefill_optimized(),
+            2,
+            &ador_baselines::decode_optimized(),
+            2,
+        );
+        let stream = mix.generate(scenarios::DISAGG_REQUESTS, scenarios::DISAGG_SEED);
+        let cfg = scenarios::disagg_cluster(true);
+        let build =
+            || ClusterSim::new_fleet(&fleet, &model, Deployment::single_device(), cfg).unwrap();
+        let report = assert_matches_reference(build, &mix, stream);
+        // The pin is only meaningful if the scenario actually
+        // disaggregates: every completed request shipped its context.
+        assert_eq!(report.kv_transfers, report.completed);
+        assert!(report.kv_transferred_tokens > 0);
+        assert_eq!(report.completed, scenarios::DISAGG_REQUESTS);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// The pin, broadened: across seeds, fleet sizes, routing
+        /// policies, admission control, both topologies (an aggregated
+        /// fleet of 1-4 replicas, or 2 prefill + 2 decode replicas over a
+        /// link) and telemetry (off, or a trace with attribution), the
+        /// event loop and the reference produce identical per-request
+        /// outcomes and fleet reports, attribution included.
+        #[test]
+        fn event_loop_matches_the_reference_across_seeds_policies_and_topologies(
+            seed in 0u64..1000,
+            replicas in 1usize..5,
+            count in 1usize..80,
+            policy_pick in 0usize..4,
+            capped in 0usize..2,
+            disaggregated in 0usize..2,
+            traced in 0usize..2,
+        ) {
+            let policy = [
+                RouterPolicy::RoundRobin,
+                RouterPolicy::JoinShortestQueue,
+                RouterPolicy::LeastKvLoad,
+                RouterPolicy::SloAware,
+            ][policy_pick];
+            let telemetry = if traced == 1 {
+                TelemetryConfig::trace().with_attribution()
+            } else {
+                TelemetryConfig::OFF
+            };
+            let engine = SimConfig::new(1.0, 8)
+                .with_kv_memory_fraction(0.05)
+                .with_telemetry(telemetry);
+            let mut cfg = ClusterConfig::new(replicas, policy).with_engine(engine);
+            if capped == 1 {
+                cfg = cfg.with_queue_cap(2);
+            }
+            let mix = two_class_mix(10.0);
+            let arch = ador_table3();
+            let model = presets::llama3_8b();
+            let spec = crate::ReplicaSpec::new(ador_table3(), engine);
+            let fleet = FleetSpec::prefill_decode(&spec, 2, &spec, 2);
+            let dep = Deployment::single_device();
+            let build = || {
+                if disaggregated == 1 {
+                    ClusterSim::new_fleet(&fleet, &model, dep, cfg.with_disaggregation(disagg_link()))
+                } else {
+                    ClusterSim::new(&arch, &model, dep, cfg)
+                }
+                .unwrap()
+            };
+            let report = assert_matches_reference(build, &mix, mix.generate(count, seed));
+            prop_assert_eq!(report.attribution.is_some(), traced == 1);
+        }
     }
 }

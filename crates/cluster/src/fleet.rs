@@ -12,7 +12,7 @@
 //! link bandwidth, plus a fixed latency), charged on the event clock.
 
 use ador_hw::Architecture;
-use ador_serving::SimConfig;
+use ador_serving::{SimConfig, SimError};
 use ador_units::{Bandwidth, Seconds};
 use serde::Serialize;
 
@@ -154,42 +154,44 @@ impl FleetSpec {
 /// Moving a finished context of `c` tokens costs
 /// `latency + c × kv_bytes_per_token / bandwidth` on the fleet clock —
 /// the continuation cannot start decoding anywhere before that instant.
-/// The latency must be strictly positive and finite: it is also the
-/// causality guard the drivers use to bound how far any replica may be
-/// swept while a prefill completion (and hence a future delivery) is
-/// still undiscovered. A fleet built over a link that breaks this (or
-/// has no bandwidth) is refused with
-/// [`SimError::InvalidKvLink`](ador_serving::SimError::InvalidKvLink).
+/// Every link is valid by construction ([`KvLink::new`] refuses the
+/// rest): its bandwidth is positive and its latency positive and finite.
+/// The latency is also the causality guard the driver uses to bound how
+/// far any replica may be swept while a prefill completion (and hence a
+/// future delivery) is still undiscovered.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct KvLink {
-    /// Link bandwidth available to one context transfer. Must be > 0.
-    pub bandwidth: Bandwidth,
-    /// Fixed per-transfer latency (setup + first-byte). Must be finite
-    /// and > 0.
-    pub latency: Seconds,
+    bandwidth: Bandwidth,
+    latency: Seconds,
 }
 
 impl KvLink {
-    /// Creates a link.
+    /// Creates a link with `bandwidth` available to one context transfer
+    /// and a fixed per-transfer `latency` (setup + first byte).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics unless the bandwidth is positive and the latency positive
-    /// and finite.
-    pub fn new(bandwidth: Bandwidth, latency: Seconds) -> Self {
-        let link = Self { bandwidth, latency };
-        assert!(
-            link.is_valid(),
-            "KV links need positive bandwidth and latency"
-        );
-        link
+    /// Returns [`SimError::InvalidKvLink`] unless the bandwidth is
+    /// positive and the latency positive and finite (NaN in either
+    /// fails): a zero latency would stall the driver's causality guard,
+    /// and a zero bandwidth would make every transfer last forever.
+    pub fn new(bandwidth: Bandwidth, latency: Seconds) -> Result<Self, SimError> {
+        let secs = latency.get();
+        if bandwidth.as_bytes_per_sec() > 0.0 && secs > 0.0 && secs.is_finite() {
+            Ok(Self { bandwidth, latency })
+        } else {
+            Err(SimError::InvalidKvLink { latency, bandwidth })
+        }
     }
 
-    /// Whether a fleet can run over this link: positive bandwidth and a
-    /// positive, finite latency (NaN in either fails).
-    pub(crate) fn is_valid(&self) -> bool {
-        let latency = self.latency.get();
-        self.bandwidth.as_bytes_per_sec() > 0.0 && latency > 0.0 && latency.is_finite()
+    /// Bandwidth available to one context transfer.
+    pub fn bandwidth(&self) -> Bandwidth {
+        self.bandwidth
+    }
+
+    /// Fixed per-transfer latency (setup + first byte).
+    pub fn latency(&self) -> Seconds {
+        self.latency
     }
 }
 
@@ -210,6 +212,9 @@ pub enum Topology {
 
 #[cfg(test)]
 mod tests {
+    // tests may unwrap: a failed unwrap is exactly the test failing
+    #![allow(clippy::unwrap_used)]
+
     use super::*;
 
     fn spec() -> ReplicaSpec {
@@ -233,8 +238,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "positive bandwidth")]
-    fn zero_latency_links_are_rejected() {
-        let _ = KvLink::new(ador_units::Bandwidth::from_gbps(100.0), Seconds::new(0.0));
+    fn links_are_valid_by_construction() {
+        let gbps = ador_units::Bandwidth::from_gbps;
+        let ms = Seconds::from_millis;
+        let link = KvLink::new(gbps(64.0), ms(0.5)).unwrap();
+        assert_eq!((link.bandwidth(), link.latency()), (gbps(64.0), ms(0.5)));
+        // A zero latency would stop the causality guard from advancing
+        // (the driver would spin forever); a zero bandwidth would make
+        // every transfer last forever (an infinite time span). The unit
+        // constructors refuse negative and non-finite values, so those
+        // are built the way a caller can still reach them: by arithmetic.
+        let bad = [
+            (gbps(64.0), Seconds::ZERO),
+            (gbps(64.0), Seconds::ZERO - ms(1.0)),
+            (gbps(64.0), ms(1.0) * f64::NAN),
+            (gbps(64.0), ms(1.0) * f64::INFINITY),
+            (gbps(0.0), ms(0.5)),
+            (gbps(64.0) * f64::NAN, ms(0.5)),
+        ];
+        for (bandwidth, latency) in bad {
+            let built = KvLink::new(bandwidth, latency);
+            assert!(
+                matches!(built, Err(SimError::InvalidKvLink { .. })),
+                "{bandwidth} / {latency}: {built:?}"
+            );
+        }
     }
 }

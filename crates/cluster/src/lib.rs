@@ -7,14 +7,14 @@
 //! once. This crate adds that layer on top of [`ador_serving`]'s
 //! incremental [`Engine`](ador_serving::Engine) API:
 //!
-//! - **[`ClusterSim`]** — N independent engine replicas driven by a
-//!   discrete-event core on one global clock: a binary-heap event queue
-//!   over arrivals and replica-ready instants, so each replica advances
-//!   only when it actually has work and every routing decision reads load
-//!   snapshots consistent with the single fleet timeline. The original
-//!   lockstep sweep survives as [`DriveMode::Lockstep`], the regression
-//!   oracle the event core is pinned against (identical per-request
-//!   outcomes).
+//! - **[`ClusterSim`]** — N independent engine replicas driven by one
+//!   discrete-event loop on one global clock: each step processes the
+//!   next boundary instant (arrival, KV-transfer maturity, or the
+//!   disaggregated causality guard), a binary-heap event queue sweeps
+//!   only the replicas with work before it, and every routing decision
+//!   reads load snapshots consistent with the single fleet timeline.
+//!   Aggregated and disaggregated fleets share the loop; an aggregated
+//!   fleet is simply the case with no KV link.
 //! - **[`Router`] / [`RouterPolicy`]** — pluggable routing:
 //!   round-robin (the count-balancing baseline), join-shortest-queue,
 //!   least-KV-load (token-backlog aware), SLO-aware class partitioning,
@@ -97,7 +97,7 @@ pub mod scenarios;
 mod tenant;
 
 pub use capacity::{cluster_capacity, ClusterCapacityResult};
-pub use cluster::{ClusterConfig, ClusterSim, DriveMode};
+pub use cluster::{ClusterConfig, ClusterSim};
 pub use fleet::{FleetSpec, KvLink, PoolRole, ReplicaSpec, Topology};
 pub use report::{FleetAttribution, FleetReport, FleetTelemetry, TenantQos};
 pub use router::{ReplicaSnapshot, Router, RouterPolicy, AFFINITY_SPILL};

@@ -155,36 +155,79 @@ impl Router {
         replicas: &[ReplicaSnapshot],
     ) -> usize {
         assert!(!replicas.is_empty(), "cannot route across zero replicas");
+        self.pick(tenant, classes, prefix_group, replicas.len(), |i| {
+            &replicas[i]
+        })
+    }
+
+    /// Picks a replica from the subset `pool` (fleet-wide indices into
+    /// `replicas`), applying the policy pool-locally: load comparisons,
+    /// round-robin cycling, `SloAware` partitioning and affinity pins
+    /// all see only the pool's members, and the returned index is mapped
+    /// back to the fleet. The pick is exactly what [`Router::route`]
+    /// makes over the pool's snapshots copied out in pool order, without
+    /// the copy. A disaggregated fleet's routers each own one pool, so
+    /// always calling a given router with the same pool keeps its
+    /// cursor/pin state coherent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pool` is empty.
+    pub fn route_pool(
+        &mut self,
+        tenant: usize,
+        classes: usize,
+        prefix_group: Option<u64>,
+        replicas: &[ReplicaSnapshot],
+        pool: &[usize],
+    ) -> usize {
+        assert!(!pool.is_empty(), "cannot route across an empty pool");
+        pool[self.pick(tenant, classes, prefix_group, pool.len(), |i| {
+            &replicas[pool[i]]
+        })]
+    }
+
+    /// The policy body behind both entry points: picks a position in
+    /// `0..n`, where `snap(i)` is candidate `i`'s load snapshot.
+    fn pick<'s>(
+        &mut self,
+        tenant: usize,
+        classes: usize,
+        prefix_group: Option<u64>,
+        n: usize,
+        snap: impl Fn(usize) -> &'s ReplicaSnapshot,
+    ) -> usize {
         match self.policy {
             RouterPolicy::RoundRobin => {
-                let idx = self.rr_next % replicas.len();
+                let idx = self.rr_next % n;
                 self.rr_next = self.rr_next.wrapping_add(1);
                 idx
             }
-            RouterPolicy::JoinShortestQueue => argmin(0..replicas.len(), |i| replicas[i].load()),
-            RouterPolicy::LeastKvLoad => argmin(0..replicas.len(), |i| replicas[i].kv_load()),
+            RouterPolicy::JoinShortestQueue => argmin(0..n, |i| snap(i).load()),
+            RouterPolicy::LeastKvLoad => argmin(0..n, |i| snap(i).kv_load()),
             RouterPolicy::SloAware => {
+                // The class's partition is every `classes`-th candidate
+                // from its home index; it is empty when the home index
+                // is past the end.
                 let classes = classes.max(1);
-                let partition: Vec<usize> = (0..replicas.len())
-                    .filter(|r| r % classes == tenant % classes)
-                    .collect();
-                if partition.is_empty() {
-                    argmin(0..replicas.len(), |i| replicas[i].load())
+                let home = tenant % classes;
+                if home < n {
+                    argmin((home..n).step_by(classes), |i| snap(i).load())
                 } else {
-                    argmin(partition.into_iter(), |i| replicas[i].load())
+                    argmin(0..n, |i| snap(i).load())
                 }
             }
             RouterPolicy::CacheAffinity => {
-                let fallback = argmin(0..replicas.len(), |i| replicas[i].kv_load());
+                let fallback = argmin(0..n, |i| snap(i).kv_load());
                 let Some(group) = prefix_group else {
                     return fallback;
                 };
                 self.routed += 1;
                 let chosen = match self.affinity.get(&group) {
                     Some(&(pinned, _))
-                        if pinned < replicas.len()
-                            && replicas[pinned].kv_load()
-                                <= replicas[fallback].kv_load() + AFFINITY_SPILL =>
+                        if pinned < n
+                            && snap(pinned).kv_load()
+                                <= snap(fallback).kv_load() + AFFINITY_SPILL =>
                     {
                         pinned
                     }
@@ -203,30 +246,6 @@ impl Router {
                 chosen
             }
         }
-    }
-
-    /// Picks a replica from the subset `pool` (fleet-wide indices into
-    /// `replicas`), applying the policy pool-locally: load comparisons,
-    /// round-robin cycling, `SloAware` partitioning and affinity pins
-    /// all see only the pool's members, and the returned index is mapped
-    /// back to the fleet. A disaggregated fleet's routers each own one
-    /// pool, so always calling a given router with the same pool keeps
-    /// its cursor/pin state coherent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pool` is empty.
-    pub fn route_pool(
-        &mut self,
-        tenant: usize,
-        classes: usize,
-        prefix_group: Option<u64>,
-        replicas: &[ReplicaSnapshot],
-        pool: &[usize],
-    ) -> usize {
-        assert!(!pool.is_empty(), "cannot route across an empty pool");
-        let local: Vec<ReplicaSnapshot> = pool.iter().map(|&i| replicas[i]).collect();
-        pool[self.route(tenant, classes, prefix_group, &local)]
     }
 }
 
@@ -374,6 +393,52 @@ mod tests {
             affinity.route(0, 1, None, &snaps),
             kv.route(0, 1, None, &snaps)
         );
+    }
+
+    #[test]
+    fn route_pool_picks_what_route_picks_over_the_copied_pool() {
+        // A small deterministic stream of fleet states (LCG draws):
+        // each call sees fresh loads, a tenant and maybe a session, so
+        // the round-robin cursor, the SloAware partitions, the affinity
+        // pins and their spills all get exercised over the sequence.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut draw = |bound: u32| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            conv::usize_from_u32((state >> 32) as u32 % bound)
+        };
+        let pools: [&[usize]; 5] = [&[0, 1, 2, 3, 4, 5], &[2, 3], &[1, 3, 4], &[5], &[4, 0, 2]];
+        let policies = [
+            RouterPolicy::RoundRobin,
+            RouterPolicy::JoinShortestQueue,
+            RouterPolicy::LeastKvLoad,
+            RouterPolicy::SloAware,
+            RouterPolicy::CacheAffinity,
+        ];
+        for policy in policies {
+            for pool in pools {
+                let (mut in_place, mut copied) = (Router::new(policy), Router::new(policy));
+                for _ in 0..200 {
+                    let fleet: Vec<ReplicaSnapshot> = (0..6)
+                        .map(|_| ReplicaSnapshot {
+                            queue_depth: draw(4),
+                            active: draw(4),
+                            kv_in_use: draw(1000),
+                            backlog_tokens: draw(400),
+                            kv_budget_tokens: 1000,
+                        })
+                        .collect();
+                    let tenant = draw(3);
+                    let group = [None, Some(7), Some(8), Some(9)][draw(4)];
+                    let local: Vec<ReplicaSnapshot> = pool.iter().map(|&i| fleet[i]).collect();
+                    let want = pool[copied.route(tenant, 3, group, &local)];
+                    let got = in_place.route_pool(tenant, 3, group, &fleet, pool);
+                    assert_eq!(got, want, "{policy} over {pool:?}");
+                }
+                assert_eq!(in_place, copied, "{policy}: router state must evolve alike");
+            }
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@ use ador_spec::{SpeculationConfig, SpeculationPolicy};
 use ador_units::{conv, Bandwidth, Seconds};
 
 use crate::{
-    ArrivalProcess, ClusterConfig, DriveMode, FleetSpec, KvLink, ReplicaSpec, RouterPolicy,
-    TenantClass, TenantMix,
+    ArrivalProcess, ClusterConfig, FleetSpec, KvLink, ReplicaSpec, RouterPolicy, TenantClass,
+    TenantMix,
 };
 
 /// Aggregate arrival rate (req/s) of the pinned skewed-mix scenario.
@@ -167,10 +167,9 @@ pub fn spec_fleet(replicas: usize, policy: SpeculationPolicy) -> ClusterConfig {
 /// 6 req/s runs the 32-slot replicas near saturation — the bursty
 /// summarization tenant queues tens of requests deep during ON periods,
 /// yet the fleet still drains (makespan within ~25 % of the arrival
-/// window). That regime is deliberate: deep-but-bounded queues are where
-/// the lockstep driver's per-arrival all-replica snapshot rebuild (each
-/// an O(queue) `backlog_tokens` scan) hurts most, which is exactly the
-/// overhead the event core removes.
+/// window). That regime is deliberate: deep-but-bounded queues keep
+/// every replica busy between arrivals, so the grid prices the event
+/// loop under realistic bursty queueing rather than on an idle fleet.
 pub const SCALE_RATE_PER_REPLICA: f64 = 6.0;
 
 /// Workload seed of the scale-grid scenario.
@@ -178,22 +177,19 @@ pub const SCALE_SEED: u64 = 23;
 
 /// The scale-grid workload: the skewed two-tenant mix rescaled so each
 /// of `replicas` replicas sees [`SCALE_RATE_PER_REPLICA`] req/s. Shared
-/// by the `bench_cluster` wall-clock baseline and the event-vs-lockstep
-/// equivalence tests so the measured grid and the pinned oracle exercise
-/// the same traffic.
+/// by the `bench_cluster` wall-clock grid and the telemetry and
+/// attribution overhead benches, so they all time the same traffic.
 pub fn scale_mix(replicas: usize) -> TenantMix {
     skewed_two_tenant(SCALE_RATE_PER_REPLICA * conv::f64_from_usize(replicas))
 }
 
 /// The scale-grid fleet: 32-slot replicas with an ample KV budget behind
-/// join-shortest-queue, driven in the given [`DriveMode`]. Paired with
-/// [`scale_mix`], the fleet runs near saturation but always drains — the
-/// wall-clock comparison measures driver overhead under realistic
-/// bursty queueing, not a divergent backlog.
-pub fn scale_fleet(replicas: usize, drive: DriveMode) -> ClusterConfig {
+/// join-shortest-queue. Paired with [`scale_mix`], the fleet runs near
+/// saturation but always drains — the wall-clock grid measures the
+/// driver under realistic bursty queueing, not a divergent backlog.
+pub fn scale_fleet(replicas: usize) -> ClusterConfig {
     ClusterConfig::new(replicas, RouterPolicy::JoinShortestQueue)
         .with_engine(SimConfig::new(1.0, 32))
-        .with_drive_mode(drive)
 }
 
 /// Aggregate request rate (req/s) of the pinned disaggregation scenario:
@@ -270,6 +266,8 @@ pub fn disagg_mix(aggregate: f64) -> TenantMix {
 /// that the transfer accounting is exercised.
 pub fn disagg_link() -> KvLink {
     KvLink::new(Bandwidth::from_gbps(64.0), Seconds::from_millis(0.5))
+        // ador-lint: allow(panic) — invariant: both constants are positive and finite
+        .expect("the pinned link is valid")
 }
 
 /// The pinned per-replica engine config of the disaggregation scenario:

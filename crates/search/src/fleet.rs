@@ -305,29 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn a_zero_latency_link_is_an_error_not_a_hang() {
-        let model = presets::llama3_8b();
-        let mix = scenarios::disagg_mix(12.0);
-        let link = KvLink {
-            latency: ador_units::Seconds::ZERO,
-            ..scenarios::disagg_link()
-        };
-        let input = FleetSearchInput {
-            model: &model,
-            mix: &mix,
-            chips: FleetChips::ador_defaults(),
-            replicas: 2,
-            engine: scenarios::disagg_engine(),
-            link,
-            requests: 20,
-            seed: scenarios::DISAGG_SEED,
-            target_attainment: 0.9,
-        };
-        let err = co_explore(&input).unwrap_err();
-        assert!(matches!(err, SimError::InvalidKvLink { .. }), "{err}");
-    }
-
-    #[test]
     fn winner_prefers_target_then_goodput() {
         let mk = |meets, goodput, attainment| FleetCandidate {
             label: String::new(),

@@ -1,13 +1,13 @@
 //! Conservation contract of SLO-miss attribution: across seeds, routing
-//! policies, topologies (aggregated and prefill/decode-disaggregated),
-//! speculation, and both fleet drivers, every attributed request's
-//! component ledger sums *exactly* (integer nanoseconds, no epsilon) to
-//! its end-to-end latency; the fleet ledger is the exact merge of the
-//! per-tenant ledgers and of the per-request components; and switching
-//! attribution on never perturbs the rest of the report.
+//! policies, topologies (aggregated and prefill/decode-disaggregated)
+//! and speculation, every attributed request's component ledger sums
+//! *exactly* (integer nanoseconds, no epsilon) to its end-to-end
+//! latency; the fleet ledger is the exact merge of the per-tenant
+//! ledgers and of the per-request components; and switching attribution
+//! on never perturbs the rest of the report.
 
 use ador::cluster::scenarios::{disagg_cluster, disagg_engine, disagg_mix, DISAGG_RATE};
-use ador::cluster::{ClusterSim, DriveMode, FleetReport, FleetSpec, ReplicaSpec, RouterPolicy};
+use ador::cluster::{ClusterSim, FleetReport, FleetSpec, ReplicaSpec, RouterPolicy};
 use ador::model::presets;
 use ador::perf::Deployment;
 use ador::serving::{SpeculationConfig, SpeculationPolicy};
@@ -31,7 +31,6 @@ fn run(
     policy: RouterPolicy,
     disaggregated: bool,
     speculate: bool,
-    drive: DriveMode,
     telemetry: TelemetryConfig,
 ) -> FleetReport {
     let model = presets::llama3_8b();
@@ -39,7 +38,7 @@ fn run(
     if speculate {
         engine = engine.with_speculation(SpeculationConfig::new(SpeculationPolicy::Fixed(2)));
     }
-    let mut cfg = disagg_cluster(disaggregated).with_drive_mode(drive);
+    let mut cfg = disagg_cluster(disaggregated);
     cfg.policy = policy;
     // `disagg_cluster` pins replicas = 0 (the fleet path overrides it
     // with the fleet's length); the homogeneous path needs a real count.
@@ -76,15 +75,12 @@ proptest! {
         policy_idx in 0usize..3,
         disagg in 0u8..2,
         speculate in 0u8..2,
-        lockstep in 0u8..2,
     ) {
-        let drive = if lockstep == 1 { DriveMode::Lockstep } else { DriveMode::EventDriven };
         let report = run(
             seed,
             POLICIES[policy_idx],
             disagg == 1,
             speculate == 1,
-            drive,
             TelemetryConfig::trace().with_attribution(),
         );
         let telemetry = report.telemetry.as_ref().expect("traced");
@@ -93,7 +89,7 @@ proptest! {
         for attr in &attrs {
             prop_assert!(
                 attr.conserved(),
-                "request {}: components sum {} != e2e {} ({:?}, drive {drive:?})",
+                "request {}: components sum {} != e2e {} ({:?})",
                 attr.request,
                 attr.components.total_ns(),
                 attr.e2e_ns,
@@ -126,18 +122,15 @@ proptest! {
     fn attribution_never_perturbs_the_traced_report(
         seed in 0u64..64,
         disagg in 0u8..2,
-        lockstep in 0u8..2,
     ) {
-        let drive = if lockstep == 1 { DriveMode::Lockstep } else { DriveMode::EventDriven };
         let policy = RouterPolicy::JoinShortestQueue;
-        let plain = run(seed, policy, disagg == 1, false, drive, TelemetryConfig::trace());
+        let plain = run(seed, policy, disagg == 1, false, TelemetryConfig::trace());
         prop_assert!(plain.attribution.is_none(), "trace-only runs carry no attribution");
         let mut on = run(
             seed,
             policy,
             disagg == 1,
             false,
-            drive,
             TelemetryConfig::trace().with_attribution(),
         );
         prop_assert!(on.attribution.take().is_some());
@@ -155,7 +148,6 @@ fn miss_blame_partitions_the_misses() {
         RouterPolicy::JoinShortestQueue,
         true,
         false,
-        DriveMode::EventDriven,
         TelemetryConfig::trace().with_attribution(),
     );
     let fleet = &report.attribution.as_ref().expect("attribution on").fleet;

@@ -1,15 +1,17 @@
 //! Cluster-serving integration tests: the pinned router-policy ordering,
-//! routing determinism, SLO-aware partition isolation, the event-core /
-//! lockstep-oracle equivalence pins, and the fleet-wide conservation
-//! invariant.
+//! routing determinism, SLO-aware partition isolation, the shared-clock
+//! makespan, role-blind routing of aggregated fleets, and the fleet-wide
+//! conservation invariant. The event loop's equivalence pins against the
+//! sweep-every-replica reference live in `ador-cluster`'s unit tests,
+//! where the reference is visible.
 
 use ador::cluster::scenarios::{
-    disagg_cluster, disagg_fleet, disagg_mix, scarce_kv_fleet, skewed_two_tenant, DISAGG_RATE,
-    DISAGG_REQUESTS, DISAGG_SEED, SKEWED_MIX_RATE, SKEWED_MIX_REQUESTS,
+    disagg_cluster, disagg_mix, scarce_kv_fleet, skewed_two_tenant, DISAGG_RATE, SKEWED_MIX_RATE,
+    SKEWED_MIX_REQUESTS,
 };
 use ador::cluster::{
-    ClusterConfig, ClusterRequest, ClusterSim, DriveMode, FleetSpec, ReplicaSpec, RouterPolicy,
-    TenantClass, TenantMix,
+    ClusterConfig, ClusterRequest, ClusterSim, FleetSpec, ReplicaSpec, RouterPolicy, TenantClass,
+    TenantMix,
 };
 use ador::model::presets;
 use ador::perf::Deployment;
@@ -143,9 +145,8 @@ fn slo_aware_isolates_classes_onto_their_partition() {
     }
 }
 
-/// Drives one fleet over an explicit stream in the given mode and
-/// returns (global clock at drain, per-replica completed outcomes, full
-/// report).
+/// Drives one fleet over an explicit stream and returns (global clock at
+/// drain, per-replica completed outcomes, full report).
 fn drive(
     cfg: ClusterConfig,
     mix: &TenantMix,
@@ -167,36 +168,6 @@ fn drive(
         .map(<[_]>::to_vec)
         .collect();
     (now, outcomes, sim.finish())
-}
-
-/// The tentpole pin: on the pinned scarce-KV scenario, the discrete-event
-/// core reproduces the lockstep oracle *exactly* — per-request outcomes
-/// replica by replica (completion order included), the routing trace, and
-/// the full fleet report. The event core is a driver refactor, not a
-/// semantic change.
-#[test]
-fn event_core_matches_the_lockstep_oracle_on_the_pinned_scenario() {
-    use ador::cluster::scenarios::SKEWED_MIX_SEED;
-    let mix = skewed_mix();
-    let stream = mix.generate(SKEWED_MIX_REQUESTS, SKEWED_MIX_SEED);
-    let base = scarce_kv_fleet(4, RouterPolicy::JoinShortestQueue);
-
-    let (event_now, event_outcomes, event_report) = drive(
-        base.with_drive_mode(DriveMode::EventDriven),
-        &mix,
-        stream.clone(),
-    );
-    let (lock_now, lock_outcomes, lock_report) =
-        drive(base.with_drive_mode(DriveMode::Lockstep), &mix, stream);
-
-    assert_eq!(
-        event_outcomes, lock_outcomes,
-        "per-replica, per-request outcomes must be identical"
-    );
-    assert_eq!(event_now, lock_now, "drained fleets end on the same clock");
-    // The reports differ only in the recorded drive mode's absence — the
-    // report carries no mode field, so full equality must hold.
-    assert_eq!(event_report, lock_report);
 }
 
 /// The drain-phase clock-drift fix, pinned: the merged fleet makespan is
@@ -304,49 +275,32 @@ fn drive_fleet(
     (now, outcomes, sim.finish())
 }
 
-/// The equivalence pin extended to a heterogeneous two-pool fleet: on
-/// the pinned disaggregation scenario (2 prefill-optimized + 2
-/// decode-optimized replicas over the pinned KV link, interactive +
-/// bursty-ingest mix), the discrete-event core reproduces the lockstep
-/// oracle exactly — stitched per-request outcomes, the routing trace,
-/// the global clock and the full fleet report, KV-transfer accounting
-/// included.
+/// Roles only mean something under disaggregation: an aggregated fleet
+/// built as two prefill-role plus two decode-role replicas still routes
+/// every fresh request over all four replicas, and ships nothing.
 #[test]
-fn disaggregated_event_core_matches_lockstep_on_the_heterogeneous_pin() {
-    let mix = disagg_mix(DISAGG_RATE);
-    let fleet = disagg_fleet(
-        &ador::baselines::prefill_optimized(),
-        2,
-        &ador::baselines::decode_optimized(),
-        2,
-    );
-    let stream = mix.generate(DISAGG_REQUESTS, DISAGG_SEED);
-    let base = disagg_cluster(true);
+fn aggregated_fleets_route_over_every_replica_whatever_their_roles() {
+    let spec = ReplicaSpec::new(ador::baselines::ador_table3(), SimConfig::new(1.0, 16));
+    let fleet = FleetSpec::prefill_decode(&spec, 2, &spec, 2);
+    let mix = skewed_mix();
+    let stream = mix.generate(40, 9);
+    let cfg = ClusterConfig::new(0, RouterPolicy::RoundRobin);
+    let (_, outcomes, report) = drive_fleet(&fleet, cfg, &mix, stream);
 
-    let (ev_now, ev_outcomes, ev_report) = drive_fleet(
-        &fleet,
-        base.with_drive_mode(DriveMode::EventDriven),
-        &mix,
-        stream.clone(),
+    let replicas: Vec<usize> = report
+        .assignments
+        .iter()
+        .map(|(_, r)| r.expect("nothing shed"))
+        .collect();
+    let cycle: Vec<usize> = (0..40).map(|i| i % 4).collect();
+    assert_eq!(replicas, cycle, "round-robin cycles over all four replicas");
+    assert!(
+        outcomes.iter().all(|o| o.len() == 10),
+        "whole requests everywhere"
     );
-    let (ls_now, ls_outcomes, ls_report) = drive_fleet(
-        &fleet,
-        base.with_drive_mode(DriveMode::Lockstep),
-        &mix,
-        stream,
-    );
-
-    assert_eq!(
-        ev_outcomes, ls_outcomes,
-        "per-replica outcome halves must be identical across drivers"
-    );
-    assert_eq!(ev_now, ls_now, "drained fleets end on the same clock");
-    assert_eq!(ev_report, ls_report);
-    // The pin is only meaningful if the scenario actually disaggregates:
-    // every completed request shipped its context over the link.
-    assert_eq!(ev_report.kv_transfers, ev_report.completed);
-    assert!(ev_report.kv_transferred_tokens > 0);
-    assert_eq!(ev_report.completed, DISAGG_REQUESTS);
+    assert_eq!(report.completed, 40);
+    assert_eq!(report.kv_transfers, 0);
+    assert_eq!(report.decode_policy, None);
 }
 
 /// `QosReport::merge_exact` over genuinely mixed replica configs: a
@@ -426,42 +380,6 @@ fn fleet_merge_exact_pools_percentiles_and_sums_counters_across_mixed_replicas()
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// The equivalence pin, broadened: across seeds, fleet sizes, routing
-    /// policies and admission control, the event-driven core and the
-    /// lockstep oracle produce identical fleet reports (and therefore
-    /// identical per-request outcomes and routing traces).
-    #[test]
-    fn event_core_matches_lockstep_across_seeds_and_policies(
-        seed in 0u64..1000,
-        replicas in 1usize..5,
-        count in 1usize..80,
-        policy_pick in 0usize..4,
-        capped in 0usize..2,
-    ) {
-        let policy = [
-            RouterPolicy::RoundRobin,
-            RouterPolicy::JoinShortestQueue,
-            RouterPolicy::LeastKvLoad,
-            RouterPolicy::SloAware,
-        ][policy_pick];
-        let mut cfg = ClusterConfig::new(replicas, policy)
-            .with_engine(SimConfig::new(1.0, 8).with_kv_memory_fraction(0.05));
-        if capped == 1 {
-            cfg = cfg.with_queue_cap(2);
-        }
-        let mix = TenantMix::new(vec![
-            TenantClass::chatbot(7.0),
-            TenantClass::summarization(3.0),
-        ]);
-        let stream = mix.generate(count, seed);
-        let (_, ev_outcomes, ev_report) =
-            drive(cfg.with_drive_mode(DriveMode::EventDriven), &mix, stream.clone());
-        let (_, ls_outcomes, ls_report) =
-            drive(cfg.with_drive_mode(DriveMode::Lockstep), &mix, stream);
-        prop_assert_eq!(ev_outcomes, ls_outcomes);
-        prop_assert_eq!(ev_report, ls_report);
-    }
 
     /// Conservation across the fleet at every step: requests offered to
     /// the cluster are always exactly accounted for as completed, shed,
