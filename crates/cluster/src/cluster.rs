@@ -19,9 +19,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use ador_hw::Architecture;
 use ador_model::ModelConfig;
 use ador_perf::Deployment;
-use ador_serving::{
-    Engine, EngineCounters, QosReport, Request, RequestOutcome, ServingSim, SimConfig, SimError,
-};
+use ador_serving::{Engine, QosReport, Request, RequestOutcome, ServingSim, SimConfig, SimError};
 use ador_telemetry::{
     goodput_series, AttributionReport, Event, EventKind, TelemetryConfig, TimeSeries,
 };
@@ -874,9 +872,9 @@ impl<'a> ClusterSim<'a> {
     }
 
     /// Builds the fleet report. The merged fleet [`QosReport`] is exact:
-    /// latency percentiles come from the pooled per-request outcomes and
+    /// latency percentiles come from the pooled end-to-end outcomes and
     /// all throughput figures are measured over the shared fleet clock
-    /// (the latest replica finish time) via [`QosReport::merge_exact`] —
+    /// (the latest replica finish time) via [`QosReport::merge`] —
     /// per-replica timelines are never mixed.
     ///
     /// # Panics
@@ -901,42 +899,14 @@ impl<'a> ClusterSim<'a> {
             _ => None,
         };
         let per_replica: Vec<Option<QosReport>> = self.engines.iter().map(|e| e.report()).collect();
-        let completed_reports: Vec<QosReport> = per_replica.iter().flatten().cloned().collect();
-        let fleet = if self.link.is_some() {
-            // Per-replica reports describe halves. Counters (tokens
-            // prefilled/generated, preemptions, peaks, step means) sum
-            // and max correctly over halves, but every latency and
-            // throughput population must come from the stitched
-            // end-to-end outcomes — a half's TTFT or e2e means nothing
-            // to a user.
-            if self.stitched.is_empty() {
-                None
-            } else {
-                let merged = QosReport::merge(&completed_reports);
-                let exact = QosReport::from_outcomes(
-                    &self.stitched,
-                    merged.makespan,
-                    EngineCounters::default(),
-                );
-                Some(QosReport {
-                    completed: exact.completed,
-                    ttft: exact.ttft,
-                    tbt: exact.tbt,
-                    e2e: exact.e2e,
-                    ttft_hist: exact.ttft_hist,
-                    tbt_hist: exact.tbt_hist,
-                    e2e_hist: exact.e2e_hist,
-                    requests_per_sec: exact.requests_per_sec,
-                    tokens_per_sec: exact.tokens_per_sec,
-                    goodput_tokens_per_sec: exact.goodput_tokens_per_sec,
-                    ..merged
-                })
-            }
-        } else if completed_reports.is_empty() {
-            None
-        } else {
-            let pooled: Vec<RequestOutcome> = self.e2e_outcomes().copied().collect();
-            Some(QosReport::merge_exact(&completed_reports, &pooled))
+        // Engine counters come from the per-replica reports (halves under
+        // disaggregation); every population figure comes from the
+        // end-to-end outcomes. The pooled copy is scoped to the merge so
+        // its memory is free again for the per-tenant split below.
+        let fleet = {
+            let completed: Vec<QosReport> = per_replica.iter().flatten().cloned().collect();
+            let outcomes: Vec<RequestOutcome> = self.e2e_outcomes().copied().collect();
+            (!outcomes.is_empty()).then(|| QosReport::merge(&completed, &outcomes))
         };
 
         let tokens_per_replica: Vec<f64> = self
@@ -1277,29 +1247,50 @@ mod tests {
         let fleet = pd_fleet(1, 2);
         let cfg = ClusterConfig::new(0, RouterPolicy::JoinShortestQueue)
             .with_disaggregation(disagg_link());
-        let mix = two_class_mix(6.0);
-        let report = ClusterSim::new_fleet(&fleet, &model, Deployment::single_device(), cfg)
-            .unwrap()
-            .run(&mix, 60, 5)
-            .unwrap();
-        assert_eq!(report.submitted, 60);
-        assert_eq!(report.completed, 60);
-        assert_eq!(report.rejected, 0);
-        assert_eq!(report.replicas, 3);
-        assert_eq!(report.decode_policy, Some(RouterPolicy::LeastKvLoad));
-        // Every multi-token request crossed the link exactly once, with
-        // its whole landed context (prompt + first token).
-        assert_eq!(report.kv_transfers, 60);
-        assert!(report.kv_transferred_tokens > 60, "contexts carry tokens");
-        let fleet_qos = report.fleet.expect("completions produce a report");
-        assert_eq!(fleet_qos.completed, 60);
-        // Stitched lifecycles are whole: generated tokens across the two
-        // halves equal the declared response lengths.
-        let by_tenant: usize = report.tenants.iter().map(|t| t.completed).sum();
-        assert_eq!(by_tenant, 60);
-        // Split halves never leak into the per-request populations: every
-        // stitched e2e covers at least its TTFT plus the handoff.
-        assert!(fleet_qos.e2e.mean > fleet_qos.ttft.mean);
+        let one_tenant = TenantMix::new(vec![TenantClass::chatbot(6.0)]);
+        for mix in [two_class_mix(6.0), one_tenant] {
+            let report = ClusterSim::new_fleet(&fleet, &model, Deployment::single_device(), cfg)
+                .unwrap()
+                .run(&mix, 60, 5)
+                .unwrap();
+            assert_eq!(report.submitted, 60);
+            assert_eq!(report.completed, 60);
+            assert_eq!(report.rejected, 0);
+            assert_eq!(report.replicas, 3);
+            assert_eq!(report.decode_policy, Some(RouterPolicy::LeastKvLoad));
+            // Every multi-token request crossed the link exactly once, with
+            // its whole landed context (prompt + first token).
+            assert_eq!(report.kv_transfers, 60);
+            assert!(report.kv_transferred_tokens > 60, "contexts carry tokens");
+            let fleet_qos = report.fleet.expect("completions produce a report");
+            assert_eq!(fleet_qos.completed, 60);
+            // Stitched lifecycles are whole: generated tokens across the two
+            // halves equal the declared response lengths.
+            let declared: usize = mix
+                .generate(60, 5)
+                .iter()
+                .map(|r| r.request.output_tokens)
+                .sum();
+            assert_eq!(fleet_qos.generated_tokens, declared);
+            // The other engine counters merge over the halves of both pools.
+            let halves: Vec<&QosReport> = report.per_replica.iter().flatten().collect();
+            assert_eq!(halves.len(), 3);
+            let sum = |f: fn(&QosReport) -> usize| halves.iter().map(|r| f(r)).sum::<usize>();
+            assert_eq!(fleet_qos.prefilled_tokens, sum(|r| r.prefilled_tokens));
+            assert_eq!(fleet_qos.preemptions, sum(|r| r.preemptions));
+            let peak_kv = halves.iter().map(|r| r.peak_kv_tokens).max();
+            assert_eq!(Some(fleet_qos.peak_kv_tokens), peak_kv);
+            let by_tenant: usize = report.tenants.iter().map(|t| t.completed).sum();
+            assert_eq!(by_tenant, 60);
+            // A lone tenant judges the same stitched population as the fleet.
+            if let [only] = report.tenants.as_slice() {
+                assert_eq!(only.ttft, Some(fleet_qos.ttft));
+                assert_eq!(only.tbt, Some(fleet_qos.tbt));
+            }
+            // Split halves never leak into the per-request populations: every
+            // stitched e2e covers at least its TTFT plus the handoff.
+            assert!(fleet_qos.e2e.mean > fleet_qos.ttft.mean);
+        }
     }
 
     #[test]

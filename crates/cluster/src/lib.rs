@@ -48,7 +48,9 @@
 //!   link: `submitted == completed + rejected + in_flight +
 //!   in_transfer` at every event boundary.
 //! - **[`FleetReport`]** — fleet-wide QoS: the merged engine report
-//!   (via [`QosReport::merge`](ador_serving::QosReport::merge)),
+//!   (via [`QosReport::merge`](ador_serving::QosReport::merge): engine
+//!   counters from the replicas, populations from the end-to-end
+//!   outcomes),
 //!   per-tenant SLO attainment (shed requests count as misses),
 //!   per-replica utilization imbalance, the full routing trace, and the
 //!   KV-transfer counters of a disaggregated run.

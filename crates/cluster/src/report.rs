@@ -140,11 +140,10 @@ pub struct FleetReport {
     /// Requests shed by admission control.
     pub rejected: usize,
     /// The merged engine-level report, or `None` if nothing completed.
-    /// Built via [`QosReport::merge_exact`] from the pooled per-request
-    /// outcomes on the shared fleet clock, so its latency percentiles are
-    /// exact union percentiles (not the bound-based
-    /// [`LatencyStats::merge`] maximum) and its makespan/throughput never
-    /// mix per-replica timelines.
+    /// Built via [`QosReport::merge`] from the pooled end-to-end outcomes
+    /// on the shared fleet clock, so its latency percentiles are exact
+    /// union percentiles and its makespan/throughput never mix
+    /// per-replica timelines.
     pub fleet: Option<QosReport>,
     /// Per-replica reports; `None` for replicas that completed nothing.
     pub per_replica: Vec<Option<QosReport>>,

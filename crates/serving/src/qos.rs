@@ -1,6 +1,5 @@
 //! QoS aggregation: the "QoS Calculator" of Fig. 14b.
 
-use ador_telemetry::LatencyHistogram;
 use ador_units::{conv, Seconds};
 use serde::Serialize;
 
@@ -50,54 +49,6 @@ impl LatencyStats {
             p99: pick(0.99),
             // The 1.0-quantile is the last (largest) sample.
             max: pick(1.0),
-        }
-    }
-
-    /// Merges per-group summaries (each with its sample count) into one
-    /// fleet-wide summary, without access to the raw populations.
-    ///
-    /// `mean` is the exact count-weighted mean and `max` is exact. The
-    /// percentiles are the **maximum over groups** — a sound upper bound
-    /// on the union percentile (at least a q-fraction of every group lies
-    /// at or below its own q-quantile, so at least a q-fraction of the
-    /// union lies at or below the largest group q-quantile), but biased
-    /// upward when the groups are imbalanced. Fleet-level SLO checks on a
-    /// merged summary are therefore conservative: a pass is trustworthy, a
-    /// narrow miss may be a merge artifact.
-    ///
-    /// Use this bound-based path only when the raw per-request outcomes
-    /// are unavailable (pre-aggregated summaries, external data). A caller
-    /// that still holds the outcomes — the cluster driver does — should
-    /// recompute from the pooled population instead
-    /// ([`QosReport::merge_exact`]), which makes the fleet percentiles
-    /// exact rather than an upper bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts` is empty or the counts sum to zero.
-    pub fn merge(parts: &[(Self, usize)]) -> Self {
-        let total: usize = parts.iter().map(|&(_, n)| n).sum();
-        assert!(
-            !parts.is_empty() && total > 0,
-            "cannot merge an empty latency population"
-        );
-        let weighted_mean = parts
-            .iter()
-            .map(|&(s, n)| s.mean * (conv::f64_from_usize(n) / conv::f64_from_usize(total)))
-            .sum::<Seconds>();
-        let fold = |pick: fn(&Self) -> Seconds| {
-            parts
-                .iter()
-                .filter(|&&(_, n)| n > 0)
-                .map(|(s, _)| pick(s))
-                .fold(Seconds::ZERO, Seconds::max)
-        };
-        Self {
-            mean: weighted_mean,
-            p50: fold(|s| s.p50),
-            p95: fold(|s| s.p95),
-            p99: fold(|s| s.p99),
-            max: fold(|s| s.max),
         }
     }
 }
@@ -195,16 +146,6 @@ pub struct QosReport {
     pub accepted_tokens: usize,
     /// Drafted tokens the target model rejected.
     pub rejected_tokens: usize,
-    /// Log-bucketed TTFT population. Unlike the [`LatencyStats`] summary,
-    /// histograms merge exactly (bucket counts add), so fleet-level
-    /// percentiles derived from the merged histogram are within the bucket
-    /// width (6.25 %) of the true union percentile instead of a
-    /// max-over-replicas upper bound.
-    pub ttft_hist: LatencyHistogram,
-    /// Log-bucketed per-request mean-TBT population.
-    pub tbt_hist: LatencyHistogram,
-    /// Log-bucketed end-to-end latency population.
-    pub e2e_hist: LatencyHistogram,
 }
 
 impl QosReport {
@@ -235,9 +176,6 @@ impl QosReport {
             ttft: LatencyStats::from_samples(&ttfts),
             tbt: LatencyStats::from_samples(&tbts),
             e2e: LatencyStats::from_samples(&e2es),
-            ttft_hist: LatencyHistogram::from_samples(&ttfts),
-            tbt_hist: LatencyHistogram::from_samples(&tbts),
-            e2e_hist: LatencyHistogram::from_samples(&e2es),
             requests_per_sec: conv::f64_from_usize(outcomes.len()) / span,
             tokens_per_sec: conv::f64_from_usize(tokens) / span,
             goodput_tokens_per_sec: conv::f64_from_usize(good_tokens) / span,
@@ -284,47 +222,45 @@ impl QosReport {
         }
     }
 
-    /// Merges per-replica reports into one fleet-wide report.
+    /// Merges per-replica reports into one fleet-wide report over the
+    /// pooled end-to-end `outcomes` on the shared fleet clock.
     ///
-    /// Counts (`completed`, `preemptions`) are summed and peaks are maxed.
-    /// `makespan` is the latest replica finish time, and the throughput
-    /// figures (requests, tokens, goodput) are recomputed over it from
-    /// the summed totals (tokens are recovered as `rate × makespan` per
-    /// replica, which is exact). `mean_batch` and `mean_queue_depth` are makespan-weighted,
-    /// approximating a fleet-time average across replicas whose step
-    /// grids differ.
+    /// Engine counters come from `reports`: token and preemption counts
+    /// are summed, peaks are maxed, and `mean_batch` and
+    /// `mean_queue_depth` are makespan-weighted, approximating a
+    /// fleet-time average across replicas whose step grids differ.
+    /// `makespan` is the latest replica finish time. Everything derived
+    /// from the request population (`completed`, the latency percentiles
+    /// and the throughput figures) is computed exactly from `outcomes`
+    /// by [`QosReport::from_outcomes`] over that makespan, so the fleet
+    /// percentiles are the true union percentiles. One report's engine
+    /// counters pass through unchanged.
     ///
-    /// Latency populations merge through the log-bucketed histograms,
-    /// whose bucket counts add exactly: the fleet percentiles are read
-    /// from the merged histogram and land within one bucket (6.25 %)
-    /// above the true union percentile — far tighter than the
-    /// max-over-replicas upper bound [`LatencyStats::merge`] falls back
-    /// on when no histogram is available, yet still never *below* the
-    /// exact value, so fleet-level SLO checks stay conservative. Means
-    /// and maxima are exact. A single-report merge is the identity.
+    /// `reports` may describe split halves of the requests in `outcomes`
+    /// (a disaggregated request completes once in each pool), so every
+    /// outcome must have completed on at least one replica.
     ///
     /// # Panics
     ///
-    /// Panics if `reports` is empty or no report completed any request.
-    pub fn merge(reports: &[QosReport]) -> Self {
+    /// Panics if `outcomes` is empty or holds more requests than the
+    /// reports completed.
+    pub fn merge(reports: &[QosReport], outcomes: &[RequestOutcome]) -> Self {
         let completed: usize = reports.iter().map(|r| r.completed).sum();
         assert!(
-            !reports.is_empty() && completed > 0,
-            "cannot merge reports with no completed requests"
+            outcomes.len() <= completed,
+            "pooled outcomes must have completed on the merged reports"
         );
-        if let [only] = reports {
-            return only.clone();
-        }
         let makespan = reports
             .iter()
             .map(|r| r.makespan)
             .fold(Seconds::ZERO, Seconds::max);
-        let span = makespan.get().max(1e-12);
         let total_span: f64 = reports.iter().map(|r| r.makespan.get()).sum();
-        let time_weighted = |pick: fn(&QosReport) -> f64| {
-            if total_span <= 0.0 {
-                0.0
-            } else {
+        let time_weighted = |pick: fn(&QosReport) -> f64| match reports {
+            // Weighting one report by its own makespan is not an identity
+            // in floating point.
+            [only] => pick(only),
+            _ if total_span <= 0.0 => 0.0,
+            _ => {
                 reports
                     .iter()
                     .map(|r| pick(r) * r.makespan.get())
@@ -332,101 +268,25 @@ impl QosReport {
                     / total_span
             }
         };
-        let pooled = |pick: fn(&QosReport) -> &LatencyHistogram| {
-            let mut hist = LatencyHistogram::new();
-            for r in reports {
-                hist.merge(pick(r));
-            }
-            hist
-        };
-        let ttft_hist = pooled(|r| &r.ttft_hist);
-        let tbt_hist = pooled(|r| &r.tbt_hist);
-        let e2e_hist = pooled(|r| &r.e2e_hist);
-        let stats = |hist: &LatencyHistogram| LatencyStats {
-            mean: hist.mean(),
-            p50: hist.percentile(0.50),
-            p95: hist.percentile(0.95),
-            p99: hist.percentile(0.99),
-            max: hist.max(),
-        };
-        let tokens: f64 = reports
-            .iter()
-            .map(|r| r.tokens_per_sec * r.makespan.get())
-            .sum();
-        let good_tokens: f64 = reports
-            .iter()
-            .map(|r| r.goodput_tokens_per_sec * r.makespan.get())
-            .sum();
-        Self {
-            completed,
-            makespan,
-            ttft: stats(&ttft_hist),
-            tbt: stats(&tbt_hist),
-            e2e: stats(&e2e_hist),
-            ttft_hist,
-            tbt_hist,
-            e2e_hist,
-            requests_per_sec: conv::f64_from_usize(completed) / span,
-            tokens_per_sec: tokens / span,
-            goodput_tokens_per_sec: good_tokens / span,
+        let max = |pick: fn(&QosReport) -> usize| reports.iter().map(pick).max().unwrap_or(0);
+        let sum = |pick: fn(&QosReport) -> usize| reports.iter().map(pick).sum();
+        let counters = EngineCounters {
             mean_batch: time_weighted(|r| r.mean_batch),
-            peak_batch: reports.iter().map(|r| r.peak_batch).max().unwrap_or(0),
-            preemptions: reports.iter().map(|r| r.preemptions).sum(),
+            peak_batch: max(|r| r.peak_batch),
+            preemptions: sum(|r| r.preemptions),
             mean_queue_depth: time_weighted(|r| r.mean_queue_depth),
-            peak_queue_depth: reports
-                .iter()
-                .map(|r| r.peak_queue_depth)
-                .max()
-                .unwrap_or(0),
-            peak_kv_tokens: reports.iter().map(|r| r.peak_kv_tokens).max().unwrap_or(0),
-            prefilled_tokens: reports.iter().map(|r| r.prefilled_tokens).sum(),
-            prefix_hit_tokens: reports.iter().map(|r| r.prefix_hit_tokens).sum(),
-            prefix_miss_tokens: reports.iter().map(|r| r.prefix_miss_tokens).sum(),
-            prefix_evicted_tokens: reports.iter().map(|r| r.prefix_evicted_tokens).sum(),
-            generated_tokens: reports.iter().map(|r| r.generated_tokens).sum(),
-            drafted_tokens: reports.iter().map(|r| r.drafted_tokens).sum(),
-            accepted_tokens: reports.iter().map(|r| r.accepted_tokens).sum(),
-            rejected_tokens: reports.iter().map(|r| r.rejected_tokens).sum(),
-        }
-    }
-
-    /// Merges per-replica reports like [`QosReport::merge`], then replaces
-    /// every population-derived figure with the exact value recomputed
-    /// from the pooled per-request `outcomes` on the shared fleet clock:
-    /// latency percentiles are the true union percentiles (not the
-    /// bound-based maximum over replicas — see [`LatencyStats::merge`]),
-    /// and the throughput figures divide the pooled token totals by the
-    /// fleet makespan (the latest replica finish time) directly instead of
-    /// recovering them from per-replica rates.
-    ///
-    /// Counter aggregates that have no per-request population — summed
-    /// token/preemption counters, maxed peaks, makespan-weighted step
-    /// means — keep their [`QosReport::merge`] semantics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reports` is empty, nothing completed, or `outcomes` does
-    /// not hold exactly the requests the reports counted.
-    pub fn merge_exact(reports: &[QosReport], outcomes: &[RequestOutcome]) -> Self {
-        let merged = Self::merge(reports);
-        assert_eq!(
-            outcomes.len(),
-            merged.completed,
-            "pooled outcomes must cover exactly the merged reports' requests"
-        );
-        let exact = Self::from_outcomes(outcomes, merged.makespan, EngineCounters::default());
-        Self {
-            ttft: exact.ttft,
-            tbt: exact.tbt,
-            e2e: exact.e2e,
-            ttft_hist: exact.ttft_hist,
-            tbt_hist: exact.tbt_hist,
-            e2e_hist: exact.e2e_hist,
-            requests_per_sec: exact.requests_per_sec,
-            tokens_per_sec: exact.tokens_per_sec,
-            goodput_tokens_per_sec: exact.goodput_tokens_per_sec,
-            ..merged
-        }
+            peak_queue_depth: max(|r| r.peak_queue_depth),
+            peak_kv_tokens: max(|r| r.peak_kv_tokens),
+            prefilled_tokens: sum(|r| r.prefilled_tokens),
+            prefix_hit_tokens: sum(|r| r.prefix_hit_tokens),
+            prefix_miss_tokens: sum(|r| r.prefix_miss_tokens),
+            prefix_evicted_tokens: sum(|r| r.prefix_evicted_tokens),
+            generated_tokens: sum(|r| r.generated_tokens),
+            drafted_tokens: sum(|r| r.drafted_tokens),
+            accepted_tokens: sum(|r| r.accepted_tokens),
+            rejected_tokens: sum(|r| r.rejected_tokens),
+        };
+        Self::from_outcomes(outcomes, makespan, counters)
     }
 }
 
@@ -543,45 +403,11 @@ mod tests {
     }
 
     #[test]
-    fn latency_merge_bounds_the_union() {
-        // Two imbalanced groups: the merged percentiles must upper-bound
-        // the exact union percentiles, and the merged mean must equal the
-        // exact union mean.
-        let a: Vec<Seconds> = (1..=90).map(|i| Seconds::from_millis(i as f64)).collect();
-        let b: Vec<Seconds> = (91..=100).map(|i| Seconds::from_millis(i as f64)).collect();
-        let merged = LatencyStats::merge(&[
-            (LatencyStats::from_samples(&a), a.len()),
-            (LatencyStats::from_samples(&b), b.len()),
-        ]);
-        let union: Vec<Seconds> = a.iter().chain(&b).copied().collect();
-        let exact = LatencyStats::from_samples(&union);
-        assert!((merged.mean.get() - exact.mean.get()).abs() < 1e-12);
-        assert!(merged.p50 >= exact.p50);
-        assert!(merged.p95 >= exact.p95);
-        assert!(merged.p99 >= exact.p99);
-        assert_eq!(merged.max, exact.max);
-    }
-
-    #[test]
-    fn latency_merge_of_identical_groups_is_identity() {
-        let s: Vec<Seconds> = (1..=50).map(|i| Seconds::from_millis(i as f64)).collect();
-        let stats = LatencyStats::from_samples(&s);
-        let merged = LatencyStats::merge(&[(stats, 50), (stats, 50)]);
-        assert_eq!(merged, stats);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn latency_merge_rejects_empty() {
-        let _ = LatencyStats::merge(&[]);
-    }
-
-    #[test]
     fn report_merge_sums_counts_and_maxes_peaks() {
         let mk = |n: usize, makespan: f64, batch: f64| {
             let outcomes: Vec<RequestOutcome> =
                 (0..n as u64).map(|i| outcome(i, 50.0, 20.0)).collect();
-            QosReport::from_outcomes(
+            let report = QosReport::from_outcomes(
                 &outcomes,
                 Seconds::new(makespan),
                 EngineCounters {
@@ -600,11 +426,13 @@ mod tests {
                     accepted_tokens: 15 * n,
                     rejected_tokens: 5 * n,
                 },
-            )
+            );
+            (report, outcomes)
         };
-        let a = mk(10, 5.0, 4.0);
-        let b = mk(30, 10.0, 8.0);
-        let fleet = QosReport::merge(&[a.clone(), b.clone()]);
+        let (a, a_outcomes) = mk(10, 5.0, 4.0);
+        let (b, b_outcomes) = mk(30, 10.0, 8.0);
+        let pooled: Vec<RequestOutcome> = a_outcomes.iter().chain(&b_outcomes).copied().collect();
+        let fleet = QosReport::merge(&[a.clone(), b], &pooled);
         assert_eq!(fleet.completed, 40);
         assert_eq!(fleet.makespan, Seconds::new(10.0));
         assert_eq!(fleet.preemptions, 2);
@@ -629,27 +457,45 @@ mod tests {
         assert!((fleet.goodput_tokens_per_sec - fleet.tokens_per_sec).abs() < 1e-9);
         // 40 requests over the 10 s fleet makespan.
         assert!((fleet.requests_per_sec - 4.0).abs() < 1e-9);
-        // Tokens: 10·10 over 5 s plus 30·10 over 10 s, replayed over 10 s.
+        // Tokens: 40 pooled requests of 10 tokens over the 10 s makespan.
         assert!((fleet.tokens_per_sec - 40.0).abs() < 1e-9);
         // Makespan-weighted means: (4·5 + 8·10)/15.
         assert!((fleet.mean_batch - 100.0 / 15.0).abs() < 1e-9);
         // A single-report merge is the identity.
-        assert_eq!(QosReport::merge(std::slice::from_ref(&a)), a);
+        assert_eq!(QosReport::merge(std::slice::from_ref(&a), &a_outcomes), a);
+    }
+
+    #[test]
+    fn one_report_merge_keeps_its_own_means() {
+        // Weighting a lone report by its own makespan would not round-trip
+        // these means: 0.1 × 3.0 / 3.0 = 0.10000000000000002.
+        let (mean, span) = (0.1, 3.0);
+        assert_ne!(mean * span / span, mean);
+        let outcomes: Vec<RequestOutcome> = (0..5).map(|i| outcome(i, 50.0, 20.0)).collect();
+        let counters = EngineCounters {
+            mean_batch: mean,
+            mean_queue_depth: mean,
+            ..Default::default()
+        };
+        let report = QosReport::from_outcomes(&outcomes, Seconds::new(span), counters);
+        assert_eq!(
+            QosReport::merge(std::slice::from_ref(&report), &outcomes),
+            report
+        );
     }
 
     #[test]
     #[should_panic(expected = "no completed requests")]
     fn report_merge_rejects_empty() {
-        let _ = QosReport::merge(&[]);
+        let _ = QosReport::merge(&[], &[]);
     }
 
     #[test]
-    fn merge_exact_recovers_the_union_population() {
+    fn merge_recovers_the_union_population() {
         // Two deliberately imbalanced replicas: one holds the fast 90 % of
-        // the population, the other the slow tail. The bound-based merge
-        // overstates the union p50/p95; the exact merge must equal a
+        // the population, the other the slow tail. The merge must equal a
         // single-engine report over the pooled population on the fleet
-        // makespan.
+        // makespan, not a bound over replicas.
         let fast: Vec<RequestOutcome> = (1..=90).map(|i| outcome(i, i as f64, 10.0)).collect();
         let slow: Vec<RequestOutcome> = (91..=100)
             .map(|i| outcome(i, i as f64 * 10.0, 10.0))
@@ -658,73 +504,19 @@ mod tests {
         let b = QosReport::from_outcomes(&slow, Seconds::new(9.0), EngineCounters::default());
         let pooled: Vec<RequestOutcome> = fast.iter().chain(&slow).copied().collect();
 
-        let bound = QosReport::merge(&[a.clone(), b.clone()]);
-        let exact = QosReport::merge_exact(&[a, b], &pooled);
+        let merged = QosReport::merge(&[a, b.clone()], &pooled);
         let truth = QosReport::from_outcomes(&pooled, Seconds::new(9.0), EngineCounters::default());
-
-        assert_eq!(exact.ttft, truth.ttft);
-        assert_eq!(exact.tbt, truth.tbt);
-        assert_eq!(exact.e2e, truth.e2e);
-        assert_eq!(exact.makespan, Seconds::new(9.0));
-        assert!((exact.tokens_per_sec - truth.tokens_per_sec).abs() < 1e-12);
-        assert!((exact.goodput_tokens_per_sec - truth.goodput_tokens_per_sec).abs() < 1e-12);
-        assert!((exact.requests_per_sec - truth.requests_per_sec).abs() < 1e-12);
-        // The imbalance makes the bound strictly loose here — the exact
-        // path is a real improvement, not a rename.
-        assert!(bound.ttft.p50 > exact.ttft.p50);
-        assert!(bound.ttft.p95 > exact.ttft.p95);
-        // Counter aggregates keep their merge semantics.
-        assert_eq!(exact.completed, bound.completed);
-        assert_eq!(exact.peak_batch, bound.peak_batch);
-        assert_eq!(exact.preemptions, bound.preemptions);
-    }
-
-    #[test]
-    fn merged_histogram_percentiles_bracket_the_exact_union() {
-        // The histogram-backed merge must land between the exact union
-        // percentile and one bucket (6.25 %) above it — strictly tighter
-        // than the old max-over-replicas bound on imbalanced groups.
-        let fast: Vec<RequestOutcome> = (1..=90).map(|i| outcome(i, i as f64, 10.0)).collect();
-        let slow: Vec<RequestOutcome> = (91..=100)
-            .map(|i| outcome(i, i as f64 * 10.0, 10.0))
-            .collect();
-        let a = QosReport::from_outcomes(&fast, Seconds::new(4.0), EngineCounters::default());
-        let b = QosReport::from_outcomes(&slow, Seconds::new(9.0), EngineCounters::default());
-        let pooled: Vec<RequestOutcome> = fast.iter().chain(&slow).copied().collect();
-        let truth = QosReport::from_outcomes(&pooled, Seconds::new(9.0), EngineCounters::default());
-
-        let bound = LatencyStats::merge(&[(a.ttft, a.completed), (b.ttft, b.completed)]);
-        let merged = QosReport::merge(&[a, b]);
-        for (m, t) in [
-            (merged.ttft, truth.ttft),
-            (merged.tbt, truth.tbt),
-            (merged.e2e, truth.e2e),
-        ] {
-            for (got, exact) in [(m.p50, t.p50), (m.p95, t.p95), (m.p99, t.p99)] {
-                assert!(
-                    got >= exact && got <= exact * 1.0625,
-                    "merged percentile {got} must bracket exact {exact}"
-                );
-            }
-            assert_eq!(m.max, t.max, "maxima merge exactly");
-            assert!(
-                (m.mean.get() - t.mean.get()).abs() < 1e-9,
-                "means are exact"
-            );
-        }
-        // Strictly tighter than the max-over-replicas bound: the old path
-        // reported the slow replica's p50 (≈ 955 ms) as the fleet p50; the
-        // histogram stays within a bucket of the true 50 ms.
-        assert!(merged.ttft.p50 < bound.p50);
-        assert!(merged.ttft.p95 < bound.p95);
+        assert_eq!(merged, truth);
+        // The slow replica's median is not the fleet's.
+        assert!(merged.ttft.p50 < b.ttft.p50);
     }
 
     #[test]
     #[should_panic(expected = "pooled outcomes")]
-    fn merge_exact_rejects_mismatched_outcomes() {
+    fn merge_rejects_more_outcomes_than_the_reports_completed() {
         let outcomes: Vec<RequestOutcome> = (0..4).map(|i| outcome(i, 50.0, 20.0)).collect();
         let report =
-            QosReport::from_outcomes(&outcomes, Seconds::new(1.0), EngineCounters::default());
-        let _ = QosReport::merge_exact(&[report], &outcomes[..2]);
+            QosReport::from_outcomes(&outcomes[..2], Seconds::new(1.0), EngineCounters::default());
+        let _ = QosReport::merge(&[report], &outcomes);
     }
 }

@@ -107,9 +107,6 @@ mod tests {
             drafted_tokens: 0,
             accepted_tokens: 0,
             rejected_tokens: 0,
-            ttft_hist: Default::default(),
-            tbt_hist: Default::default(),
-            e2e_hist: Default::default(),
         }
     }
 

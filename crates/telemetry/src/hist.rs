@@ -6,9 +6,8 @@
 //! relative bucket width is at most 1/16 (6.25%) everywhere. Bucket
 //! boundaries are *fixed constants of the type* — they do not depend on
 //! the recorded data — which makes merging two histograms an exact
-//! elementwise count addition. That is the property that lets
-//! `QosReport::merge` report pooled percentiles instead of the old
-//! conservative max-over-groups upper bound.
+//! elementwise count addition, so per-replica phase histograms pool
+//! into fleet ones without the raw spans.
 //!
 //! Bucket indexing uses only f64 bit manipulation (exponent plus the
 //! top four mantissa bits): no `log`, no libm, bit-identical on every

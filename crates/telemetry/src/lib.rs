@@ -11,9 +11,8 @@
 //!   shed) stamped with **sim time only**, plus the bounded
 //!   [`FlightRecorder`] ring for post-mortems of SLO-missing requests;
 //! * [`LatencyHistogram`] — log-bucketed (HDR-style) histograms whose
-//!   fixed bucket boundaries make merging exact, backing pooled
-//!   percentile merges and the per-phase decompositions in
-//!   [`PhaseHistograms`];
+//!   fixed bucket boundaries make merging exact, backing the per-phase
+//!   decompositions in [`PhaseHistograms`];
 //! * [`SeriesCollector`]/[`TimeSeries`] — windowed time series (queue
 //!   depth, KV occupancy, prefix hit rate, acceptance rate, goodput)
 //!   sampled on a configurable sim-time interval;

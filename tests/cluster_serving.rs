@@ -303,14 +303,14 @@ fn aggregated_fleets_route_over_every_replica_whatever_their_roles() {
     assert_eq!(report.decode_policy, None);
 }
 
-/// `QosReport::merge_exact` over genuinely mixed replica configs: a
+/// `QosReport::merge` over genuinely mixed replica configs: a
 /// three-replica aggregated fleet where one replica runs prefix caching,
 /// two run fixed-depth speculation, and batch caps differ. The fleet
 /// report's percentiles must be the *true union* percentiles of the
 /// pooled per-request outcomes (not a per-replica aggregate), and the
 /// workload counters must be exact sums of the per-replica reports.
 #[test]
-fn fleet_merge_exact_pools_percentiles_and_sums_counters_across_mixed_replicas() {
+fn fleet_merge_pools_percentiles_and_sums_counters_across_mixed_replicas() {
     let caching = SimConfig::new(1.0, 16).with_prefix_caching(true);
     let speculating = SimConfig::new(1.0, 8).with_speculation(
         SpeculationConfig::new(SpeculationPolicy::Fixed(2)).with_default_acceptance(0.8),
@@ -370,12 +370,6 @@ fn fleet_merge_exact_pools_percentiles_and_sums_counters_across_mixed_replicas()
         fleet_qos.drafted_tokens,
         fleet_qos.accepted_tokens + fleet_qos.rejected_tokens
     );
-
-    // The exact union percentile never exceeds the conservative
-    // bound-based merge it replaces.
-    let bound = QosReport::merge(&parts);
-    assert!(fleet_qos.ttft.p95 <= bound.ttft.p95);
-    assert!(fleet_qos.e2e.p95 <= bound.e2e.p95);
 }
 
 proptest! {
