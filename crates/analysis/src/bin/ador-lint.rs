@@ -4,13 +4,12 @@
 //! cargo run -p ador-analysis --bin ador-lint -- --workspace-root .
 //! ```
 //!
-//! Exit codes: `0` clean, `1` findings or stale baseline entries,
-//! `2` usage or I/O error.
+//! Exit codes: `0` clean, `1` any finding, `2` usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use ador_analysis::{lint_workspace, Baseline, RULES};
+use ador_analysis::{lint_workspace, RULES};
 
 const USAGE: &str = "\
 ador-lint — static analysis for the ADOR simulator's determinism and
@@ -21,10 +20,6 @@ USAGE:
 
 OPTIONS:
     --workspace-root <path>   Workspace to lint (default: .)
-    --baseline <path>         Baseline file (default: <root>/lint-baseline.txt)
-    --no-baseline             Ignore the baseline: report every finding
-    --write-baseline          Rewrite the baseline to grandfather all
-                              current findings, then exit clean
     --json                    Emit the machine-readable JSON report
     --list                    List the rules and exit
     -h, --help                This help
@@ -48,9 +43,6 @@ fn main() -> ExitCode {
 
 fn run() -> Result<bool, String> {
     let mut root = PathBuf::from(".");
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut no_baseline = false;
-    let mut write_baseline = false;
     let mut json = false;
 
     let mut args = std::env::args().skip(1);
@@ -59,11 +51,6 @@ fn run() -> Result<bool, String> {
             "--workspace-root" => {
                 root = PathBuf::from(args.next().ok_or("--workspace-root needs a path")?);
             }
-            "--baseline" => {
-                baseline_path = Some(PathBuf::from(args.next().ok_or("--baseline needs a path")?));
-            }
-            "--no-baseline" => no_baseline = true,
-            "--write-baseline" => write_baseline = true,
             "--json" => json = true,
             "--list" => {
                 for rule in RULES {
@@ -79,31 +66,7 @@ fn run() -> Result<bool, String> {
         }
     }
 
-    let baseline_path = baseline_path.unwrap_or_else(|| root.join("lint-baseline.txt"));
-    let base = if no_baseline || write_baseline {
-        Baseline::empty()
-    } else if baseline_path.exists() {
-        let text = std::fs::read_to_string(&baseline_path)
-            .map_err(|e| format!("reading {}: {e}", baseline_path.display()))?;
-        Baseline::parse(&text)?
-    } else {
-        Baseline::empty()
-    };
-
-    let (report, all, hashes) =
-        lint_workspace(&root, &base).map_err(|e| format!("scanning {}: {e}", root.display()))?;
-
-    if write_baseline {
-        let fresh = Baseline::from_findings(&all, &hashes);
-        std::fs::write(&baseline_path, fresh.render())
-            .map_err(|e| format!("writing {}: {e}", baseline_path.display()))?;
-        println!(
-            "ador-lint: wrote {} ({} grandfathered finding(s))",
-            baseline_path.display(),
-            fresh.total()
-        );
-        return Ok(true);
-    }
+    let report = lint_workspace(&root).map_err(|e| format!("scanning {}: {e}", root.display()))?;
 
     if json {
         println!("{}", report.render_json());

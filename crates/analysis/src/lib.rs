@@ -7,8 +7,7 @@
 //! assumes a seeded run reproduces exactly. This crate enforces the contract *statically*,
 //! in the same hand-rolled offline idiom as `ador-bench`'s JSON parser:
 //! a small Rust lexer ([`lexer`]), a token-pattern rule engine
-//! ([`rules`]), per-line suppression comments, and a committed baseline
-//! file ([`baseline`]) for grandfathered findings.
+//! ([`rules`]) and per-line suppression comments.
 //!
 //! # Rules
 //!
@@ -31,15 +30,8 @@
 //!
 //! A suppression without a reason does not suppress (and is itself a
 //! finding); a suppression that no longer matches anything is flagged
-//! as `unused-allow` so fixed code sheds its annotations.
-//!
-//! # Baseline
-//!
-//! Grandfathered findings live in a committed `lint-baseline.txt`,
-//! keyed by `(rule, path, hash-of-source-line)` with a count — robust
-//! to unrelated edits moving line numbers. New findings (beyond the
-//! baselined count) fail the run; a baseline entry that no longer fires
-//! is *stale* and also fails the run, so the debt ledger only shrinks.
+//! as `unused-allow` so fixed code sheds its annotations. A suppression
+//! is the only way to accept a finding: any other finding fails the run.
 //!
 //! # Running
 //!
@@ -54,12 +46,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod lexer;
 pub mod rules;
 pub mod workspace;
 
-pub use baseline::{hash_line, Baseline};
 pub use rules::{FileClass, Finding, RuleInfo, RULES};
 pub use workspace::{lint_workspace, Report};
 
@@ -141,8 +131,7 @@ fn suppressions(lexed: &Lexed) -> Vec<Suppression> {
 
 /// Lints one file: lexes it, runs every rule in [`rules::check`], then
 /// applies suppression comments. Returns the surviving findings sorted
-/// by position (baseline filtering is the caller's job — see
-/// [`Baseline::apply`]).
+/// by position.
 pub fn lint_file(class: FileClass, path: &str, source: &str) -> Vec<Finding> {
     let lexed = lexer::lex(source);
     let raw = rules::check(class, path, &lexed);

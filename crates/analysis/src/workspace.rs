@@ -3,15 +3,14 @@
 //! Walks the workspace tree for `.rs` files (skipping `target/`,
 //! `.git/`, the offline dependency `shims/`, and `fixtures/`
 //! directories, whose files *deliberately* contain findings), classifies
-//! each file against the rule scopes, lints it, and applies the
-//! baseline. The [`Report`] renders either the human `path:line:col
-//! rule message` form or a machine-readable JSON document.
+//! each file against the rule scopes and lints it. The [`Report`]
+//! renders either the human `path:line:col rule message` form or a
+//! machine-readable JSON document.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::baseline::{Baseline, StaleEntry};
 use crate::rules::{FileClass, Finding};
 
 /// Directory names never descended into.
@@ -29,24 +28,20 @@ pub const SIM_PREFIXES: &[&str] = &[
 /// The outcome of one workspace lint run.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
-    /// Findings not covered by the baseline, sorted by path/line/col.
+    /// Unsuppressed findings, sorted by path/line/col.
     pub findings: Vec<Finding>,
-    /// Baseline entries that no longer fire.
-    pub stale: Vec<StaleEntry>,
     /// Number of `.rs` files scanned.
     pub files: usize,
-    /// Number of findings absorbed by the baseline.
-    pub baselined: usize,
 }
 
 impl Report {
-    /// True when the run is clean: no new findings, no stale entries.
+    /// True when the run is clean: no findings.
     pub fn clean(&self) -> bool {
-        self.findings.is_empty() && self.stale.is_empty()
+        self.findings.is_empty()
     }
 
     /// Human-readable rendering: one `path:line:col rule message` line
-    /// per finding, stale-entry diagnostics, then a summary line.
+    /// per finding, then a summary line.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         for f in &self.findings {
@@ -55,16 +50,10 @@ impl Report {
                 f.path, f.line, f.col, f.rule, f.message
             ));
         }
-        for s in &self.stale {
-            out.push_str(&format!("{s}\n"));
-        }
         out.push_str(&format!(
-            "ador-lint: {} files scanned, {} finding(s) ({} baselined), {} stale baseline entr{}\n",
+            "ador-lint: {} files scanned, {} finding(s)\n",
             self.files,
             self.findings.len(),
-            self.baselined,
-            self.stale.len(),
-            if self.stale.len() == 1 { "y" } else { "ies" },
         ));
         out
     }
@@ -86,25 +75,11 @@ impl Report {
                 ])
             })
             .collect();
-        let stale: Vec<String> = self
-            .stale
-            .iter()
-            .map(|s| {
-                obj(&[
-                    ("rule", str_lit(&s.rule)),
-                    ("path", str_lit(&s.path)),
-                    ("allowed", s.allowed.to_string()),
-                    ("live", s.live.to_string()),
-                ])
-            })
-            .collect();
         obj(&[
             ("name", str_lit("ador-lint")),
             ("files", self.files.to_string()),
-            ("baselined", self.baselined.to_string()),
             ("clean", self.clean().to_string()),
             ("findings", format!("[{}]", findings.join(","))),
-            ("stale_baseline", format!("[{}]", stale.join(","))),
         ])
     }
 }
@@ -171,42 +146,25 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Lints every file under `root` and applies `base`. Also returns the
-/// full pre-baseline finding list with line hashes, which
-/// `--write-baseline` re-renders into a fresh baseline file.
+/// Lints every file under `root`.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from the directory walk or file reads.
-pub fn lint_workspace(
-    root: &Path,
-    base: &Baseline,
-) -> io::Result<(Report, Vec<Finding>, Vec<u64>)> {
-    let mut all = Vec::new();
-    let mut hashes = Vec::new();
+pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     let files = collect_files(root)?;
-    let count = files.len();
-    for path in files {
+    let mut findings = Vec::new();
+    for path in &files {
         let rel = path
             .strip_prefix(root)
-            .unwrap_or(&path)
+            .unwrap_or(path)
             .to_string_lossy()
             .replace('\\', "/");
-        let source = fs::read_to_string(&path)?;
-        let lines: Vec<&str> = source.lines().collect();
-        for f in crate::lint_file(classify(&rel), &rel, &source) {
-            let text = lines.get(f.line as usize - 1).copied().unwrap_or("");
-            hashes.push(crate::baseline::hash_line(text));
-            all.push(f);
-        }
+        let source = fs::read_to_string(path)?;
+        findings.extend(crate::lint_file(classify(&rel), &rel, &source));
     }
-    let total = all.len();
-    let (fresh, stale) = base.apply(all.clone(), &hashes);
-    let report = Report {
-        baselined: total - fresh.len(),
-        findings: fresh,
-        stale,
-        files: count,
-    };
-    Ok((report, all, hashes))
+    Ok(Report {
+        findings,
+        files: files.len(),
+    })
 }

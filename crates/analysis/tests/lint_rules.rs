@@ -5,14 +5,13 @@
 //! `ador-lint: allow(…)` silences it). The fixtures deliberately
 //! contain findings, which is why the workspace walk skips `fixtures/`
 //! directories. Also here: the seeded-regression demonstration the CI
-//! gate relies on, the baseline lifecycle, and the JSON self-validation
-//! that parses `render_json` output back with `ador-bench::json`.
+//! gate relies on, and the JSON self-validation that parses
+//! `render_json` output back with `ador-bench::json`.
 
 // tests may unwrap: a failed unwrap IS the failure signal
 #![allow(clippy::unwrap_used)]
 
-use ador_analysis::baseline::StaleEntry;
-use ador_analysis::{hash_line, lint_file, Baseline, FileClass, Finding, Report, RULES};
+use ador_analysis::{lint_file, FileClass, Finding, Report, RULES};
 use ador_bench::json::{parse, Value};
 
 const SIM: FileClass = FileClass {
@@ -167,7 +166,7 @@ fn every_rule_has_a_fixture_that_fires_it() {
 }
 
 /// The CI gate's contract: planting a determinism hazard in previously
-/// clean code produces a finding the committed baseline cannot absorb.
+/// clean code produces a finding, which fails the run.
 #[test]
 fn seeded_regression_fails_the_gate() {
     let clean = "fn step(now: Seconds) -> Seconds {\n    now\n}\n";
@@ -179,41 +178,11 @@ fn seeded_regression_fails_the_gate() {
     assert_eq!(found.len(), 1, "{found:?}");
     assert_eq!(found[0].rule, "wall-clock");
 
-    let hashes = vec![hash_line("let _wall = Instant::now();")];
-    let (fresh, stale) = Baseline::empty().apply(found, &hashes);
-    assert_eq!(fresh.len(), 1, "a seeded hazard must surface as new");
-    assert!(stale.is_empty());
-}
-
-/// The baseline lifecycle over a real fixture: grandfathered findings
-/// are absorbed; fixing one leaves a stale entry that fails the run.
-#[test]
-fn fixing_a_grandfathered_finding_goes_stale() {
-    let src = FIXTURES[5].1; // as_cast.rs
-    let hashes_of = |src: &str, findings: &[Finding]| -> Vec<u64> {
-        let lines: Vec<&str> = src.lines().collect();
-        findings
-            .iter()
-            .map(|f| hash_line(lines[f.line as usize - 1]))
-            .collect()
+    let report = Report {
+        findings: found,
+        files: 1,
     };
-
-    let findings = lint_file(SIM, "as_cast.rs", src);
-    let hashes = hashes_of(src, &findings);
-    let base = Baseline::from_findings(&findings, &hashes);
-    let reparsed = Baseline::parse(&base.render()).unwrap();
-    let (fresh, stale) = reparsed.apply(findings, &hashes);
-    assert!(fresh.is_empty() && stale.is_empty(), "fully grandfathered");
-
-    // "Fix" the narrowing cast: its entry must go stale.
-    let fixed = src.replace("x as usize", "0");
-    let f2 = lint_file(SIM, "as_cast.rs", &fixed);
-    let h2 = hashes_of(&fixed, &f2);
-    let (fresh, stale) = reparsed.apply(f2, &h2);
-    assert!(fresh.is_empty());
-    assert_eq!(stale.len(), 1, "{stale:?}");
-    assert_eq!(stale[0].rule, "as-cast");
-    assert_eq!((stale[0].allowed, stale[0].live), (1, 0));
+    assert!(!report.clean(), "a seeded hazard must fail the run");
 }
 
 /// `render_json` output must parse with `ador-bench::json` — the two
@@ -228,19 +197,11 @@ fn json_report_parses_with_ador_bench() {
             rule: "panic",
             message: "quote: \"x\", backslash: \\, and a\nnewline".to_string(),
         }],
-        stale: vec![StaleEntry {
-            rule: "as-cast".to_string(),
-            path: "crates/spec/src/lib.rs".to_string(),
-            allowed: 2,
-            live: 1,
-        }],
         files: 120,
-        baselined: 53,
     };
     let doc = parse(&report.render_json()).expect("ador-lint JSON must parse");
     assert_eq!(doc.get("name").and_then(Value::as_str), Some("ador-lint"));
     assert_eq!(doc.get("files").and_then(Value::as_f64), Some(120.0));
-    assert_eq!(doc.get("baselined").and_then(Value::as_f64), Some(53.0));
     assert_eq!(doc.get("clean").and_then(Value::as_bool), Some(false));
 
     let findings = doc.get("findings").and_then(Value::as_array).unwrap();
@@ -255,9 +216,4 @@ fn json_report_parses_with_ador_bench() {
         Some("quote: \"x\", backslash: \\, and a\nnewline"),
         "escaping must survive the round trip"
     );
-
-    let stale = doc.get("stale_baseline").and_then(Value::as_array).unwrap();
-    assert_eq!(stale.len(), 1);
-    assert_eq!(stale[0].get("allowed").and_then(Value::as_f64), Some(2.0));
-    assert_eq!(stale[0].get("live").and_then(Value::as_f64), Some(1.0));
 }

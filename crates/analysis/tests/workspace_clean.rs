@@ -1,22 +1,18 @@
-//! The gate itself: the workspace must lint clean against the committed
-//! baseline. This is the same check CI runs via the `ador-lint` binary;
-//! having it as a test means `cargo test` catches a regression (or a
-//! stale baseline) before CI does.
+//! The gate itself: the workspace must lint clean. This is the same
+//! check CI runs via the `ador-lint` binary; having it as a test means
+//! `cargo test` catches a regression before CI does.
 
 use std::path::Path;
 
-use ador_analysis::{lint_workspace, Baseline};
+use ador_analysis::lint_workspace;
 
 #[test]
-fn workspace_lints_clean_against_committed_baseline() {
+fn workspace_lints_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let text = std::fs::read_to_string(root.join("lint-baseline.txt"))
-        .expect("committed lint-baseline.txt must exist at the workspace root");
-    let base = Baseline::parse(&text).expect("committed baseline must parse");
-    let (report, _, _) = lint_workspace(&root, &base).expect("workspace walk");
+    let report = lint_workspace(&root).expect("workspace walk");
     assert!(
         report.clean(),
-        "workspace has unbaselined findings or stale baseline entries:\n{}",
+        "workspace has findings:\n{}",
         report.render_text()
     );
 }

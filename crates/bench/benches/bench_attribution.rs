@@ -7,8 +7,9 @@
 //!    into per-request time-loss ledgers happens once, at `finish()`,
 //!    over events the traced fleet already paid for — so the
 //!    attribution-on run must stay within 10 % wall-clock of the
-//!    tracing-only run at the 128-replica / 100k-request cell
-//!    (`ador_bench::schema::ATTRIBUTION_OVERHEAD_CAP`). Each measured
+//!    tracing-only run at the 128-replica / 100k-request cell of the
+//!    shared fleet grid ([`ador_bench::grid`];
+//!    `ador_bench::schema::ATTRIBUTION_OVERHEAD_CAP`). Each measured
 //!    cell also re-checks the two correctness contracts: every
 //!    surviving attribution conserves (components sum exactly to the
 //!    measured e2e nanoseconds) and the attributed report minus its
@@ -31,20 +32,20 @@
 //!    exactly the signal the attribution layer exists to surface.
 //!
 //! Writes the machine-readable result to `BENCH_attribution.json` at
-//! the workspace root (schema-checked by `tests/bench_artifact.rs` via
-//! `ador_bench::schema::validate_bench_attribution`) and mirrors it as
-//! an `artifact:` line. Pass `--quick` for the CI smoke run, which writes
-//! to `target/bench-quick/` instead and leaves the committed file alone.
+//! the workspace root (schema-checked by `ador_bench::schema::validate`
+//! before the write, and again by `tests/bench_artifact.rs`) and mirrors
+//! it as an `artifact:` line. Pass `--quick` for the CI smoke run, which
+//! writes to `target/bench-quick/` instead and leaves the committed file
+//! alone.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
-use ador_bench::{f, json, table};
+use ador_bench::{f, grid, json, table};
 use ador_core::baselines;
 use ador_core::cluster::scenarios::{
-    disagg_cluster, disagg_engine, disagg_mix, scale_fleet, scale_mix, DISAGG_RATE,
-    DISAGG_REPLICAS, DISAGG_REQUESTS, DISAGG_SEED, SCALE_RATE_PER_REPLICA, SCALE_SEED,
+    disagg_cluster, disagg_engine, disagg_mix, DISAGG_RATE, DISAGG_REPLICAS, DISAGG_REQUESTS,
+    DISAGG_SEED, SCALE_RATE_PER_REPLICA, SCALE_SEED,
 };
 use ador_core::cluster::{ClusterSim, FleetReport, FleetSpec, ReplicaSpec};
 use ador_core::model::presets;
@@ -76,13 +77,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// The overhead grid: the same cells as `bench_telemetry`, up to the
-/// 128-replica / 100k-request point where the budget is enforced.
-const FULL_GRID: [(usize, usize); 4] = [(4, 4_000), (16, 16_000), (64, 64_000), (128, 100_000)];
-
-/// The `--quick` smoke grid.
-const QUICK_GRID: [(usize, usize); 2] = [(2, 300), (4, 600)];
-
 /// Replica counts of the allocation-pressure cells: allocs-per-step is
 /// per engine, so the two sizes pin that it stays scale-free.
 const FULL_ALLOC_REPLICAS: [usize; 2] = [4, 128];
@@ -94,62 +88,6 @@ const QUICK_ALLOC_STEPS: usize = 64;
 
 /// Decode batch width of the allocation cells.
 const ALLOC_BATCH: usize = 32;
-
-/// Per-replica flight-recorder capacity of the traced configurations
-/// (same rationale as `bench_telemetry`: constant memory, rings stay
-/// cache-resident).
-const RING_CAPACITY: usize = 4_096;
-
-fn series_interval() -> Seconds {
-    Seconds::from_millis(250.0)
-}
-
-/// Runs one cell under both telemetry configs, `runs` times each with
-/// the repeats interleaved (so machine-load drift hits both sides
-/// alike), and keeps each side's fastest wall-clock — the usual
-/// minimum-of-N noise damper; the reports are identical across repeats
-/// because the simulation is deterministic.
-#[allow(clippy::type_complexity)]
-fn run_cell(
-    replicas: usize,
-    requests: usize,
-    traced_cfg: TelemetryConfig,
-    attributed_cfg: TelemetryConfig,
-    runs: usize,
-) -> ((f64, FleetReport), (f64, FleetReport)) {
-    let arch = baselines::ador_table3();
-    let model = presets::llama3_8b();
-    let mix = scale_mix(replicas);
-    let stream = mix.generate(requests, SCALE_SEED);
-    let once = |telemetry: TelemetryConfig| -> (f64, FleetReport) {
-        let sim = ClusterSim::new(
-            &arch,
-            &model,
-            Deployment::single_device(),
-            scale_fleet(replicas).with_telemetry(telemetry),
-        )
-        .expect("fleet builds");
-        let start = Instant::now();
-        let report = sim.run_stream(&mix, stream.clone()).expect("fleet runs");
-        (start.elapsed().as_secs_f64(), report)
-    };
-    let mut traced: Option<(f64, FleetReport)> = None;
-    let mut attributed: Option<(f64, FleetReport)> = None;
-    for _ in 0..runs {
-        let t = once(traced_cfg);
-        if traced.as_ref().is_none_or(|(best, _)| t.0 < *best) {
-            traced = Some(t);
-        }
-        let a = once(attributed_cfg);
-        if attributed.as_ref().is_none_or(|(best, _)| a.0 < *best) {
-            attributed = Some(a);
-        }
-    }
-    (
-        traced.expect("at least one run"),
-        attributed.expect("at least one run"),
-    )
-}
 
 /// Re-verifies the attributed run against the tracing-only baseline:
 /// every attribution the retained events support conserves exactly, and
@@ -280,19 +218,16 @@ fn blame_json(report: &FleetReport, cause: &str) -> String {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let grid: &[(usize, usize)] = if quick { &QUICK_GRID } else { &FULL_GRID };
     let runs = if quick { 1 } else { 5 };
-    // The budgeted always-on shape plus attribution on top of it.
-    let traced_cfg = TelemetryConfig::flight_recorder(RING_CAPACITY)
-        .with_detail(EventDetail::Lifecycle)
-        .with_series(series_interval());
-    let attributed_cfg = traced_cfg.with_attribution();
+    // The budgeted always-on shape, alone and with attribution on top.
+    let configs = [grid::lifecycle(), grid::lifecycle().with_attribution()];
 
     let mut rows = Vec::new();
     let mut cells = Vec::new();
-    for &(replicas, requests) in grid {
-        let ((traced_s, traced_report), (attributed_s, attributed_report)) =
-            run_cell(replicas, requests, traced_cfg, attributed_cfg, runs);
+    for &(replicas, requests) in grid::cells(quick) {
+        let stream = grid::stream(replicas, requests);
+        let [(traced_s, traced_report), (attributed_s, attributed_report)] =
+            grid::time_cell(replicas, &stream, configs, runs);
         let (conserved, reports_equal) =
             check_attributed(&attributed_report, &traced_report, replicas, requests);
         let overhead = attributed_s / traced_s;
@@ -441,7 +376,5 @@ fn main() {
             ]),
         ),
     ]);
-    ador_bench::schema::validate_bench_attribution(&doc)
-        .expect("emitted artifact passes its own schema");
     ador_bench::write_artifact("attribution", &doc, quick).expect("write BENCH_attribution.json");
 }

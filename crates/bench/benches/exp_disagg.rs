@@ -11,12 +11,12 @@
 //! goodput among those meeting the attainment target.
 //!
 //! Writes the machine-readable result to `BENCH_disagg.json` at the
-//! workspace root (schema-checked by `tests/bench_artifact.rs` via
-//! `ador_bench::schema::validate_bench_disagg`) and mirrors it as an
-//! `artifact:` line. Pass `--quick` for the CI smoke run (fewer requests;
-//! the disagg-beats-homogeneous pin is only enforced on full runs), which
-//! writes to `target/bench-quick/` instead and leaves the committed file
-//! alone.
+//! workspace root (schema-checked by `ador_bench::schema::validate`
+//! before the write, and again by `tests/bench_artifact.rs`) and mirrors
+//! it as an `artifact:` line. Pass `--quick` for the CI smoke run (fewer
+//! requests; the disagg-beats-homogeneous pin is only enforced on full
+//! runs), which writes to `target/bench-quick/` instead and leaves the
+//! committed file alone.
 
 use ador_bench::{claim, f, json, table};
 use ador_core::cluster::scenarios::{
@@ -151,6 +151,5 @@ fn main() {
         ("best_homogeneous", candidate_json(homog)),
         ("disagg_wins", disagg_wins.to_string()),
     ]);
-    ador_bench::schema::validate_bench_disagg(&doc).expect("emitted result passes its own schema");
     ador_bench::write_artifact("disagg", &doc, quick).expect("write BENCH_disagg.json");
 }

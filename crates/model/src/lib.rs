@@ -43,6 +43,5 @@ pub mod presets;
 pub mod workload;
 
 pub use config::{AttentionKind, DataType, ModelConfig, ModelConfigBuilder, MoeConfig};
-pub use moe::ExpertActivation;
 pub use ops::{MatMulShape, OpClass, OpKind, OpName, Operator};
 pub use phase::Phase;

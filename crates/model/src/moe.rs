@@ -80,29 +80,6 @@ impl MoeConfig {
     }
 }
 
-/// Expert-activation summary for one decode step, exposed for schedulers
-/// that want the intermediate numbers (C-INTERMEDIATE).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ExpertActivation {
-    /// Expected distinct experts touched.
-    pub active_experts: f64,
-    /// `active_experts / num_experts`.
-    pub fraction: f64,
-    /// Per-token compute multiplier (`experts_per_token` dense-MLP passes).
-    pub compute_multiplier: f64,
-}
-
-impl ExpertActivation {
-    /// Computes the activation summary for a decode step of `batch` tokens.
-    pub fn for_batch(moe: &MoeConfig, batch: usize) -> Self {
-        Self {
-            active_experts: moe.expected_active_experts(batch),
-            fraction: moe.active_fraction(batch),
-            compute_multiplier: moe.experts_per_token as f64,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

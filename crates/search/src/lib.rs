@@ -60,7 +60,6 @@ pub use sizing::{mt_candidates, sa_candidates, size_memories};
 use ador_hw::{Architecture, AreaBreakdown, AreaModel, MacTree, SystolicArray};
 use ador_model::Phase;
 use ador_perf::{Deployment, Evaluator, StepPlan};
-use ador_units::Seconds;
 
 /// Runs the full Fig. 9 search loop.
 ///
@@ -250,25 +249,12 @@ fn feedback_notes(outcome: &SearchOutcome, user: &UserRequirements) -> Vec<Strin
     notes
 }
 
-/// Convenience wrapper: search and also verify the result against the
-/// winner's own predicted QoS, returning (outcome, headline TTFT, TBT).
-///
-/// # Errors
-///
-/// Propagates [`search`] errors.
-pub fn search_with_headline(
-    input: &SearchInput,
-) -> Result<(SearchOutcome, Seconds, Seconds), SearchError> {
-    let outcome = search(input)?;
-    let (ttft, tbt) = (outcome.ttft, outcome.tbt);
-    Ok((outcome, ttft, tbt))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ador_model::presets;
     use ador_perf::Evaluator;
+    use ador_units::Seconds;
 
     fn a100_class_input() -> SearchInput {
         SearchInput {

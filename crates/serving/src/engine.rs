@@ -280,12 +280,11 @@ pub struct Engine<'a> {
 /// millions of times: keeping the built-ins as concrete variants lets
 /// that call inline instead of going through `Box<dyn EventSink>`
 /// virtual dispatch (measured ~2x wall-clock on traced 128-replica
-/// runs). Caller-installed sinks still ride along boxed.
+/// runs).
 #[derive(Debug)]
 enum EngineSink {
     Log(VecSink),
     Ring(FlightRecorder),
-    Custom(Box<dyn EventSink>),
 }
 
 impl EngineSink {
@@ -294,7 +293,6 @@ impl EngineSink {
         match self {
             EngineSink::Log(sink) => sink.record(event),
             EngineSink::Ring(sink) => sink.record(event),
-            EngineSink::Custom(sink) => sink.record(event),
         }
     }
 
@@ -302,7 +300,6 @@ impl EngineSink {
         match self {
             EngineSink::Log(sink) => sink,
             EngineSink::Ring(sink) => sink,
-            EngineSink::Custom(sink) => sink.as_mut(),
         }
     }
 
@@ -310,7 +307,6 @@ impl EngineSink {
         match self {
             EngineSink::Log(sink) => Box::new(sink),
             EngineSink::Ring(sink) => Box::new(sink),
-            EngineSink::Custom(sink) => sink,
         }
     }
 }
@@ -1245,13 +1241,6 @@ impl<'a> Engine<'a> {
     /// nothing), or `None` when tracing was off.
     pub fn take_event_sink(&mut self) -> Option<Box<dyn EventSink>> {
         self.sink.take().map(EngineSink::into_boxed)
-    }
-
-    /// Installs `sink` as the event sink, returning the previous one.
-    pub fn set_event_sink(&mut self, sink: Box<dyn EventSink>) -> Option<Box<dyn EventSink>> {
-        self.sink
-            .replace(EngineSink::Custom(sink))
-            .map(EngineSink::into_boxed)
     }
 
     /// Detaches and returns the time-series collector, or `None` when
