@@ -11,7 +11,7 @@
 //! `EventDetail::Lifecycle` granularity, which elides the steady
 //! one-token decode commits that otherwise dominate event volume
 //! (~20 M commits at the 64×64k cell) while keeping every phase
-//! boundary — `PhaseHistograms` and `chrome_trace` see identical spans.
+//! boundary — `spans` and `chrome_trace` see identical spans.
 //! The full per-token stream (`EventDetail::PerToken`, the default)
 //! is measured alongside and reported as `per_token_s`: it buys
 //! per-step timing at a cost proportional to total tokens, so it is

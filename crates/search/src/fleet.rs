@@ -138,15 +138,16 @@ impl FleetSearchOutcome {
 ///
 /// Deterministic: candidates are enumerated in a fixed order, each run
 /// reuses the input seed, and ties break toward the earlier candidate.
+/// A single replica cannot be split into two pools, so with
+/// `replicas == 1` only the six homogeneous candidates run and the
+/// winner is the homogeneous baseline.
 ///
 /// # Errors
 ///
-/// Propagates the first engine construction or simulation error.
+/// Returns [`SimError::EmptyConfig`] when `replicas == 0` (no fleet to
+/// build), and otherwise propagates the first engine construction or
+/// simulation error.
 pub fn co_explore(input: &FleetSearchInput<'_>) -> Result<FleetSearchOutcome, SimError> {
-    assert!(
-        input.replicas >= 2,
-        "a fleet search needs at least 2 replicas"
-    );
     let mut candidates = Vec::new();
 
     // Homogeneous aggregated fleets: each chip × each front-door policy.
@@ -302,6 +303,31 @@ mod tests {
             .all(|c| c.prefill_replicas + c.decode_replicas == 2
                 || (!c.disaggregated && c.prefill_replicas == 2)));
         assert!(!a.homogeneous_baseline().disaggregated);
+    }
+
+    #[test]
+    fn small_fleets_return_an_error_or_the_homogeneous_candidates() {
+        let model = presets::llama3_8b();
+        let mix = scenarios::disagg_mix(6.0);
+        let input = |replicas| FleetSearchInput {
+            model: &model,
+            mix: &mix,
+            chips: FleetChips::ador_defaults(),
+            replicas,
+            engine: scenarios::disagg_engine(),
+            link: scenarios::disagg_link(),
+            requests: 20,
+            seed: scenarios::DISAGG_SEED,
+            target_attainment: 0.9,
+        };
+        assert_eq!(co_explore(&input(0)).unwrap_err(), SimError::EmptyConfig);
+        let one = co_explore(&input(1)).unwrap();
+        assert_eq!(one.candidates.len(), 6, "3 chips x 2 policies, no split");
+        assert!(one
+            .candidates
+            .iter()
+            .all(|c| !c.disaggregated && c.prefill_replicas == 1));
+        assert_eq!(one.best, one.best_homogeneous);
     }
 
     #[test]

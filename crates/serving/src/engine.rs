@@ -20,8 +20,7 @@ use std::fmt;
 use ador_perf::Evaluator;
 use ador_spec::{DraftStream, SpeculationPolicy, Verify};
 use ador_telemetry::{
-    Event, EventDetail, EventKind, EventSink, EventSinkKind, FlightRecorder, SeriesCollector,
-    SeriesSample, VecSink,
+    Event, EventDetail, EventKind, EventSinkKind, FlightRecorder, SeriesCollector, SeriesSample,
 };
 use ador_units::{conv, Seconds};
 
@@ -174,8 +173,8 @@ struct StepScratch {
 /// What one [`Engine::step`] call did.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StepEvent {
-    /// Nothing to do: the engine is fully drained, or (under
-    /// [`Engine::step_bounded`]) its next arrival lies beyond the horizon.
+    /// Nothing to do: the engine is fully drained, or (inside
+    /// [`Engine::step_until`]) its next arrival lies beyond the horizon.
     Idle,
     /// The engine was empty and its clock jumped to the next pending
     /// arrival; no work was performed.
@@ -264,51 +263,15 @@ pub struct Engine<'a> {
     /// Working vectors reused by every step (see [`StepScratch`]).
     scratch: StepScratch,
 
-    /// Telemetry event sink — `None` when tracing is off, in which case
-    /// the engine performs no per-event work at all.
-    sink: Option<EngineSink>,
+    /// Telemetry event recorder — `None` when tracing is off, in which
+    /// case the engine performs no per-event work at all.
+    sink: Option<FlightRecorder>,
     /// Windowed time-series collector — `None` when off.
     series: Option<SeriesCollector>,
     /// Span-scoped self-profile of the step stages (compiled out — and
     /// therefore bit-identical — without the `profile` feature).
     #[cfg(feature = "profile")]
     profile: crate::profile::StepProfile,
-}
-
-/// Monomorphized storage for the built-in sinks. The engine emits one
-/// event per committed token, so at fleet scale `record` runs tens of
-/// millions of times: keeping the built-ins as concrete variants lets
-/// that call inline instead of going through `Box<dyn EventSink>`
-/// virtual dispatch (measured ~2x wall-clock on traced 128-replica
-/// runs).
-#[derive(Debug)]
-enum EngineSink {
-    Log(VecSink),
-    Ring(FlightRecorder),
-}
-
-impl EngineSink {
-    #[inline]
-    fn record(&mut self, event: &Event) {
-        match self {
-            EngineSink::Log(sink) => sink.record(event),
-            EngineSink::Ring(sink) => sink.record(event),
-        }
-    }
-
-    fn as_dyn_mut(&mut self) -> &mut (dyn EventSink + 'static) {
-        match self {
-            EngineSink::Log(sink) => sink,
-            EngineSink::Ring(sink) => sink,
-        }
-    }
-
-    fn into_boxed(self) -> Box<dyn EventSink> {
-        match self {
-            EngineSink::Log(sink) => Box::new(sink),
-            EngineSink::Ring(sink) => Box::new(sink),
-        }
-    }
 }
 
 impl<'a> Engine<'a> {
@@ -348,10 +311,8 @@ impl<'a> Engine<'a> {
             scratch: StepScratch::default(),
             sink: match cfg.telemetry.events {
                 EventSinkKind::Off => None,
-                EventSinkKind::Log => Some(EngineSink::Log(VecSink::new())),
-                EventSinkKind::Ring { capacity } => {
-                    Some(EngineSink::Ring(FlightRecorder::new(capacity)))
-                }
+                EventSinkKind::Log => Some(FlightRecorder::new(usize::MAX)),
+                EventSinkKind::Ring { capacity } => Some(FlightRecorder::new(capacity)),
             },
             series: cfg.telemetry.series_interval.map(SeriesCollector::new),
             #[cfg(feature = "profile")]
@@ -370,7 +331,7 @@ impl<'a> Engine<'a> {
     /// an allocation) when tracing is off. Free-standing over the sink
     /// field so call sites holding `&mut self.active[i]` can still emit.
     #[inline]
-    fn emit(sink: &mut Option<EngineSink>, time: Seconds, request: u64, kind: EventKind) {
+    fn emit(sink: &mut Option<FlightRecorder>, time: Seconds, request: u64, kind: EventKind) {
         if let Some(sink) = sink.as_mut() {
             sink.record(&Event {
                 time,
@@ -579,28 +540,19 @@ impl<'a> Engine<'a> {
         self.step_inner(None)
     }
 
-    /// Like [`Engine::step`], but an empty engine will not jump its clock
-    /// to an arrival beyond `horizon` (it reports [`StepEvent::Idle`]
-    /// instead). A busy engine still runs its iteration to completion even
-    /// if that carries the clock past `horizon`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates performance-model errors ([`SimError::Perf`]).
-    pub fn step_bounded(&mut self, horizon: Seconds) -> Result<StepEvent, SimError> {
-        self.step_inner(Some(horizon))
-    }
-
     /// Steps until the clock reaches `horizon` or no work remains before
     /// it. Used by cluster drivers to advance every replica to the next
-    /// routing decision point.
+    /// routing decision point. An empty engine will not jump its clock to
+    /// an arrival beyond `horizon`, but a busy engine still runs its
+    /// iteration to completion even if that carries the clock past
+    /// `horizon`.
     ///
     /// # Errors
     ///
     /// Propagates performance-model errors ([`SimError::Perf`]).
     pub fn step_until(&mut self, horizon: Seconds) -> Result<(), SimError> {
         while self.now < horizon {
-            if self.step_bounded(horizon)? == StepEvent::Idle {
+            if self.step_inner(Some(horizon))? == StepEvent::Idle {
                 break;
             }
         }
@@ -1230,17 +1182,17 @@ impl<'a> Engine<'a> {
         Ok(t)
     }
 
-    /// The live event sink, if tracing is on — fleet drivers use this to
-    /// record their own lifecycle events (request shedding happens at the
-    /// router, not in the engine) into the same stream.
-    pub fn event_sink_mut(&mut self) -> Option<&mut (dyn EventSink + 'static)> {
-        self.sink.as_mut().map(EngineSink::as_dyn_mut)
+    /// The live event recorder, if tracing is on — fleet drivers use
+    /// this to record their own lifecycle events (request shedding
+    /// happens at the router, not in the engine) into the same stream.
+    pub fn event_sink_mut(&mut self) -> Option<&mut FlightRecorder> {
+        self.sink.as_mut()
     }
 
-    /// Detaches and returns the event sink (subsequent steps trace
+    /// Detaches and returns the event recorder (subsequent steps trace
     /// nothing), or `None` when tracing was off.
-    pub fn take_event_sink(&mut self) -> Option<Box<dyn EventSink>> {
-        self.sink.take().map(EngineSink::into_boxed)
+    pub fn take_event_sink(&mut self) -> Option<FlightRecorder> {
+        self.sink.take()
     }
 
     /// Detaches and returns the time-series collector, or `None` when
@@ -1806,8 +1758,8 @@ mod tests {
             "the lifecycle stream is an ordered subset of the per-token stream"
         );
         assert_eq!(
-            ador_telemetry::PhaseHistograms::from_events(&full),
-            ador_telemetry::PhaseHistograms::from_events(&lean),
+            ador_telemetry::spans(&full),
+            ador_telemetry::spans(&lean),
             "phase decomposition only needs the boundary commits"
         );
     }
@@ -1870,6 +1822,30 @@ mod tests {
             events.iter().any(|e| e.kind == EventKind::Complete),
             "the tail of the run includes the last completions"
         );
+    }
+
+    #[test]
+    fn a_ring_of_unbounded_capacity_runs_like_a_log() {
+        // The capacity is a bound, not a reservation: reserving
+        // `usize::MAX` events up front would overflow, so the engine
+        // must build, run and record exactly what an unbounded log does.
+        let arch = ador_table3();
+        let model = presets::llama3_8b();
+        let run = |telemetry| {
+            let mut eng = engine(
+                &arch,
+                &model,
+                SimConfig::new(4.0, 16).with_telemetry(telemetry),
+            );
+            for r in crate::RequestGenerator::new(4.0, TraceProfile::short_chat(), 2).take(20) {
+                eng.submit(r).unwrap();
+            }
+            while eng.step().unwrap() != StepEvent::Idle {}
+            eng.take_event_sink().unwrap().drain()
+        };
+        let ring = run(ador_telemetry::TelemetryConfig::flight_recorder(usize::MAX));
+        assert!(!ring.is_empty());
+        assert_eq!(ring, run(ador_telemetry::TelemetryConfig::trace()));
     }
 
     #[test]

@@ -90,7 +90,7 @@ pub struct SimConfig {
     pub speculation: SpeculationConfig,
     /// Observability: event tracing and time-series collection
     /// ([`TelemetryConfig::OFF`] by default, which is bit-identical to an
-    /// untraced engine). See [`ador_telemetry`] for the sinks.
+    /// untraced engine). See [`ador_telemetry`] for the event recorder.
     pub telemetry: TelemetryConfig,
 }
 

@@ -3,7 +3,7 @@
 //!
 //! Attainment numbers say *that* a request missed its SLO; this module
 //! says *why*. [`attribute_events`] replays a fleet's recorded event
-//! streams ([`crate::VecSink`] / [`crate::FlightRecorder`] contents) and
+//! streams (drained [`crate::FlightRecorder`] contents) and
 //! decomposes every completed request's end-to-end latency into the
 //! component set of [`Components`]:
 //!
@@ -904,8 +904,6 @@ mod tests {
     /// [`FlightRecorder`](crate::FlightRecorder), which drops their
     /// oldest events.
     fn random_fleet(rng: &mut Rng, per_token: bool) -> Vec<Vec<Event>> {
-        use crate::EventSink;
-
         let replicas = 1 + rng.below(4) as usize;
         // (replica, recording key, generation order, event)
         let mut recorded: Vec<(usize, u64, usize, Event)> = Vec::new();

@@ -1,10 +1,11 @@
-//! Structured request-lifecycle events and the sinks that consume them.
+//! Structured request-lifecycle events and the recorder that buffers them.
 //!
 //! The engine emits one [`Event`] per request state transition, stamped
 //! with **sim time only** — the `ador-lint` wall-clock rule applies to
-//! this crate, so nothing here may read `Instant`/`SystemTime`. Sinks
-//! are passive observers: recording an event never mutates simulation
-//! state, which is what keeps the telemetry-off path bit-identical.
+//! this crate, so nothing here may read `Instant`/`SystemTime`. The
+//! [`FlightRecorder`] is a passive observer: recording an event never
+//! mutates simulation state, which is what keeps the telemetry-off path
+//! bit-identical.
 
 use ador_units::Seconds;
 use serde::Serialize;
@@ -88,64 +89,24 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// A consumer of lifecycle events.
-///
-/// Implementations must be passive (recording must not influence the
-/// simulation) and deterministic (no wall clock, no OS entropy) — the
-/// same event stream must produce the same sink state on every run.
-pub trait EventSink: std::fmt::Debug {
-    /// Records one event.
-    fn record(&mut self, event: &Event);
-
-    /// Removes and returns every buffered event, oldest first. Sinks
-    /// that do not buffer return an empty vector.
-    fn drain(&mut self) -> Vec<Event> {
-        Vec::new()
-    }
-}
-
-/// An unbounded, in-order event log — the full-fidelity sink behind
-/// trace export. Memory grows with the run; prefer [`FlightRecorder`]
-/// for large fleets.
-#[derive(Debug, Default, Clone, PartialEq)]
-pub struct VecSink {
-    events: Vec<Event>,
-}
-
-impl VecSink {
-    /// Creates an empty log.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The recorded events, oldest first.
-    #[must_use]
-    pub fn events(&self) -> &[Event] {
-        &self.events
-    }
-}
-
-impl EventSink for VecSink {
-    #[inline]
-    fn record(&mut self, event: &Event) {
-        self.events.push(*event);
-    }
-
-    fn drain(&mut self) -> Vec<Event> {
-        std::mem::take(&mut self.events)
-    }
-}
-
-/// A bounded ring buffer holding the most recent events — the
+/// The event buffer behind every traced engine: a ring holding the most
+/// recent `capacity` events. Once full, each new event evicts the oldest
+/// one, so memory stays bounded no matter how long the run is — the
 /// "flight recorder" for post-mortem of requests that missed their SLO.
-/// Once full, each new event evicts the oldest one, so memory stays
-/// constant no matter how long the run is.
+/// With `capacity` [`usize::MAX`] it never wraps and is the unbounded,
+/// in-order log behind full-fidelity trace export
+/// ([`EventSinkKind::Log`](crate::EventSinkKind::Log)).
 ///
-/// Recording is a single in-place overwrite on a flat buffer (no
-/// deque shuffling), because the engine emits one event per committed
-/// token: at fleet scale this runs tens of millions of times and is
-/// the dominant cost of turning tracing on.
+/// The buffer starts empty and grows on demand, doubling but never past
+/// `capacity`, so a huge capacity costs only what is recorded.
+/// Recording is then a push or a single in-place overwrite on a flat
+/// buffer (no deque shuffling), because the engine emits one event per
+/// committed token: at fleet scale this runs tens of millions of times
+/// and is the dominant cost of turning tracing on.
+///
+/// Recording is passive and deterministic (no wall clock, no OS
+/// entropy): it never influences the simulation, and the same event
+/// stream always leaves the same buffer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightRecorder {
     capacity: usize,
@@ -157,14 +118,14 @@ pub struct FlightRecorder {
 
 impl FlightRecorder {
     /// Creates a recorder keeping the last `capacity` events
-    /// (`capacity` is clamped to at least 1).
+    /// (`capacity` is clamped to at least 1). Allocates nothing until
+    /// the first event.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
         Self {
-            capacity,
+            capacity: capacity.max(1),
             head: 0,
-            events: Vec::with_capacity(capacity),
+            events: Vec::new(),
         }
     }
 
@@ -206,12 +167,14 @@ impl FlightRecorder {
             .copied()
             .collect()
     }
-}
 
-impl EventSink for FlightRecorder {
+    /// Records one event, evicting the oldest once `capacity` are held.
     #[inline]
-    fn record(&mut self, event: &Event) {
+    pub fn record(&mut self, event: &Event) {
         if self.events.len() < self.capacity {
+            if self.events.len() == self.events.capacity() {
+                self.grow();
+            }
             self.events.push(*event);
         } else if let Some(slot) = self.events.get_mut(self.head) {
             *slot = *event;
@@ -222,11 +185,23 @@ impl EventSink for FlightRecorder {
         }
     }
 
-    fn drain(&mut self) -> Vec<Event> {
-        let drained = self.events().copied().collect();
-        self.events.clear();
+    /// Doubles the buffer as `Vec::push` would, but never past
+    /// `capacity`.
+    #[cold]
+    fn grow(&mut self) {
+        let len = self.events.len();
+        self.events
+            .reserve_exact(len.max(4).min(self.capacity - len));
+    }
+
+    /// Removes and returns every retained event, oldest first, leaving
+    /// the recorder empty and reusable. The ring is rotated in place and
+    /// its buffer handed over, so draining never holds two copies of a
+    /// large log.
+    pub fn drain(&mut self) -> Vec<Event> {
+        self.events.rotate_left(self.head);
         self.head = 0;
-        drained
+        std::mem::take(&mut self.events)
     }
 }
 
@@ -243,10 +218,10 @@ mod tests {
     }
 
     #[test]
-    fn vec_sink_preserves_order_and_drains() {
-        let mut sink = VecSink::new();
-        sink.record(&ev(0.0, 1, EventKind::Enqueue));
-        sink.record(&ev(
+    fn unbounded_recorder_preserves_order_and_drains() {
+        let mut log = FlightRecorder::new(usize::MAX);
+        log.record(&ev(0.0, 1, EventKind::Enqueue));
+        log.record(&ev(
             0.5,
             1,
             EventKind::Admit {
@@ -254,11 +229,38 @@ mod tests {
                 ideal_us: 0,
             },
         ));
-        assert_eq!(sink.events().len(), 2);
-        let drained = sink.drain();
+        assert_eq!(log.len(), 2);
+        let drained = log.drain();
         assert_eq!(drained.len(), 2);
         assert_eq!(drained[0].kind, EventKind::Enqueue);
-        assert!(sink.events().is_empty());
+        assert!(log.is_empty());
+    }
+
+    #[test]
+    fn huge_capacities_allocate_on_demand_and_behave_like_a_log() {
+        // A capacity is a bound, not a reservation: neither of these may
+        // allocate up front (the second would ask for 32 TiB).
+        for capacity in [usize::MAX, 1 << 40] {
+            let mut log = FlightRecorder::new(capacity);
+            assert_eq!(log.capacity(), capacity);
+            for i in 0..1_000u64 {
+                log.record(&ev(i as f64, i, EventKind::Enqueue));
+            }
+            assert_eq!(log.len(), 1_000);
+            let drained: Vec<u64> = log.drain().iter().map(|e| e.request).collect();
+            assert_eq!(drained, (0..1_000).collect::<Vec<_>>());
+            assert!(log.is_empty());
+        }
+    }
+
+    #[test]
+    fn the_buffer_never_outgrows_the_capacity() {
+        let mut ring = FlightRecorder::new(100);
+        for i in 0..1_000u64 {
+            ring.record(&ev(i as f64, i, EventKind::Enqueue));
+            assert!(ring.events.capacity() <= 100);
+        }
+        assert_eq!(ring.len(), 100);
     }
 
     #[test]

@@ -6,13 +6,14 @@
 //! the same visibility without compromising the property everything
 //! else rests on: determinism. Four pieces:
 //!
-//! * [`Event`]/[`EventSink`] — structured request-lifecycle events
+//! * [`Event`]/[`FlightRecorder`] — structured request-lifecycle events
 //!   (enqueue, admit, prefill-chunk, preempt, resume, commit, complete,
-//!   shed) stamped with **sim time only**, plus the bounded
-//!   [`FlightRecorder`] ring for post-mortems of SLO-missing requests;
-//! * [`LatencyHistogram`] — log-bucketed (HDR-style) histograms whose
-//!   fixed bucket boundaries make merging exact, backing the per-phase
-//!   decompositions in [`PhaseHistograms`];
+//!   shed) stamped with **sim time only**, buffered by one recorder: a
+//!   bounded ring for post-mortems of SLO-missing requests, or an
+//!   unbounded log for full-fidelity export;
+//! * [`spans`] — the per-request phase decomposition of a stream (queue,
+//!   prefill, decode, preemption stall), and [`attribution`], which
+//!   charges each request's lost time to a cause;
 //! * [`SeriesCollector`]/[`TimeSeries`] — windowed time series (queue
 //!   depth, KV occupancy, prefix hit rate, acceptance rate, goodput)
 //!   sampled on a configurable sim-time interval;
@@ -21,7 +22,7 @@
 //!   waterfall.
 //!
 //! Everything is **zero-overhead when off**: the engine emits nothing
-//! unless a sink is installed, and sinks are passive, so the
+//! unless a recorder is installed, and recording is passive, so the
 //! telemetry-off path is bit-identical to a build without this crate.
 //! The `ador-lint` determinism rules (no wall clock, no OS entropy, no
 //! unordered iteration) apply to this crate exactly as to the sim
@@ -30,21 +31,21 @@
 //! # Examples
 //!
 //! ```
-//! use ador_telemetry::{chrome_trace, Event, EventKind, EventSink, VecSink};
+//! use ador_telemetry::{chrome_trace, Event, EventKind, FlightRecorder};
 //! use ador_units::Seconds;
 //!
-//! let mut sink = VecSink::new();
-//! sink.record(&Event {
+//! let mut log = FlightRecorder::new(usize::MAX);
+//! log.record(&Event {
 //!     time: Seconds::ZERO,
 //!     request: 1,
 //!     kind: EventKind::Enqueue,
 //! });
-//! sink.record(&Event {
+//! log.record(&Event {
 //!     time: Seconds::from_millis(3.0),
 //!     request: 1,
 //!     kind: EventKind::Admit { cached_tokens: 0, ideal_us: 0 },
 //! });
-//! let trace = chrome_trace(&[sink.drain()]);
+//! let trace = chrome_trace(&[log.drain()]);
 //! assert!(trace.contains("\"name\":\"queue\""));
 //! ```
 
@@ -54,7 +55,6 @@
 pub mod attribution;
 mod chrome;
 mod event;
-mod hist;
 mod phase;
 mod series;
 
@@ -62,25 +62,24 @@ pub use attribution::{
     attribute_events, AttributionReport, Components, MissCause, RequestAttribution, MISS_CAUSES,
 };
 pub use chrome::chrome_trace;
-pub use event::{Event, EventKind, EventSink, FlightRecorder, VecSink};
-pub use hist::{LatencyHistogram, SUB_BUCKETS};
-pub use phase::{spans, Phase, PhaseHistograms, Span};
+pub use event::{Event, EventKind, FlightRecorder};
+pub use phase::{spans, Phase, Span};
 pub use series::{goodput_series, SeriesCollector, SeriesPoint, SeriesSample, TimeSeries};
 
 use ador_units::Seconds;
 use serde::{Deserialize, Serialize};
 
-/// Which event sink the engine installs at construction.
+/// Which [`FlightRecorder`] the engine installs at construction.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EventSinkKind {
-    /// No sink: the zero-overhead default.
+    /// No recorder: the zero-overhead default.
     #[default]
     Off,
-    /// Unbounded in-order log ([`VecSink`]) — full-fidelity tracing;
-    /// memory grows with the run.
+    /// Unbounded in-order log (a recorder of capacity [`usize::MAX`]) —
+    /// full-fidelity tracing; memory grows with the run.
     Log,
-    /// Bounded ring ([`FlightRecorder`]) keeping the most recent
-    /// events — constant memory, for always-on fleet runs.
+    /// Bounded ring keeping the most recent events — constant memory,
+    /// for always-on fleet runs.
     Ring {
         /// Maximum retained events.
         capacity: usize,
@@ -92,7 +91,7 @@ pub enum EventSinkKind {
 /// Decode commits are the event flood: one per request per step, so a
 /// fleet run emits tens of millions of them, and they dominate the
 /// cost of tracing. The phase structure of a request — where
-/// [`PhaseHistograms`] and [`chrome_trace`] get their spans — only
+/// [`spans`] and [`chrome_trace`] get their spans — only
 /// needs the *first* commit after each admission or resume, so the
 /// always-on production configuration can elide the steady one-token
 /// commits and keep everything else.

@@ -9,7 +9,6 @@ use std::collections::BTreeMap;
 use ador_units::Seconds;
 
 use crate::event::{Event, EventKind};
-use crate::hist::LatencyHistogram;
 
 /// The lifecycle phase a span covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,38 +110,6 @@ pub fn spans(events: &[Event]) -> Vec<Span> {
     out
 }
 
-/// Per-phase duration histograms — the TTFT/TBT decomposition over a
-/// whole event stream.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PhaseHistograms {
-    /// Queue-wait durations.
-    pub queue: LatencyHistogram,
-    /// Prefill durations (per contiguous prefill interval).
-    pub prefill: LatencyHistogram,
-    /// Decode durations.
-    pub decode: LatencyHistogram,
-    /// Preemption-stall durations.
-    pub stall: LatencyHistogram,
-}
-
-impl PhaseHistograms {
-    /// Aggregates every span of `events` into per-phase histograms.
-    #[must_use]
-    pub fn from_events(events: &[Event]) -> Self {
-        let mut h = Self::default();
-        for span in spans(events) {
-            let d = span.end - span.start;
-            match span.phase {
-                Phase::Queue => h.queue.record(d),
-                Phase::Prefill => h.prefill.record(d),
-                Phase::Decode => h.decode.record(d),
-                Phase::Stall => h.stall.record(d),
-            }
-        }
-        h
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,7 +179,8 @@ mod tests {
             ev(4.0, 7, commit),
             ev(6.0, 7, EventKind::Complete),
         ];
-        let phases: Vec<Phase> = spans(&events).iter().map(|s| s.phase).collect();
+        let s = spans(&events);
+        let phases: Vec<Phase> = s.iter().map(|s| s.phase).collect();
         assert_eq!(
             phases,
             vec![
@@ -224,10 +192,8 @@ mod tests {
                 Phase::Decode,
             ]
         );
-        let h = PhaseHistograms::from_events(&events);
-        assert_eq!(h.stall.count(), 1);
-        assert_eq!(h.stall.max(), Seconds::new(1.0));
-        assert_eq!(h.prefill.count(), 2);
+        let stall = s[3];
+        assert_eq!((stall.start.get(), stall.end.get()), (2.0, 3.0));
     }
 
     #[test]

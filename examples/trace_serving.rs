@@ -13,8 +13,8 @@
 use ador::cluster::{ClusterConfig, ClusterSim, RouterPolicy, TenantClass, TenantMix};
 use ador::model::presets;
 use ador::perf::Deployment;
-use ador::serving::SimConfig;
-use ador::telemetry::{chrome_trace, LatencyHistogram, PhaseHistograms, TelemetryConfig};
+use ador::serving::{LatencyStats, SimConfig};
+use ador::telemetry::{chrome_trace, spans, Phase, Span, TelemetryConfig};
 use ador::units::Seconds;
 use ador::AdorError;
 
@@ -51,31 +51,27 @@ fn main() -> Result<(), AdorError> {
     // Phase decomposition: where did request time actually go?
     println!("\n=== Latency decomposition by lifecycle phase ===");
     println!("phase     | spans | p50 (ms) | p95 (ms) | max (ms)");
-    let mut pooled = PhaseHistograms::default();
-    for events in &telemetry.events {
-        let h = PhaseHistograms::from_events(events);
-        pooled.queue.merge(&h.queue);
-        pooled.prefill.merge(&h.prefill);
-        pooled.decode.merge(&h.decode);
-        pooled.stall.merge(&h.stall);
-    }
-    let row = |label: &str, h: &LatencyHistogram| {
-        if h.count() == 0 {
+    let pooled: Vec<Span> = telemetry.events.iter().flat_map(|e| spans(e)).collect();
+    for phase in [Phase::Queue, Phase::Prefill, Phase::Decode, Phase::Stall] {
+        let label = phase.label();
+        let durations: Vec<Seconds> = pooled
+            .iter()
+            .filter(|s| s.phase == phase)
+            .map(|s| s.end - s.start)
+            .collect();
+        if durations.is_empty() {
             println!("{label:<10}|     0 |        - |        - |        -");
         } else {
+            let stats = LatencyStats::from_samples(&durations);
             println!(
                 "{label:<10}| {:>5} | {:>8.2} | {:>8.2} | {:>8.2}",
-                h.count(),
-                h.percentile(0.50).as_millis(),
-                h.percentile(0.95).as_millis(),
-                h.max().as_millis(),
+                durations.len(),
+                stats.p50.as_millis(),
+                stats.p95.as_millis(),
+                stats.max.as_millis(),
             );
         }
-    };
-    row("queue", &pooled.queue);
-    row("prefill", &pooled.prefill);
-    row("decode", &pooled.decode);
-    row("preempted", &pooled.stall);
+    }
 
     // The windowed time series: the fleet's shape over time.
     println!("\n=== Replica 0 time series (100 ms windows) ===");

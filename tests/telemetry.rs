@@ -111,6 +111,52 @@ fn tracing_leaves_the_fleet_report_unchanged() {
     assert_eq!(on, off, "telemetry must observe, never perturb");
 }
 
+#[test]
+fn flight_recorder_keeps_exactly_the_tail_of_the_full_log() {
+    // One seeded fleet, traced once into unbounded logs and then into
+    // rings: per replica, a ring holds exactly the last `cap` events of
+    // the log, router-recorded sheds included. One cap wraps on every
+    // replica; the other exceeds every stream and keeps all of it.
+    let arch = ador::baselines::ador_table3();
+    let model = presets::llama3_8b();
+    let mix = TenantMix::new(vec![
+        TenantClass::chatbot(12.0),
+        TenantClass::summarization(4.0),
+    ]);
+    let run = |telemetry: TelemetryConfig| -> Vec<Vec<Event>> {
+        let cfg = ClusterConfig::new(3, RouterPolicy::JoinShortestQueue)
+            .with_engine(SimConfig::new(1.0, 8))
+            .with_queue_cap(4)
+            .with_telemetry(telemetry);
+        ClusterSim::new(&arch, &model, Deployment::single_device(), cfg)
+            .expect("fleet builds")
+            .run(&mix, 120, 13)
+            .expect("fleet runs")
+            .telemetry
+            .expect("traced")
+            .events
+    };
+    let logs = run(TelemetryConfig::trace());
+    assert!(
+        logs.iter().flatten().any(|e| e.kind == EventKind::Shed),
+        "the queue cap must shed, so the router's records are covered"
+    );
+    let shortest = logs.iter().map(Vec::len).min().expect("replicas");
+    let longest = logs.iter().map(Vec::len).max().expect("replicas");
+    let wraps = 64;
+    assert!(
+        shortest > wraps,
+        "the small ring must wrap on every replica"
+    );
+    for cap in [wraps, longest + 1] {
+        let rings = run(TelemetryConfig::flight_recorder(cap));
+        assert_eq!(rings.len(), logs.len());
+        for (ring, log) in rings.iter().zip(&logs) {
+            assert_eq!(ring[..], log[log.len().saturating_sub(cap)..], "cap {cap}");
+        }
+    }
+}
+
 /// Runs the pinned disaggregation scenario with per-replica tracing and
 /// windowed series (the fleet path reads telemetry off each replica's
 /// engine config, not the cluster config).
