@@ -5,7 +5,8 @@
 //! designs) get real SA/MT configurations and run on the cycle models;
 //! devices we treat as black boxes (A100, H100, TPUv4, Groq TSP) carry
 //! datasheet peak-FLOPS/die-area overrides plus calibrated efficiency
-//! profiles (see `DESIGN.md` §2.4).
+//! profiles (`ador_hw::PerfProfile`, whose constructors cite the paper
+//! section behind each number).
 //!
 //! # Examples
 //!

@@ -1,5 +1,5 @@
 //! Ablation: the heterogeneous-dataflow choice itself — MT-only vs SA-only
-//! vs the combined HDA, across both phases (DESIGN.md §5).
+//! vs the combined HDA, across both phases.
 
 use ador_bench::{claim, table};
 use ador_core::hw::memory::DramSpec;

@@ -79,7 +79,7 @@ fn fig11a() {
     claim(
         "fig11a mid-size arrays balance",
         "64x64 x 32 cores is the chosen setup: small arrays need 4x the cores/SRAM plumbing for their cycle win, huge arrays underutilize during tiling",
-        "prefill: fill/drain overhead grows with array size; decode: 128x128 pays the worst MHA/GEMV utilization; 64x64 holds both within a practical SRAM budget (known deviation: raw prefill cycles alone favor 32x32, see EXPERIMENTS.md)",
+        "prefill: fill/drain overhead grows with array size; decode: 128x128 pays the worst MHA/GEMV utilization; 64x64 holds both within a practical SRAM budget (known deviation: raw prefill cycles alone favor 32x32)",
     );
 }
 

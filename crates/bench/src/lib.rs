@@ -13,7 +13,8 @@ pub mod grid;
 pub mod schema;
 
 /// Prints a titled, pipe-separated table: one header row, then the body
-/// rows. Keeping the format regular makes `bench_output.txt` diffable.
+/// rows. Keeping the format regular keeps a bench's captured stdout
+/// diffable across commits.
 pub fn table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("\n=== {title} ===");
     println!("| {} |", header.join(" | "));
@@ -27,19 +28,18 @@ pub fn f(x: f64, digits: usize) -> String {
     format!("{x:.digits$}")
 }
 
-/// A paper-vs-measured annotation line, for EXPERIMENTS.md traceability.
+/// Prints a paper-vs-measured annotation line (`claim: ...`), pairing a
+/// paper number with the measured one.
 pub fn claim(label: &str, paper: &str, measured: &str) {
     println!("claim: {label}: paper = {paper}, measured = {measured}");
 }
 
 /// Minimal JSON emission for machine-readable perf artifacts.
 ///
-/// The report types under `ador_core::serving` / `ador_core::cluster`
-/// carry `serde::Serialize` derives, but the offline serde shim is an
-/// inert marker (see `shims/README.md`) — nothing can drive real
-/// serialization through it. Until the real `serde`/`serde_json` land,
-/// benches hand-assemble their artifact objects with these helpers; the
-/// derives guarantee the types stay serializable for that switch.
+/// The workspace builds offline, with no `serde_json` (see
+/// `shims/README.md`), so benches hand-assemble their artifact objects
+/// with these helpers, and the artifact checks read them back with
+/// [`json::parse`].
 pub mod json {
     use std::fmt::Write;
 
@@ -304,7 +304,7 @@ pub mod json {
 }
 
 /// Emits one machine-readable artifact line (`artifact: <name> <json>`),
-/// greppable out of `bench_output.txt` by perf-tracking tooling.
+/// greppable out of a bench's captured stdout.
 pub fn artifact(name: &str, json: &str) {
     println!("artifact: {name} {json}");
 }

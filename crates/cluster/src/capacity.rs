@@ -5,12 +5,11 @@ use ador_hw::Architecture;
 use ador_model::ModelConfig;
 use ador_perf::Deployment;
 use ador_serving::{bisect_rate, SimError};
-use serde::Serialize;
 
 use crate::{ClusterConfig, ClusterSim, FleetReport, TenantMix};
 
 /// Result of a fleet capacity search.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterCapacityResult {
     /// Largest aggregate arrival rate (req/s across all tenants) that met
     /// the attainment target.

@@ -24,7 +24,6 @@ use ador_telemetry::{
     goodput_series, AttributionReport, Event, EventKind, TelemetryConfig, TimeSeries,
 };
 use ador_units::{conv, Seconds};
-use serde::Serialize;
 
 use crate::ledger::Ledger;
 use crate::report::{imbalance, FleetAttribution, FleetTelemetry};
@@ -35,7 +34,7 @@ use crate::{
 
 /// Fleet-level configuration: replica count, routing policy, admission
 /// control, and the per-replica engine knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterConfig {
     /// Engine replicas in the fleet.
     pub replicas: usize,
@@ -294,10 +293,9 @@ pub struct ClusterSim<'a> {
     /// Per-engine cursor into [`Engine::outcomes`]: completions before
     /// it are already classified (split bookkeeping done).
     seen_outcomes: Vec<usize>,
-    /// Fully stitched end-to-end outcomes (disaggregated runs only).
+    /// Fully stitched end-to-end outcomes (disaggregated runs only): one
+    /// per request finished end-to-end.
     stitched: Vec<RequestOutcome>,
-    /// Requests finished end-to-end under disaggregation.
-    finished: usize,
     /// Transfer-span telemetry lane (replica index + event), kept at
     /// fleet level rather than in engine sinks and time-sorted when the
     /// report is built.
@@ -423,7 +421,6 @@ impl<'a> ClusterSim<'a> {
             transfers: BinaryHeap::new(),
             seen_outcomes: vec![0; replicas],
             stitched: Vec::new(),
-            finished: 0,
             transfer_events: Vec::new(),
             kv_transfers: 0,
             kv_transferred_tokens: 0,
@@ -630,7 +627,6 @@ impl<'a> ClusterSim<'a> {
                     self.launch_transfer(idx, slot, orig, o);
                 } else {
                     self.stitched.push(o);
-                    self.finished += 1;
                 }
             }
         }
@@ -702,7 +698,6 @@ impl<'a> ClusterSim<'a> {
             max_tbt: handoff_gap.max(decode.max_tbt),
             e2e,
         });
-        self.finished += 1;
     }
 
     /// Lands one matured transfer: route within the decode pool and
@@ -829,7 +824,7 @@ impl<'a> ClusterSim<'a> {
     /// prefill-half completion is an internal handoff, not service.
     pub fn completed(&self) -> usize {
         if self.link.is_some() {
-            self.finished
+            self.stitched.len()
         } else {
             self.engines.iter().map(|e| e.completed()).sum()
         }
@@ -889,7 +884,7 @@ impl<'a> ClusterSim<'a> {
             self.scan_completions();
             debug_assert_eq!(
                 self.offered,
-                self.finished + self.rejected(),
+                self.stitched.len() + self.rejected(),
                 "disaggregated conservation must close the books"
             );
         }

@@ -14,12 +14,11 @@
 use ador_hw::Architecture;
 use ador_serving::{SimConfig, SimError};
 use ador_units::{Bandwidth, Seconds};
-use serde::Serialize;
 
 /// Which phase(s) of the request lifecycle a replica serves under a
 /// disaggregated topology. Ignored under [`Topology::Aggregated`], where
 /// every replica serves whole requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PoolRole {
     /// Serves whole requests; under disaggregation it joins *both* pools.
     #[default]
@@ -34,7 +33,7 @@ pub enum PoolRole {
 
 /// One replica's full description: a display name, the hardware it runs
 /// on, its engine scheduler knobs, and its pool role.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplicaSpec {
     /// Display name (conventionally the hardware profile name, e.g.
     /// `"prefill-optimized"`).
@@ -67,16 +66,10 @@ impl ReplicaSpec {
         self.role = role;
         self
     }
-
-    /// Overrides the display name.
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
-    }
 }
 
 /// A replica mix: the fleet's full composition, replica by replica.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetSpec {
     /// The replicas, in index order (routing ties break toward the
     /// lowest index, so order is part of the pinned scenario).
@@ -159,7 +152,7 @@ impl FleetSpec {
 /// The latency is also the causality guard the driver uses to bound how
 /// far any replica may be swept while a prefill completion (and hence a
 /// future delivery) is still undiscovered.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KvLink {
     bandwidth: Bandwidth,
     latency: Seconds,
@@ -196,7 +189,7 @@ impl KvLink {
 }
 
 /// How the fleet divides request lifecycles across replicas.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Topology {
     /// Every replica serves whole requests (the paper's fleet shape).
     /// Pool roles are ignored.

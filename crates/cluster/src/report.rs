@@ -4,12 +4,11 @@
 use ador_serving::{LatencyStats, QosReport, RequestOutcome, Slo};
 use ador_telemetry::{AttributionReport, Event, TimeSeries};
 use ador_units::{conv, Seconds};
-use serde::Serialize;
 
 use crate::{PoolRole, RouterPolicy};
 
 /// QoS of one tenant class across the whole fleet.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantQos {
     /// Class name (from the [`TenantMix`](crate::TenantMix)).
     pub name: String,
@@ -76,7 +75,7 @@ impl TenantQos {
 /// telemetry ([`SimConfig::with_telemetry`](ador_serving::SimConfig) —
 /// `None` otherwise, so untraced reports compare bit-identically to
 /// pre-telemetry ones).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetTelemetry {
     /// Per-replica lifecycle event streams, in recording order. Replicas
     /// that traced nothing (or fleets tracing through a bounded flight
@@ -111,7 +110,7 @@ pub struct FleetTelemetry {
 /// ledgers built by replaying the recorded event streams. The fleet
 /// report is the exact merge of the tenant reports — integer
 /// nanoseconds end to end.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetAttribution {
     /// Per-tenant blame, indexed like the mix's classes.
     pub per_tenant: Vec<AttributionReport>,
@@ -121,7 +120,7 @@ pub struct FleetAttribution {
 
 /// The QoS report of one cluster run: the fleet total, its per-replica and
 /// per-tenant breakdowns, and the routing trace.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     /// Engine replicas in the fleet.
     pub replicas: usize,

@@ -4,10 +4,9 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use ador_units::conv;
-use serde::Serialize;
 
 /// Which replica a router hands each arriving request to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RouterPolicy {
     /// Cycle through replicas in submission order, ignoring load. The
     /// baseline every adaptive policy is judged against: it balances
@@ -75,7 +74,7 @@ impl fmt::Display for RouterPolicy {
 }
 
 /// A replica's load state at a routing decision point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplicaSnapshot {
     /// Requests waiting for an engine slot (queued or submitted-but-future).
     pub queue_depth: usize,
@@ -108,7 +107,7 @@ impl ReplicaSnapshot {
 /// (round-robin carries a cursor; cache-affinity carries the
 /// session-to-replica pin table). Fully deterministic: ties break toward
 /// the lowest replica index.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Router {
     policy: RouterPolicy,
     rr_next: usize,

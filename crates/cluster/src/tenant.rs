@@ -19,10 +19,9 @@ use ador_serving::{Request, Slo, TraceProfile};
 use ador_units::{conv, Seconds};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 
 /// A request tagged with the tenant class that issued it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterRequest {
     /// The underlying serving request.
     pub request: Request,
@@ -31,7 +30,7 @@ pub struct ClusterRequest {
 }
 
 /// How a tenant's requests arrive over time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
     /// Memoryless arrivals at a constant mean rate (req/s) — the paper's
     /// Fig. 14b request generator.
@@ -150,7 +149,7 @@ fn exp_sample(rng: &mut StdRng, mean: f64) -> f64 {
 /// session carry the same
 /// [`Request::prefix_group`](ador_serving::Request::prefix_group), so a
 /// prefix-caching engine can skip re-prefilling the shared history.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionShape {
     /// Mean turns per session (geometric, so sessions of length 1 remain
     /// common). Must be ≥ 1.
@@ -208,7 +207,7 @@ impl SessionShape {
 
 /// One traffic class: a name, token-length marginals, an SLO contract and
 /// an arrival process.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantClass {
     /// Human-readable class name (report labels).
     pub name: String,
@@ -352,7 +351,7 @@ impl TenantClass {
 }
 
 /// A multiplex of tenant classes: the workload a cluster serves.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantMix {
     classes: Vec<TenantClass>,
 }

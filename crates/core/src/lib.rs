@@ -13,7 +13,10 @@
 //! * [`hw`] — the architecture template: systolic arrays, MAC trees,
 //!   vector units, memory system, area model;
 //! * [`noc`] — collectives, overlap analysis, ring NoC, P2P links;
-//! * [`parallel`] — tensor/pipeline parallelism planning and scaling;
+//! * [`parallel`] — tensor-parallel placement
+//!   ([`TensorParallel::for_memory`](parallel::TensorParallel::for_memory)),
+//!   sync costs and multi-device scaling, with pipeline parallelism as the
+//!   §IV-D comparison;
 //! * [`perf`] — the operator-level performance model and compiler stack;
 //! * [`serving`] — the discrete-event serving simulator and QoS metrics;
 //! * [`spec`] — speculative decoding: draft/verify cost accounting and

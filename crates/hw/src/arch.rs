@@ -3,7 +3,6 @@
 use core::fmt;
 
 use ador_units::{Area, Bandwidth, Bytes, FlopRate, Frequency, Power};
-use serde::{Deserialize, Serialize};
 
 use crate::memory::DramSpec;
 use crate::{MacTree, PerfProfile, ProcessNode, SystolicArray, VectorUnit};
@@ -18,7 +17,7 @@ use crate::{MacTree, PerfProfile, ProcessNode, SystolicArray, VectorUnit};
 /// `die_area_override` from their datasheets instead.
 ///
 /// Construct via [`Architecture::builder`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Architecture {
     /// Design name.
     pub name: String,
@@ -99,12 +98,6 @@ impl Architecture {
     /// Whether `bytes` of weights + KV state fit in device memory.
     pub fn fits(&self, bytes: Bytes) -> bool {
         self.dram.fits(bytes)
-    }
-
-    /// The DRAM bandwidth slice naturally adjacent to one core on the ring
-    /// (paper §IV-C: "each core fetches data from the nearest DRAM module").
-    pub fn dram_bandwidth_per_core(&self) -> Bandwidth {
-        self.dram.bandwidth / self.cores as f64
     }
 
     /// `true` if the device has both a systolic array and a MAC tree — the
@@ -222,12 +215,6 @@ impl ArchitectureBuilder {
     /// Adds a per-core MAC-tree bank.
     pub fn mac_tree(mut self, mt: MacTree) -> Self {
         self.inner.mt = Some(mt);
-        self
-    }
-
-    /// Sets the per-core vector unit.
-    pub fn vector_unit(mut self, vu: VectorUnit) -> Self {
-        self.inner.vu = vu;
         self
     }
 
@@ -358,12 +345,6 @@ mod tests {
             .build();
         assert_eq!(a.peak_flops().as_tflops(), 312.0);
         assert!(!a.is_hda());
-    }
-
-    #[test]
-    fn per_core_bandwidth_splits_evenly() {
-        let a = ador_design();
-        assert!((a.dram_bandwidth_per_core().as_gbps() - 62.5).abs() < 1e-9);
     }
 
     #[test]

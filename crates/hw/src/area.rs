@@ -3,20 +3,19 @@
 //!
 //! Component constants are calibrated at 7 nm so that the model reproduces
 //! every die area in Table III within ~0.5 % (LLMCompass-L 478 mm²,
-//! LLMCompass-T 787 mm², ADOR 516 mm²); the calibration is worked through in
-//! `DESIGN.md` §2.5. Logic and SRAM scale with the process node; DRAM and
-//! P2P interfaces are analog-dominated PHYs and do not.
+//! LLMCompass-T 787 mm², ADOR 516 mm²), which `table3_die_areas_reproduce`
+//! pins. Logic and SRAM scale with the process node; DRAM and P2P
+//! interfaces are analog-dominated PHYs and do not.
 
 use core::fmt;
 
 use ador_units::Area;
-use serde::{Deserialize, Serialize};
 
 use crate::{Architecture, ProcessNode};
 
 /// Per-component area constants (all at the 7 nm reference node, except the
 /// PHYs which are node-independent).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaModel {
     /// mm² per systolic-array MAC cell (PE registers + pipeline included).
     pub sa_mac_mm2: f64,
@@ -54,7 +53,7 @@ impl Default for AreaModel {
 
 /// Itemized die area for one architecture (C-INTERMEDIATE: callers often
 /// want the split, e.g. the Fig. 11 discussion of SA-vs-MT area trades).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaBreakdown {
     /// Systolic arrays.
     pub sa: Area,
@@ -82,11 +81,6 @@ impl AreaBreakdown {
             + self.dram_interface
             + self.p2p_interface
             + self.system
-    }
-
-    /// Compute fraction of the die (SA + MT + VU over total).
-    pub fn compute_fraction(&self) -> f64 {
-        (self.sa + self.mt + self.vu) / self.total()
     }
 }
 
@@ -259,6 +253,5 @@ mod tests {
             + b.p2p_interface.as_mm2()
             + b.system.as_mm2();
         assert!((b.total().as_mm2() - manual).abs() < 1e-9);
-        assert!(b.compute_fraction() > 0.3 && b.compute_fraction() < 0.7);
     }
 }

@@ -15,7 +15,6 @@
 use core::fmt;
 
 use ador_units::{Bandwidth, Cycles, FlopRate, Frequency, Utilization};
-use serde::{Deserialize, Serialize};
 
 /// A bank of `lanes` MAC trees, each `size` multipliers wide.
 ///
@@ -34,14 +33,14 @@ use serde::{Deserialize, Serialize};
 /// let matched = MacTree::sized_for(Bandwidth::from_gbps(62.5), Frequency::from_ghz(1.5), 2, 1);
 /// assert_eq!(matched.size(), 32);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MacTree {
     size: usize,
     lanes: usize,
 }
 
 /// Timing result for a matmul on a [`MacTree`] bank.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GemvTiming {
     /// Total busy cycles.
     pub cycles: Cycles,

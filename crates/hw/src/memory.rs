@@ -4,16 +4,15 @@
 //! weights from HBM achieves a *logarithmically increasing* fraction of the
 //! spec bandwidth as the per-device workload grows — about 70 % around 10⁹
 //! operations, rising to a 90 % ceiling past 10¹¹. The authors measured this
-//! on an Alveo U55C FPGA; we encode the calibrated law directly (see
-//! `DESIGN.md` §2.3 for the substitution note).
+//! on an Alveo U55C FPGA; with no FPGA to measure on, we encode the
+//! calibrated law directly.
 
 use core::fmt;
 
 use ador_units::{Bandwidth, Bytes, FlopCount, Utilization};
-use serde::{Deserialize, Serialize};
 
 /// Off-chip (or on-chip, for Groq-style designs) memory technology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DramKind {
     /// HBM2 (e.g. TPUv4, Alveo U55C).
     Hbm2,
@@ -54,7 +53,7 @@ impl fmt::Display for DramKind {
 /// let a100 = DramSpec::hbm2e(Bytes::from_gib(80), Bandwidth::from_tbps(2.0));
 /// assert_eq!(a100.capacity, Bytes::from_gib(80));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramSpec {
     /// Memory technology.
     pub kind: DramKind,
@@ -87,11 +86,6 @@ impl DramSpec {
     /// HBM3 convenience constructor.
     pub fn hbm3(capacity: Bytes, bandwidth: Bandwidth) -> Self {
         Self::new(DramKind::Hbm3, capacity, bandwidth)
-    }
-
-    /// HBM3e convenience constructor.
-    pub fn hbm3e(capacity: Bytes, bandwidth: Bandwidth) -> Self {
-        Self::new(DramKind::Hbm3e, capacity, bandwidth)
     }
 
     /// Whether `bytes` of model + KV state fit in this memory.
@@ -127,7 +121,7 @@ impl fmt::Display for DramSpec {
 /// assert!((law.utilization(FlopCount::new(1e9)).get() - 0.70).abs() < 1e-9);
 /// assert!((law.utilization(FlopCount::new(1e11)).get() - 0.90).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EffectiveBandwidthModel {
     /// Utilization at the 10⁹-op reference point.
     pub base: f64,

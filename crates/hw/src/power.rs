@@ -9,12 +9,11 @@
 use core::fmt;
 
 use ador_units::{Bandwidth, Power, Utilization};
-use serde::{Deserialize, Serialize};
 
-use crate::{Architecture, ProcessNode};
+use crate::Architecture;
 
 /// Per-component energy/power constants (7 nm reference).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     /// Joules per fp16 MAC on a systolic array (dense, short wires).
     pub sa_j_per_mac: f64,
@@ -51,7 +50,7 @@ impl Default for PowerModel {
 }
 
 /// Itemized power draw at a given operating point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerBreakdown {
     /// Compute units (SA + MT + VU) at their utilization.
     pub compute: Power,
@@ -91,7 +90,7 @@ impl fmt::Display for PowerBreakdown {
 /// being driven (take these from a
 /// [`StepLatency`](../../ador_perf/struct.StepLatency.html)-level report or
 /// assume worst case with [`OperatingPoint::peak`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// Fraction of peak MACs busy.
     pub compute: Utilization,
@@ -168,31 +167,13 @@ impl PowerModel {
             static_power: Power::from_watts(static_w),
         }
     }
-
-    /// Whether `arch` fits inside `budget` at its worst-case point.
-    pub fn fits_budget(&self, arch: &Architecture, budget: Power) -> bool {
-        self.estimate(arch, OperatingPoint::peak()).total() <= budget
-    }
-
-    /// Rescales an estimate to another node (dynamic scales, I/O doesn't) —
-    /// the Fig. 4-style normalization for power.
-    pub fn estimate_at_node(
-        &self,
-        arch: &Architecture,
-        point: OperatingPoint,
-        node: ProcessNode,
-    ) -> PowerBreakdown {
-        let mut rebased = arch.clone();
-        rebased.process = node;
-        self.estimate(&rebased, point)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::memory::DramSpec;
-    use crate::{MacTree, SystolicArray};
+    use crate::{MacTree, ProcessNode, SystolicArray};
     use ador_units::{Bandwidth, Bytes, Frequency};
 
     fn ador_design() -> Architecture {
@@ -231,20 +212,15 @@ mod tests {
     }
 
     #[test]
-    fn budget_check_is_monotone() {
-        let model = PowerModel::default();
-        let arch = ador_design();
-        let peak = model.estimate(&arch, OperatingPoint::peak()).total();
-        assert!(model.fits_budget(&arch, peak));
-        assert!(!model.fits_budget(&arch, peak * 0.5));
-    }
-
-    #[test]
     fn denser_nodes_save_dynamic_power() {
         let model = PowerModel::default();
         let arch = ador_design();
-        let at7 = model.estimate_at_node(&arch, OperatingPoint::prefill_typical(), ProcessNode::N7);
-        let at4 = model.estimate_at_node(&arch, OperatingPoint::prefill_typical(), ProcessNode::N4);
+        let at_node = |node| {
+            let mut rebased = arch.clone();
+            rebased.process = node;
+            model.estimate(&rebased, OperatingPoint::prefill_typical())
+        };
+        let (at7, at4) = (at_node(ProcessNode::N7), at_node(ProcessNode::N4));
         assert!(at4.compute < at7.compute);
         // I/O power is node-independent.
         assert_eq!(at4.dram, at7.dram);

@@ -2,14 +2,12 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A manufacturing process node.
 ///
 /// Used to normalize die areas across designs built on different nodes
 /// (paper Fig. 4a reports both absolute and 4 nm-normalized area
 /// efficiency; Table I lists 4 nm / 7 nm / 14 nm devices).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProcessNode {
     /// 4 nm-class (e.g. NVIDIA H100).
     N4,

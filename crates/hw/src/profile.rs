@@ -3,17 +3,16 @@
 //! The performance model is shared by every design we evaluate; what
 //! differs between an ADOR device, a GPU and a TPU is *how much of the spec*
 //! each one achieves on each traffic class. A [`PerfProfile`] captures those
-//! calibrated efficiencies (see `DESIGN.md` §2.4 for where each number comes
-//! from in the paper).
+//! calibrated efficiencies; each constructor cites the paper section its
+//! numbers come from.
 
 use ador_units::{Bandwidth, FlopCount, Seconds, Utilization};
-use serde::{Deserialize, Serialize};
 
 use crate::memory::EffectiveBandwidthModel;
 
 /// How an architecture's achieved DRAM bandwidth relates to the spec when
 /// streaming a given traffic class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StreamLaw {
     /// The Fig. 10 measured law: utilization grows logarithmically with the
     /// per-device op count (ADOR's MAC tree streaming directly from DRAM).
@@ -66,7 +65,7 @@ impl StreamLaw {
 /// let big = ador_units::FlopCount::new(1e12);
 /// assert!(ador.weight_stream.utilization(big) > gpu.weight_stream.utilization(big));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfProfile {
     /// DRAM utilization when streaming model weights sequentially.
     pub weight_stream: StreamLaw,

@@ -10,12 +10,11 @@
 use core::fmt;
 
 use ador_units::{Bandwidth, FlopRate};
-use serde::{Deserialize, Serialize};
 
 use crate::Architecture;
 
 /// Which ceiling binds at a given arithmetic intensity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RooflineBound {
     /// Left of the ridge: DRAM bandwidth limits throughput.
     Bandwidth,
@@ -47,7 +46,7 @@ impl fmt::Display for RooflineBound {
 /// // Prefill at 1K tokens is hundreds of flops/byte: compute-bound.
 /// assert_eq!(r.bound(500.0), ador_hw::roofline::RooflineBound::Compute);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Roofline {
     peak: FlopRate,
     bandwidth: Bandwidth,

@@ -13,8 +13,7 @@
 
 use core::fmt;
 
-use ador_units::{Bandwidth, Bytes, Cycles, FlopRate, Frequency, Utilization};
-use serde::{Deserialize, Serialize};
+use ador_units::{Bandwidth, Cycles, FlopRate, Frequency, Utilization};
 
 /// A weight-stationary systolic array of `rows × cols` MAC cells.
 ///
@@ -32,7 +31,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(gemm.utilization.get() > 0.85);
 /// assert!(gemv.utilization.get() < 0.02); // why ADOR adds MAC trees
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SystolicArray {
     rows: usize,
     cols: usize,
@@ -40,7 +39,7 @@ pub struct SystolicArray {
 
 /// Timing result of a (possibly repeated) GEMM on a [`SystolicArray`]
 /// (intermediate values exposed per C-INTERMEDIATE).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GemmTiming {
     /// Total busy cycles.
     pub cycles: Cycles,
@@ -132,12 +131,6 @@ impl SystolicArray {
         let window_cycles = (m + self.rows + self.cols - 2) as f64;
         let bytes_per_fold = (self.macs() as u64 * dtype_bytes) as f64;
         Bandwidth::from_bytes_per_sec(bytes_per_fold / window_cycles * freq.as_hz())
-    }
-
-    /// Local-memory bytes needed to hold one fold's activation panel
-    /// (`m × rows` inputs) for reuse across the `n / cols` output tiles.
-    pub fn activation_panel_bytes(&self, m: usize, dtype_bytes: u64) -> Bytes {
-        Bytes::new((m * self.rows) as u64 * dtype_bytes)
     }
 }
 

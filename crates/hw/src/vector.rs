@@ -4,7 +4,6 @@
 use core::fmt;
 
 use ador_units::{Cycles, FlopRate, Frequency};
-use serde::{Deserialize, Serialize};
 
 /// A SIMD vector unit processing `lanes` elements per cycle.
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// let t = vu.elementwise_cycles(1 << 20);
 /// assert_eq!(t.get(), (1 << 20) / 64);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VectorUnit {
     lanes: usize,
 }

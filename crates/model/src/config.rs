@@ -3,13 +3,12 @@
 use core::fmt;
 
 use ador_units::Bytes;
-use serde::{Deserialize, Serialize};
 
 use crate::moe::MoeConfig as MoeConfigInner;
 use crate::{graph, Operator, Phase};
 
 /// Numeric storage format of weights and KV-cache entries.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// IEEE 754 half precision (2 bytes) — the paper's serving format.
     #[default]
@@ -49,7 +48,7 @@ impl fmt::Display for DataType {
 /// Attention head-sharing scheme, derived from the head counts (paper §V-A
 /// distinguishes these because they change the MAC-tree lane requirement,
 /// Fig. 11b).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttentionKind {
     /// Multi-head attention: every query head has its own KV head.
     Mha,
@@ -95,7 +94,7 @@ pub use crate::moe::MoeConfig;
 /// assert_eq!(m.head_dim, 64);
 /// assert_eq!(m.attention_kind(), AttentionKind::Gqa);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelConfig {
     /// Human-readable model name (e.g. `"LLaMA3 8B"`).
     pub name: String,

@@ -1,7 +1,5 @@
 //! Mixture-of-experts sizing arithmetic.
 
-use serde::{Deserialize, Serialize};
-
 /// Mixture-of-experts layer configuration (paper §V-A mentions MoE layers as
 /// a weight-reuse case when sizing the MAC tree).
 ///
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// // ...while a large batch touches essentially all of them.
 /// assert!(mixtral.expected_active_experts(64) > 7.9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MoeConfig {
     /// Number of experts per MoE layer.
     pub num_experts: usize,
@@ -49,11 +47,6 @@ impl MoeConfig {
             return 0.0;
         }
         e * (1.0 - (1.0 - k / e).powi(batch as i32))
-    }
-
-    /// Fraction of expert weights streamed for a decode step of `batch`.
-    pub fn active_fraction(&self, batch: usize) -> f64 {
-        self.expected_active_experts(batch) / self.num_experts as f64
     }
 
     /// Router (gate) parameters: one `hidden × num_experts` matrix.
@@ -95,7 +88,6 @@ mod tests {
     fn large_batch_saturates_all_experts() {
         let moe = MoeConfig::new(8, 2);
         assert!(moe.expected_active_experts(256) > 7.999);
-        assert!(moe.active_fraction(256) <= 1.0);
     }
 
     #[test]

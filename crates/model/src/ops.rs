@@ -3,14 +3,13 @@
 use core::fmt;
 
 use ador_units::{Bytes, FlopCount};
-use serde::{Deserialize, Serialize};
 
 /// Shape of a (possibly batched) matrix multiplication
 /// `count × (M×K · K×N)`.
 ///
 /// The `M = 1` (or small-`M`) case is the GEMV regime the paper's MAC tree
 /// targets; large `M` is the GEMM regime for the systolic array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MatMulShape {
     /// Output rows (token dimension for weight ops).
     pub m: usize,
@@ -43,12 +42,6 @@ impl MatMulShape {
     pub fn flops(&self) -> FlopCount {
         FlopCount::from_macs(self.macs())
     }
-
-    /// `true` if this is matrix–vector shaped (the latency-critical case):
-    /// the token dimension is small relative to the weight tile.
-    pub fn is_gemv_like(&self) -> bool {
-        self.m <= 8
-    }
 }
 
 impl fmt::Display for MatMulShape {
@@ -66,7 +59,7 @@ impl fmt::Display for MatMulShape {
 }
 
 /// The computational kind of an operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Dense matrix multiplication against model weights or KV planes.
     MatMul(MatMulShape),
@@ -110,7 +103,7 @@ impl OpKind {
 
 /// Scheduling class — which ADOR compute unit services the operator
 /// (paper Fig. 8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpClass {
     /// Multiplication against *shared* model weights (QKV/O/MLP/LM-head):
     /// SA in prefill, MT in decode.
@@ -135,7 +128,7 @@ impl fmt::Display for OpClass {
 
 /// Canonical operator names, matching the paper's latency-breakdown labels
 /// (Fig. 11a: "QKV Proj", "MHA", "Out Proj", "MLP1", "MLP2").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)] // variant names ARE the paper's labels; per-variant docs add nothing
 pub enum OpName {
     Embed,
@@ -205,7 +198,7 @@ impl fmt::Display for OpName {
 /// batch, heads, etc.). `weight_bytes` are *shared* across the batch —
 /// streamed once per step — while `kv_read_bytes` are *per-request* state
 /// that cannot be amortized (paper §II-B, the key observation of Fig. 3a).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Operator {
     /// Which operator this is.
     pub name: OpName,
@@ -271,13 +264,6 @@ mod tests {
         let s = MatMulShape::batched(2, 3, 5, 7);
         assert_eq!(s.macs(), 2 * 3 * 5 * 7);
         assert_eq!(s.flops().get(), 2.0 * 210.0);
-    }
-
-    #[test]
-    fn gemv_detection() {
-        assert!(MatMulShape::new(1, 4096, 4096).is_gemv_like());
-        assert!(MatMulShape::new(8, 4096, 4096).is_gemv_like());
-        assert!(!MatMulShape::new(64, 4096, 4096).is_gemv_like());
     }
 
     #[test]

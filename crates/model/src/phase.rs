@@ -2,8 +2,6 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// One workload point of LLM inference: either a prefill pass over a prompt
 /// or a single auto-regressive decode step (paper §II-A).
 ///
@@ -17,13 +15,12 @@ use serde::{Deserialize, Serialize};
 /// use ador_model::Phase;
 ///
 /// let prefill = Phase::prefill(4, 1024);
-/// assert_eq!(prefill.tokens_in_flight(), 4096);
 /// assert_eq!(prefill.rows(), 4096); // GEMM M dimension
 ///
 /// let decode = Phase::decode(32, 1024);
 /// assert_eq!(decode.rows(), 32); // one token per request
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Parallel processing of `prompt_len` input tokens for each of `batch`
     /// requests; KV pairs for all tokens are produced.
@@ -92,11 +89,6 @@ impl Phase {
         self.batch() * self.tokens_per_request()
     }
 
-    /// Alias for [`Phase::rows`]: total tokens resident in this step.
-    pub fn tokens_in_flight(&self) -> usize {
-        self.rows()
-    }
-
     /// KV-cache context length each query token attends over, *averaged*
     /// across the step. For prefill with causal masking, token `t` attends
     /// to `t+1` keys, so the average is `(prompt_len + 1) / 2`; for decode it
@@ -106,13 +98,6 @@ impl Phase {
             Phase::Prefill { prompt_len, .. } => (prompt_len as f64 + 1.0) / 2.0,
             Phase::Decode { context_len, .. } => context_len as f64,
         }
-    }
-
-    /// KV entries that must be **read** from memory per request. Prefill
-    /// keeps the running chunk on-chip, so reads equal the average causal
-    /// span; decode reads the whole cache.
-    pub fn kv_tokens_read_per_request(&self) -> f64 {
-        self.mean_attention_span()
     }
 
     /// KV entries **written** per request (the newly produced tokens).

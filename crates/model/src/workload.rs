@@ -8,7 +8,6 @@
 //!   in self-attention, growing with sequence length).
 
 use ador_units::{Bytes, FlopCount};
-use serde::{Deserialize, Serialize};
 
 use crate::{graph, ModelConfig, OpClass, Operator, Phase};
 
@@ -24,7 +23,7 @@ use crate::{graph, ModelConfig, OpClass, Operator, Phase};
 /// // At batch 128 and 8 K context, KV reads dwarf the weight stream.
 /// assert!(s.kv_read_bytes > s.weight_bytes * 3.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepSummary {
     /// Total floating-point work.
     pub flops: FlopCount,
@@ -138,29 +137,6 @@ pub fn attention_op_share(cfg: &ModelConfig, context_len: usize) -> f64 {
     s.attention_flops.get() / matmul.get()
 }
 
-/// Decode-step roofline turning point: the batch size at which the step's
-/// compute time (at `peak_tflops`) matches its memory time (at
-/// `bandwidth_gbps`) — useful for reasoning about where batching stops
-/// helping (paper Fig. 1).
-pub fn roofline_batch(
-    cfg: &ModelConfig,
-    context_len: usize,
-    peak_tflops: f64,
-    bandwidth_gbps: f64,
-) -> usize {
-    let mut batch = 1usize;
-    while batch < 8192 {
-        let s = StepSummary::compute(cfg, Phase::decode(batch, context_len));
-        let compute = s.flops.get() / (peak_tflops * 1e12);
-        let memory = s.dram_bytes().get() as f64 / (bandwidth_gbps * 1e9);
-        if compute >= memory {
-            return batch;
-        }
-        batch *= 2;
-    }
-    batch
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,14 +192,6 @@ mod tests {
         let prefill = StepSummary::compute(&m, Phase::prefill(1, 1024));
         let decode = StepSummary::compute(&m, Phase::decode(1, 1024));
         assert!(prefill.arithmetic_intensity() > 100.0 * decode.arithmetic_intensity());
-    }
-
-    #[test]
-    fn roofline_batch_increases_with_compute() {
-        let m = presets::llama3_8b();
-        let weak = roofline_batch(&m, 1024, 100.0, 2000.0);
-        let strong = roofline_batch(&m, 1024, 800.0, 2000.0);
-        assert!(strong >= weak);
     }
 
     proptest! {

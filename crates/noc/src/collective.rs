@@ -3,7 +3,6 @@
 use core::fmt;
 
 use ador_units::{Bandwidth, Bytes, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// How tensor-parallel devices (or cores) synchronize activations between
 /// consecutive GEMMs.
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// Costs are expressed for one *transformer sub-block* — a pair of dependent
 /// GEMMs (e.g. up-projection then down-projection), which is the unit
 /// Megatron fuses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SyncStrategy {
     /// Each device computes a full-precision *final* slice of the output and
     /// gathers the other slices: two syncs per block, each moving
@@ -91,7 +90,7 @@ impl fmt::Display for SyncStrategy {
 
 /// Wire cost of one block's synchronization (C-INTERMEDIATE: the per-device
 /// byte count is the quantity Fig. 7c plots).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CollectiveCost {
     /// The strategy that produced this cost.
     pub strategy: SyncStrategy,

@@ -8,7 +8,6 @@
 //! paper derives its "32 GB/s is sufficient" claim.
 
 use ador_units::{Bandwidth, Bytes, Seconds, Utilization};
-use serde::{Deserialize, Serialize};
 
 /// Degree to which wire time hides under a compute window.
 ///
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// // Fully hidden: the step costs only the compute window.
 /// assert_eq!(pipelined.step_time(compute, comm), compute);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverlapModel {
     /// Fraction of the compute window usable for hiding wire traffic.
     pub hiding: Utilization,

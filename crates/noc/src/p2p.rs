@@ -4,7 +4,6 @@
 use core::fmt;
 
 use ador_units::{Bandwidth, Bytes, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// A point-to-point inter-device link.
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// let nvlink = P2pLink::nvlink4();
 /// assert!(pcie.transfer_time(Bytes::from_mib(64)) > nvlink.transfer_time(Bytes::from_mib(64)));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct P2pLink {
     bandwidth: Bandwidth,
     latency: Seconds,
@@ -54,11 +53,6 @@ impl P2pLink {
     /// NVLink 4 class: 900 GB/s aggregate (H100).
     pub fn nvlink4() -> Self {
         Self::new(Bandwidth::from_gbps(900.0)).with_latency(Seconds::from_micros(1.0))
-    }
-
-    /// InfiniBand NDR class: 50 GB/s.
-    pub fn infiniband_ndr() -> Self {
-        Self::new(Bandwidth::from_gbps(50.0)).with_latency(Seconds::from_micros(3.0))
     }
 
     /// Link bandwidth.

@@ -1,7 +1,6 @@
 //! The on-chip ring NoC connecting ADOR cores (paper Fig. 6a).
 
 use ador_units::{Bandwidth, Bytes, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// A unidirectional ring of `nodes` cores with `link_bandwidth` per hop.
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// let t = ring.all_gather_time(Bytes::from_mib(1));
 /// assert!(t.as_micros() < 10.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RingNoc {
     nodes: usize,
     link_bandwidth: Bandwidth,
@@ -68,22 +67,6 @@ impl RingNoc {
         let per_step = slice / self.link_bandwidth + self.hop_latency;
         per_step * (self.nodes - 1) as f64
     }
-
-    /// Time to broadcast `bytes` from one DRAM-adjacent core to all cores
-    /// (pipelined store-and-forward around the ring: one full transfer plus
-    /// the fill hops).
-    pub fn broadcast_time(&self, bytes: Bytes) -> Seconds {
-        if self.nodes == 1 {
-            return Seconds::ZERO;
-        }
-        bytes / self.link_bandwidth + self.hop_latency * (self.nodes - 1) as f64
-    }
-
-    /// Time for every core to push `bytes_per_node` one hop to a neighbour
-    /// (the systolic hand-off pattern).
-    pub fn neighbor_shift_time(&self, bytes_per_node: Bytes) -> Seconds {
-        bytes_per_node / self.link_bandwidth + self.hop_latency
-    }
 }
 
 #[cfg(test)]
@@ -95,7 +78,6 @@ mod tests {
     fn single_node_is_free() {
         let ring = RingNoc::new(1, Bandwidth::from_gbps(100.0));
         assert_eq!(ring.all_gather_time(Bytes::from_mib(64)), Seconds::ZERO);
-        assert_eq!(ring.broadcast_time(Bytes::from_mib(64)), Seconds::ZERO);
     }
 
     #[test]
@@ -121,14 +103,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn broadcast_no_cheaper_than_wire(n in 2usize..128, mib in 1u64..128, gbps in 1.0f64..1000.0) {
-            let ring = RingNoc::new(n, Bandwidth::from_gbps(gbps));
-            let bytes = Bytes::from_mib(mib);
-            let wire = bytes / ring.link_bandwidth();
-            prop_assert!(ring.broadcast_time(bytes) >= wire);
-        }
-
         #[test]
         fn all_gather_monotone_in_bytes(n in 2usize..64, a in 1u64..64, b in 1u64..64) {
             let ring = RingNoc::new(n, Bandwidth::from_gbps(128.0));

@@ -14,6 +14,11 @@
 //! * ~32 GB/s of P2P bandwidth is enough to overlap communication for
 //!   decode-heavy workloads (Fig. 13b).
 //!
+//! Serving therefore uses pure TP: [`TensorParallel::for_memory`] is the
+//! mapper of Fig. 7a, picking the power-of-two TP width that holds the
+//! model plus its KV budget and the recommended sync strategy for it.
+//! [`PipelineParallel`] stays as the model behind the TP-vs-PP comparison.
+//!
 //! # Examples
 //!
 //! ```
@@ -35,7 +40,7 @@ mod pp;
 mod scaling;
 mod tp;
 
-pub use mapper::{ParallelPlan, PlanError};
+pub use mapper::PlanError;
 pub use pp::PipelineParallel;
 pub use scaling::{p2p_sweep, tp_sweep, ScalingPoint, WorkloadMix};
 pub use tp::{BlockWorkload, TensorParallel};

@@ -5,37 +5,15 @@ use core::fmt;
 
 use ador_model::ModelConfig;
 use ador_units::Bytes;
-use serde::{Deserialize, Serialize};
 
-use crate::{PipelineParallel, TensorParallel};
+use crate::TensorParallel;
 
-/// A complete parallelism assignment for one model deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ParallelPlan {
-    /// Tensor-parallel width.
-    pub tp: TensorParallel,
-    /// Pipeline depth.
-    pub pp: PipelineParallel,
-}
-
-impl ParallelPlan {
-    /// A single-device plan.
-    pub fn single_device() -> Self {
-        Self {
-            tp: TensorParallel::single(),
-            pp: PipelineParallel::new(1),
-        }
-    }
-
-    /// Total devices consumed.
-    pub fn devices(&self) -> usize {
-        self.tp.devices * self.pp.stages
-    }
-
+impl TensorParallel {
     /// Plans a deployment of `model` with `kv_budget` bytes of KV cache on
-    /// devices of `device_capacity` memory, preferring pure tensor
-    /// parallelism (the paper's choice for serving, §IV-D) and growing the
-    /// device count in powers of two.
+    /// devices of `device_capacity` memory. Serving uses pure tensor
+    /// parallelism (the paper's choice, §IV-D), so the plan grows the TP
+    /// width in powers of two and picks the [recommended](Self::recommended)
+    /// sync strategy for it.
     ///
     /// # Errors
     ///
@@ -77,21 +55,12 @@ impl ParallelPlan {
                 kv_heads: model.kv_heads,
             });
         }
-        Ok(Self {
-            tp: TensorParallel::recommended(tp),
-            pp: PipelineParallel::new(1),
-        })
-    }
-}
-
-impl fmt::Display for ParallelPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} x {}", self.tp, self.pp)
+        Ok(Self::recommended(tp))
     }
 }
 
 /// Why a parallel plan could not be produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanError {
     /// The model (plus KV budget) does not fit even on the whole device
     /// budget.
@@ -147,8 +116,8 @@ mod tests {
     fn llama3_8b_fits_one_device() {
         let m = presets::llama3_8b();
         let kv = m.kv_cache_bytes(64, 2048);
-        let plan = ParallelPlan::for_memory(&m, kv, GIB80, 16).unwrap();
-        assert_eq!(plan.devices(), 1);
+        let plan = TensorParallel::for_memory(&m, kv, GIB80, 16).unwrap();
+        assert_eq!(plan.devices, 1);
     }
 
     #[test]
@@ -157,25 +126,25 @@ mod tests {
         // ~141 GB, and a healthy KV budget pushes the power-of-two TP to 4+.
         let m = presets::llama3_70b();
         let kv = m.kv_cache_bytes(128, 2048);
-        let plan = ParallelPlan::for_memory(&m, kv, GIB80, 16).unwrap();
-        assert!(plan.devices() >= 4, "{plan}");
-        assert_eq!(plan.tp.strategy, SyncStrategy::AllGather);
+        let plan = TensorParallel::for_memory(&m, kv, GIB80, 16).unwrap();
+        assert!(plan.devices >= 4, "{plan}");
+        assert_eq!(plan.strategy, SyncStrategy::AllGather);
     }
 
     #[test]
     fn two_device_plans_use_megatron() {
         let m = presets::yi_34b(); // ~69 GB of weights
         let kv = m.kv_cache_bytes(64, 2048);
-        let plan = ParallelPlan::for_memory(&m, kv, GIB80, 16).unwrap();
-        assert_eq!(plan.devices(), 2);
-        assert_eq!(plan.tp.strategy, SyncStrategy::Megatron);
+        let plan = TensorParallel::for_memory(&m, kv, GIB80, 16).unwrap();
+        assert_eq!(plan.devices, 2);
+        assert_eq!(plan.strategy, SyncStrategy::Megatron);
     }
 
     #[test]
     fn budget_violation_reported() {
         let m = presets::llama3_70b();
         let kv = m.kv_cache_bytes(256, 8192);
-        let err = ParallelPlan::for_memory(&m, kv, Bytes::from_gib(8), 4).unwrap_err();
+        let err = TensorParallel::for_memory(&m, kv, Bytes::from_gib(8), 4).unwrap_err();
         match err {
             PlanError::ExceedsDeviceBudget { needed, budget, .. } => {
                 assert!(needed > budget);
@@ -184,11 +153,5 @@ mod tests {
         }
         // Error type is usable through the std Error trait (C-GOOD-ERR).
         let _: &dyn std::error::Error = &err;
-    }
-
-    #[test]
-    fn display_is_compact() {
-        let plan = ParallelPlan::single_device();
-        assert_eq!(format!("{plan}"), "TP=1 (all-gather) x PP=1");
     }
 }

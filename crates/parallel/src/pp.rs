@@ -5,7 +5,6 @@ use core::fmt;
 
 use ador_noc::P2pLink;
 use ador_units::{Bytes, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// A pipeline-parallel plan over `stages` devices, each owning a contiguous
 /// slice of layers.
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// // ...but steady-state throughput scales with the stage count.
 /// assert!(pp.throughput_scaling(64) > 3.5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PipelineParallel {
     /// Pipeline stages (devices).
     pub stages: usize,

@@ -2,12 +2,11 @@
 
 use ador_noc::{P2pLink, SyncStrategy};
 use ador_units::{Bandwidth, Seconds};
-use serde::{Deserialize, Serialize};
 
 use crate::{BlockWorkload, TensorParallel};
 
 /// One point of a scalability curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScalingPoint {
     /// Tensor-parallel width.
     pub devices: usize,
@@ -33,7 +32,7 @@ pub fn tp_sweep(
 }
 
 /// The phase mixture of a serving step, for the Fig. 13b sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WorkloadMix {
     /// Pure prefill (compute-heavy blocks, large messages).
     Prefill,

@@ -4,12 +4,11 @@ use core::fmt;
 
 use ador_noc::{OverlapModel, P2pLink, SyncStrategy};
 use ador_units::{Bytes, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// One tensor-parallel sub-block of work: a pair of dependent GEMMs (the
 /// Megatron fusion unit) with its single-device compute time and the
 /// activation message that must be synchronized afterwards.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockWorkload {
     /// Compute time of the block on one device (memory- or compute-bound,
     /// whichever governs — the caller's performance model decides).
@@ -41,7 +40,7 @@ impl BlockWorkload {
 ///     .block_time(block, P2pLink::pcie4_x16());
 /// assert!(t4 < t1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TensorParallel {
     /// Participating devices.
     pub devices: usize,
@@ -115,11 +114,6 @@ impl TensorParallel {
         }
         single / parallel
     }
-
-    /// Per-device share of a weight tensor of `bytes`.
-    pub fn weight_shard(&self, bytes: Bytes) -> Bytes {
-        bytes * (1.0 / self.devices as f64)
-    }
 }
 
 impl fmt::Display for TensorParallel {
@@ -180,12 +174,6 @@ mod tests {
         let block = decode_block();
         let t = TensorParallel::single().block_time(block, P2pLink::pcie4_x16());
         assert_eq!(t, block.compute_1dev);
-    }
-
-    #[test]
-    fn weight_shard_divides() {
-        let tp = TensorParallel::new(8, SyncStrategy::AllGather);
-        assert_eq!(tp.weight_shard(Bytes::from_gib(16)), Bytes::from_gib(2));
     }
 
     proptest! {

@@ -4,7 +4,6 @@ use core::fmt;
 
 use ador_noc::{P2pLink, SyncStrategy};
 use ador_parallel::TensorParallel;
-use serde::{Deserialize, Serialize};
 
 /// How a model is spread across devices for one evaluation: tensor-parallel
 /// width, sync strategy and the P2P link joining the devices.
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// let eight = Deployment::tensor_parallel(8); // Fig. 15b's 70B setup
 /// assert_eq!(eight.devices, 8);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Deployment {
     /// Tensor-parallel width.
     pub devices: usize,
@@ -58,12 +57,6 @@ impl Deployment {
     /// Replaces the P2P link.
     pub fn with_link(mut self, link: P2pLink) -> Self {
         self.link = link;
-        self
-    }
-
-    /// Replaces the sync strategy.
-    pub fn with_strategy(mut self, strategy: SyncStrategy) -> Self {
-        self.strategy = strategy;
         self
     }
 

@@ -13,14 +13,13 @@ use core::fmt;
 use ador_hw::Architecture;
 use ador_model::Phase;
 use ador_units::{Bytes, FlopCount, Seconds};
-use serde::{Deserialize, Serialize};
 
 use crate::op_latency::StreamRates;
 use crate::schedule::UnitChoice;
 use crate::Deployment;
 
 /// One machine-level step of a bundle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Instruction {
     /// Stream weight bytes from DRAM (shared across the batch).
     StreamWeights {
@@ -105,7 +104,7 @@ impl fmt::Display for Instruction {
 
 /// A labelled group of instructions that execute as one overlapped unit
 /// (memory streams hide under compute within a bundle).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Bundle {
     /// Human-readable label (operator name).
     pub label: String,
@@ -118,7 +117,7 @@ pub struct Bundle {
 }
 
 /// A lowered program: the "instruction binary" of Fig. 14a.
-#[derive(Debug, Clone, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Program {
     bundles: Vec<Bundle>,
 }
@@ -158,7 +157,7 @@ impl fmt::Display for Program {
 }
 
 /// Result of replaying a [`Program`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionReport {
     /// Total wall-clock time.
     pub total: Seconds,

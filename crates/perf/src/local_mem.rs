@@ -10,10 +10,9 @@ use core::fmt;
 
 use ador_model::ModelConfig;
 use ador_units::Bytes;
-use serde::{Deserialize, Serialize};
 
 /// The layer types Fig. 12 plots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayerKind {
     /// Token-embedding gather output.
     TokenEmbedding,
@@ -58,7 +57,7 @@ impl fmt::Display for LayerKind {
 }
 
 /// Options for the usage simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LocalMemOptions {
     /// Attention-score tile length (FlashAttention-style softmax
     /// decomposition, paper §V-B); `None` materializes the full score row.

@@ -5,13 +5,12 @@ use core::fmt;
 use ador_hw::Architecture;
 use ador_model::{OpClass, OpKind, Operator, Phase};
 use ador_units::{Bandwidth, FlopCount, FlopRate, Seconds};
-use serde::{Deserialize, Serialize};
 
 use crate::schedule::{self, UnitChoice};
 use crate::Deployment;
 
 /// What limited an operator's execution time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BoundKind {
     /// DRAM streaming (weights or KV) governed.
     Memory,
@@ -34,7 +33,7 @@ impl fmt::Display for BoundKind {
 
 /// Latency decomposition of one operator on one device
 /// (C-INTERMEDIATE — the Fig. 11 breakdowns read the components).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpLatency {
     /// Compute-side time (the governing fabric's busy window).
     pub compute: Seconds,

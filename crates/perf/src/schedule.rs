@@ -4,10 +4,9 @@
 use ador_hw::Architecture;
 use ador_model::{OpClass, Phase};
 use ador_units::{FlopRate, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// The compute unit(s) assigned to an operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnitChoice {
     /// MAC trees only (decode attention: keep DRAM bandwidth saturated).
     MacTree,
@@ -63,7 +62,7 @@ pub fn choose_unit(arch: &Architecture, phase: Phase, class: OpClass) -> UnitCho
 /// Effective compute rates of each fabric on a given matmul shape,
 /// accounting for multi-core work splitting (C-INTERMEDIATE: the Fig. 11a
 /// sweep reads these directly).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FabricRates {
     /// Systolic arrays' achieved rate on this shape.
     pub sa: FlopRate,

@@ -16,7 +16,6 @@ use ador_model::workload::StepSummary;
 use ador_model::{graph, ModelConfig, Operator, Phase};
 use ador_noc::CollectiveCost;
 use ador_units::{Bytes, FlopCount, Seconds, Utilization};
-use serde::Serialize;
 
 use crate::op_latency::{operator_latency, StreamRates};
 use crate::{Deployment, PerfError};
@@ -27,7 +26,7 @@ const MAX_BUCKETS: usize = 8;
 
 /// Latency of one inference step (a full prefill pass or one decode step),
 /// with the per-bucket breakdown the paper plots in Fig. 11.
-#[derive(Clone, Serialize)]
+#[derive(Clone)]
 pub struct StepLatency {
     /// Wall-clock step time (operators + exposed synchronization).
     pub total: Seconds,
@@ -67,11 +66,6 @@ impl StepLatency {
     pub fn dram_utilization(&self, spec: ador_units::Bandwidth) -> Utilization {
         let ideal = Seconds::new(self.dram_bytes_per_device.get() as f64 / spec.as_bytes_per_sec());
         Utilization::new_clamped(ideal.get() / self.total.get())
-    }
-
-    /// Achieved fraction of `peak` compute over the step.
-    pub fn compute_utilization(&self, peak: ador_units::FlopRate) -> Utilization {
-        Utilization::new_clamped(self.flops_per_device.get() / (peak.get() * self.total.get()))
     }
 }
 
@@ -408,22 +402,6 @@ impl<'a> Evaluator<'a> {
     pub fn decode_interval(&self, batch: usize, context_len: usize) -> Result<Seconds, PerfError> {
         Ok(self.step(Phase::Decode { batch, context_len })?.total)
     }
-
-    /// Aggregate decode throughput in tokens/s across the whole batch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Self::step`] errors.
-    pub fn decode_throughput(
-        &self,
-        batch: usize,
-        context_len: usize,
-    ) -> Result<ador_units::TokensPerSecond, PerfError> {
-        let interval = self.decode_interval(batch, context_len)?;
-        Ok(ador_units::TokensPerSecond::new(
-            batch as f64 / interval.get(),
-        ))
-    }
 }
 
 #[cfg(test)]
@@ -634,10 +612,6 @@ mod tests {
         };
         assert_eq!(eval.ttft(0, 128), invalid(empty_prefill));
         assert_eq!(eval.decode_interval(4, 0), invalid(empty_decode));
-        assert!(matches!(
-            eval.decode_throughput(0, 128),
-            Err(PerfError::InvalidPhase(_))
-        ));
         for phase in [
             Phase::Decode {
                 batch: 0,
@@ -793,16 +767,6 @@ mod tests {
         // Paper reports 2.51x better TBT at batch 150; our identical-link
         // sync model dilutes both sides, so we assert the structural win.
         assert!(gap > 1.4, "{gap:.2}");
-    }
-
-    #[test]
-    fn decode_throughput_grows_with_batch() {
-        let model = presets::llama3_8b();
-        let arch = ador_table3();
-        let eval = Evaluator::new(&arch, &model, Deployment::single_device()).unwrap();
-        let t16 = eval.decode_throughput(16, 1024).unwrap();
-        let t128 = eval.decode_throughput(128, 1024).unwrap();
-        assert!(t128 > t16);
     }
 
     #[test]

@@ -4,13 +4,12 @@
 use ador_model::ModelConfig;
 use ador_perf::Deployment;
 use ador_units::{Area, Bandwidth, Bytes, Frequency, Seconds};
-use serde::{Deserialize, Serialize};
 
 use crate::report::SearchError;
 
 /// What the vendor can spend (Fig. 9: area budget, power budget,
 /// hardware utilization — we model the silicon side).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VendorConstraints {
     /// Maximum die area.
     pub area_budget: Area,
@@ -49,7 +48,7 @@ impl VendorConstraints {
 }
 
 /// What the end-user demands (Fig. 9: TTFT, TBT, requests/s).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UserRequirements {
     /// Maximum time-to-first-token at the workload's prompt length.
     pub ttft_max: Seconds,
@@ -81,7 +80,7 @@ impl UserRequirements {
 }
 
 /// The serving workload the design must carry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// Target model.
     pub model: ModelConfig,
@@ -109,15 +108,6 @@ impl Workload {
         }
     }
 
-    /// Average decode-step work per device, for the bandwidth law.
-    pub fn decode_flops(&self) -> ador_units::FlopCount {
-        ador_model::workload::StepSummary::compute(
-            &self.model,
-            ador_model::Phase::decode(self.batch, self.seq_len),
-        )
-        .flops
-    }
-
     /// Plans the tensor-parallel deployment this workload needs on devices
     /// of the vendor's memory capacity.
     ///
@@ -134,19 +124,19 @@ impl Workload {
             )));
         }
         let kv = self.model.kv_cache_bytes(self.batch, 2 * self.seq_len);
-        let plan = ador_parallel::ParallelPlan::for_memory(
+        let tp = ador_parallel::TensorParallel::for_memory(
             &self.model,
             kv,
             vendor.memory_capacity,
             vendor.max_devices,
         )
         .map_err(|e| SearchError::DeploymentPlanning(e.to_string()))?;
-        Ok(Deployment::tensor_parallel(plan.devices()))
+        Ok(Deployment::tensor_parallel(tp.devices))
     }
 }
 
 /// The full search input.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchInput {
     /// Vendor-side constraints.
     pub vendor: VendorConstraints,

@@ -30,7 +30,6 @@ use ador_hw::Architecture;
 use ador_model::ModelConfig;
 use ador_perf::Deployment;
 use ador_serving::{SimConfig, SimError};
-use serde::Serialize;
 
 /// The chip palette the fleet search draws from.
 #[derive(Debug, Clone)]
@@ -79,7 +78,7 @@ pub struct FleetSearchInput<'a> {
 }
 
 /// One evaluated fleet composition.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FleetCandidate {
     /// Human-readable composition, e.g. `"disagg 1xPrefill-Optimized + 3xDecode-Optimized"`.
     pub label: String,
@@ -109,7 +108,7 @@ pub struct FleetCandidate {
 
 /// The fleet search result: every candidate evaluated plus the chosen
 /// composition and the best homogeneous runner-up it is judged against.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FleetSearchOutcome {
     /// All candidates, in the deterministic enumeration order.
     pub candidates: Vec<FleetCandidate>,

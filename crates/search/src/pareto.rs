@@ -6,12 +6,11 @@
 //! non-dominated set from a search's candidate log.
 
 use ador_units::{Area, Seconds};
-use serde::Serialize;
 
 use crate::{SearchOutcome, SearchStep};
 
 /// One non-dominated design point.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParetoPoint {
     /// Candidate name (encodes the SA/MT/core configuration).
     pub candidate: String,

@@ -5,10 +5,9 @@ use core::fmt;
 use ador_hw::{Architecture, AreaBreakdown};
 use ador_perf::Deployment;
 use ador_units::{Area, Seconds};
-use serde::Serialize;
 
 /// One evaluated candidate in the search log.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchStep {
     /// Candidate name (encodes SA/MT/core configuration).
     pub candidate: String,
@@ -25,7 +24,7 @@ pub struct SearchStep {
 /// The proposed architecture plus everything the paper's Fig. 9 reports:
 /// QoS, utilization context, area/cost estimate, and the feedback notes
 /// when requirements could not be met.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SearchOutcome {
     /// The proposed architecture.
     pub architecture: Architecture,

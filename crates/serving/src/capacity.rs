@@ -4,12 +4,11 @@
 use ador_hw::Architecture;
 use ador_model::ModelConfig;
 use ador_perf::Deployment;
-use serde::Serialize;
 
 use crate::{QosReport, ServingSim, SimConfig, SimError, Slo, TraceProfile};
 
 /// Result of a capacity search.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CapacityResult {
     /// Largest arrival rate (req/s) that met the SLO.
     pub rate: f64,

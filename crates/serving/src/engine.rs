@@ -168,6 +168,8 @@ struct StepScratch {
     received: Vec<usize>,
     /// Active slots whose request finished this step, ascending.
     finished: Vec<usize>,
+    /// `SloAdaptive` bids: (active slot, urgency, draftable room).
+    bids: Vec<(usize, f64, usize)>,
 }
 
 /// What one [`Engine::step`] call did.
@@ -600,6 +602,7 @@ impl<'a> Engine<'a> {
                 chunks,
                 received,
                 finished,
+                bids,
             } = &mut scratch;
 
             // Speculation plan: assign each decoding request a draft
@@ -631,28 +634,31 @@ impl<'a> Engine<'a> {
                     // most-urgent-first (ties toward the older request),
                     // so throughput tenants never pay latency tenants'
                     // verify overhead.
-                    let mut bids: Vec<(usize, f64, usize)> = self
-                        .active
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, a)| a.is_decoding())
-                        .filter_map(|(i, a)| {
-                            let urgency = spec.urgency(
-                                a.job.request.slo.and_then(|s| s.tbt_max),
-                                a.job.mean_tbt_so_far(),
-                            )?;
-                            let room = a.job.request.output_tokens - a.job.generated - 1;
-                            Some((i, urgency, room))
-                        })
-                        .collect();
-                    bids.sort_by(|a, b| {
+                    bids.clear();
+                    bids.extend(
+                        self.active
+                            .iter()
+                            .enumerate()
+                            .filter(|(_, a)| a.is_decoding())
+                            .filter_map(|(i, a)| {
+                                let urgency = spec.urgency(
+                                    a.job.request.slo.and_then(|s| s.tbt_max),
+                                    a.job.mean_tbt_so_far(),
+                                )?;
+                                let room = a.job.request.output_tokens - a.job.generated - 1;
+                                Some((i, urgency, room))
+                            }),
+                    );
+                    // The slot index breaks every tie, so the order is
+                    // total and an unstable sort (no heap scratch) is exact.
+                    bids.sort_unstable_by(|a, b| {
                         b.1.partial_cmp(&a.1)
                             // ador-lint: allow(panic) — invariant: urgency is a ratio of finite positive times
                             .expect("urgency is never NaN")
                             .then(a.0.cmp(&b.0))
                     });
                     let mut budget = spec.budget_tokens(self.cfg.max_batch);
-                    for (i, urgency, room) in bids {
+                    for &(i, urgency, room) in bids.iter() {
                         if budget == 0 {
                             break;
                         }

@@ -45,7 +45,7 @@
 //!
 //! The paper pulls `HuggingFaceH4/ultrachat_200k` from the hub to
 //! reconstruct token-length patterns; offline, we substitute a seeded
-//! log-normal fit of the same marginals (see `DESIGN.md` §2.7).
+//! log-normal fit of the same marginals ([`TraceProfile`]).
 //!
 //! # Examples
 //!
@@ -77,7 +77,6 @@ mod qos;
 mod request;
 mod sim;
 mod slo;
-mod sweep;
 mod trace;
 
 pub use capacity::{bisect_rate, max_capacity, CapacityResult};
@@ -88,7 +87,6 @@ pub use qos::{EngineCounters, LatencyStats, QosReport};
 pub use request::{Request, RequestOutcome};
 pub use sim::{SchedulerPolicy, ServingSim, SimConfig, SimError};
 pub use slo::Slo;
-pub use sweep::{saturation_knee, sweep_rates, SweepPoint};
 pub use trace::TraceProfile;
 
 // Speculative decoding lives in its own engine-independent crate

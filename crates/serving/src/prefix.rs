@@ -36,8 +36,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use ador_units::conv;
 
-use serde::Serialize;
-
 /// Tokens per prefix-cache block. Matching, sharing and eviction all
 /// happen at this granularity; a prompt's trailing partial block is never
 /// shared.
@@ -50,7 +48,7 @@ const ROOT: usize = 0;
 const DEAD: u64 = u64::MAX;
 
 /// Lifetime counters of a [`PrefixCache`], in tokens.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PrefixCacheStats {
     /// Prompt tokens whose prefill was skipped because their block was
     /// already resident at admission.
@@ -62,19 +60,6 @@ pub struct PrefixCacheStats {
     pub evicted_tokens: usize,
     /// Tokens of blocks inserted into the cache.
     pub inserted_tokens: usize,
-}
-
-impl PrefixCacheStats {
-    /// Block hit rate over the shareable (full-block) prompt tokens seen
-    /// so far: `hit / (hit + miss)`, or 0 before any lookup.
-    pub fn hit_rate(&self) -> f64 {
-        let seen = self.hit_tokens + self.miss_tokens;
-        if seen == 0 {
-            0.0
-        } else {
-            conv::f64_from_usize(self.hit_tokens) / conv::f64_from_usize(seen)
-        }
-    }
 }
 
 /// One cached block: a node of the prefix trie.
@@ -623,13 +608,11 @@ mod tests {
     #[test]
     fn hit_rate_tracks_recorded_lookups() {
         let mut c = PrefixCache::new();
-        assert_eq!(c.stats().hit_rate(), 0.0);
         let (matched, n) = c.acquire(1, 2 * B);
         c.record_lookup(matched, 2 * B - matched); // 2 blocks missed
         c.extend(1, n, 0, 2 * B);
         let (matched, _) = c.acquire(1, 2 * B);
         c.record_lookup(matched, 2 * B - matched); // 2 blocks hit
-        assert!((c.stats().hit_rate() - 0.5).abs() < 1e-12);
         assert_eq!(c.stats().hit_tokens, 2 * B);
         assert_eq!(c.stats().miss_tokens, 2 * B);
     }

@@ -1,12 +1,11 @@
 //! QoS aggregation: the "QoS Calculator" of Fig. 14b.
 
 use ador_units::{conv, Seconds};
-use serde::Serialize;
 
 use crate::RequestOutcome;
 
 /// Percentile summary of a latency population.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyStats {
     /// Arithmetic mean.
     pub mean: Seconds,
@@ -55,7 +54,7 @@ impl LatencyStats {
 
 /// Engine-level counters the scheduler accumulates across its iterations,
 /// reported alongside the per-request latency populations.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EngineCounters {
     /// Mean decode-batch occupancy (token-producing requests per step).
     pub mean_batch: f64,
@@ -96,7 +95,7 @@ pub struct EngineCounters {
 }
 
 /// The full QoS report of one serving simulation.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QosReport {
     /// Completed requests.
     pub completed: usize,

@@ -1,12 +1,11 @@
 //! Serving requests and their measured outcomes.
 
 use ador_units::Seconds;
-use serde::{Deserialize, Serialize};
 
 use crate::Slo;
 
 /// One user request: arrival time plus prompt/response token lengths.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Request {
     /// Monotonic request id (arrival order).
     pub id: u64,
@@ -120,7 +119,7 @@ impl Request {
 }
 
 /// The measured lifecycle of one completed request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestOutcome {
     /// The request this outcome belongs to.
     pub request: Request,
@@ -132,16 +131,6 @@ pub struct RequestOutcome {
     pub max_tbt: Seconds,
     /// Time from arrival to final token.
     pub e2e: Seconds,
-}
-
-impl RequestOutcome {
-    /// Generation throughput for this request, in tokens per second.
-    pub fn decode_rate(&self) -> f64 {
-        if self.mean_tbt.is_zero() {
-            return 0.0;
-        }
-        1.0 / self.mean_tbt.get()
-    }
 }
 
 #[cfg(test)]
@@ -158,17 +147,5 @@ mod tests {
     #[should_panic(expected = "at least one")]
     fn zero_output_rejected() {
         let _ = Request::new(1, Seconds::ZERO, 100, 0);
-    }
-
-    #[test]
-    fn decode_rate_inverts_tbt() {
-        let out = RequestOutcome {
-            request: Request::new(1, Seconds::ZERO, 10, 10),
-            ttft: Seconds::from_millis(50.0),
-            mean_tbt: Seconds::from_millis(20.0),
-            max_tbt: Seconds::from_millis(30.0),
-            e2e: Seconds::from_millis(250.0),
-        };
-        assert_eq!(out.decode_rate(), 50.0);
     }
 }

@@ -39,13 +39,12 @@ use ador_perf::{Deployment, Evaluator, PerfError};
 use ador_spec::SpeculationConfig;
 use ador_telemetry::TelemetryConfig;
 use ador_units::{conv, Bandwidth, Seconds};
-use serde::{Deserialize, Serialize};
 
 use crate::engine::{Engine, StepEvent};
 use crate::{QosReport, Request, RequestGenerator, RequestOutcome, TraceProfile};
 
 /// How the scheduler shares engine iterations between prefill and decode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerPolicy {
     /// Every iteration carries up to one prefill chunk alongside the decode
     /// step (fused continuous batching). Fastest admission and best TTFT;
@@ -59,7 +58,7 @@ pub enum SchedulerPolicy {
 }
 
 /// Serving-simulation parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Mean Poisson arrival rate, requests/s.
     pub arrival_rate: f64,
@@ -181,6 +180,11 @@ pub enum SimError {
         /// Tokens of KV budget available.
         budget_tokens: usize,
     },
+    /// A generated workload needs a positive, finite Poisson arrival rate.
+    InvalidArrivalRate {
+        /// The configured [`SimConfig::arrival_rate`] (req/s).
+        rate: f64,
+    },
     /// A capacity search was given a bad rate bracket.
     InvalidBounds {
         /// Lower bracket end (req/s).
@@ -215,6 +219,9 @@ impl fmt::Display for SimError {
                     f,
                     "KV budget of {budget_tokens} tokens cannot hold a single request"
                 )
+            }
+            SimError::InvalidArrivalRate { rate } => {
+                write!(f, "arrival rate must be positive and finite, got {rate}")
             }
             SimError::InvalidBounds { lo, hi } => {
                 write!(f, "invalid capacity bounds ({lo}, {hi}): need 0 < lo < hi")
@@ -313,12 +320,19 @@ impl<'a> ServingSim<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates performance-model errors ([`SimError::Perf`]) and
+    /// Returns [`SimError::InvalidArrivalRate`] unless
+    /// [`SimConfig::arrival_rate`] is positive and finite. Propagates
+    /// performance-model errors ([`SimError::Perf`]) and
     /// [`SimError::NoKvHeadroom`] if a sampled request can never fit the
     /// KV budget.
     pub fn run(self, profile: TraceProfile) -> Result<QosReport, SimError> {
-        let requests = RequestGenerator::new(self.cfg.arrival_rate, profile, self.cfg.seed)
-            .take(self.cfg.requests);
+        // Checked here, not in `new`: fleets build engines through `new`
+        // and feed them requests, never reading this rate.
+        let rate = self.cfg.arrival_rate;
+        if !(rate.is_finite() && rate > 0.0) {
+            return Err(SimError::InvalidArrivalRate { rate });
+        }
+        let requests = RequestGenerator::new(rate, profile, self.cfg.seed).take(self.cfg.requests);
         self.run_requests(requests).map(|(report, _)| report)
     }
 
@@ -548,9 +562,9 @@ mod tests {
 
     #[test]
     fn zero_token_request_is_rejected_up_front() {
-        // `Request`'s fields are public (and Deserialize-able), so a
-        // replayed trace can bypass `Request::new`'s assert; the scheduler
-        // must refuse such entries instead of spinning forever.
+        // `Request`'s fields are public, so a replayed trace can bypass
+        // `Request::new`'s assert; the scheduler must refuse such entries
+        // instead of spinning forever.
         let arch = ador_table3();
         let model = presets::llama3_8b();
         let mk = || {
@@ -595,6 +609,24 @@ mod tests {
             "{}",
             report.mean_batch
         );
+    }
+
+    #[test]
+    fn hostile_arrival_rates_are_typed_errors() {
+        let arch = ador_table3();
+        let model = presets::llama3_8b();
+        for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let cfg = SimConfig::new(rate, 8).with_requests(4);
+            let err = ServingSim::new(&arch, &model, Deployment::single_device(), cfg)
+                .unwrap()
+                .run(TraceProfile::short_chat())
+                .unwrap_err();
+            // NaN != NaN, so compare the payload's bits.
+            assert!(
+                matches!(err, SimError::InvalidArrivalRate { rate: r } if r.to_bits() == rate.to_bits()),
+                "rate {rate}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! maximally processed under a given SLO").
 
 use ador_units::Seconds;
-use serde::{Deserialize, Serialize};
 
 use crate::QosReport;
 
@@ -18,7 +17,7 @@ use crate::QosReport;
 /// let relaxed = Slo::relaxed();
 /// assert!(strict.tbt_max.unwrap() < relaxed.tbt_max.unwrap());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Slo {
     /// Maximum acceptable p95 time-to-first-token.
     pub ttft_max: Option<Seconds>,

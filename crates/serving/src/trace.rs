@@ -8,10 +8,9 @@
 
 use ador_units::conv;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A log-normal token-length model for prompts and responses.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceProfile {
     /// Mean of `ln(input_tokens)`.
     pub input_mu: f64,

@@ -54,7 +54,6 @@
 #![warn(missing_docs)]
 
 use ador_units::{conv, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// Default ceiling on speculation depth (draft tokens per verify step).
 pub const DEFAULT_MAX_DEPTH: usize = 4;
@@ -68,8 +67,8 @@ pub const DEFAULT_ACCEPTANCE: f64 = 0.7;
 /// token's share of the decode interval at the same batch and context.
 pub const DEFAULT_DRAFT_TIME_RATIO: f64 = 0.1;
 
-/// Default [`SloAdaptive`] verify-token budget, as a fraction of the
-/// engine's batch slots: the drafted tokens all requests may add to one
+/// The [`SloAdaptive`] verify-token budget, as a fraction of the engine's
+/// batch slots: the drafted tokens all requests may add to one
 /// verify pass together. A full batch already amortizes weight reads, so
 /// extra verify tokens there cost real compute that every co-batched
 /// request pays for; capping the drafted total (and spending it urgent
@@ -98,7 +97,7 @@ pub const SLACK_FLOOR: f64 = 0.5;
 pub const URGENT_CEIL: f64 = 0.9;
 
 /// How the engine picks a speculation depth for each decoding request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SpeculationPolicy {
     /// No speculation: every decode step commits exactly one token — the
     /// engine's historical behaviour, bit-identical.
@@ -113,7 +112,7 @@ pub enum SpeculationPolicy {
     /// at or past [`URGENT_CEIL`] of their target get the full
     /// [`SpeculationConfig::max_depth`], requests below [`SLACK_FLOOR`]
     /// of it get none — and the per-step drafted total is capped by the
-    /// verify-token budget ([`SpeculationConfig::verify_budget`]), spent
+    /// verify-token budget ([`DEFAULT_VERIFY_BUDGET`]), spent
     /// most-urgent-first. Requests without a TBT target (throughput
     /// tenants) never speculate.
     SloAdaptive,
@@ -131,7 +130,7 @@ impl std::fmt::Display for SpeculationPolicy {
 
 /// Speculative-decoding parameters: the policy plus the acceptance process
 /// seed and the draft/verify cost knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpeculationConfig {
     /// The depth policy.
     pub policy: SpeculationPolicy,
@@ -155,11 +154,6 @@ pub struct SpeculationConfig {
     /// analytical model, which evaluates the decode pass at
     /// `batch + drafted` token positions.
     pub draft_time_ratio: f64,
-    /// [`SloAdaptive`](SpeculationPolicy::SloAdaptive) verify-token
-    /// budget as a fraction of the engine's batch slots
-    /// ([`DEFAULT_VERIFY_BUDGET`]): the drafted-token total one step may
-    /// carry, allocated most-urgent-first. Ignored by `Fixed`.
-    pub verify_budget: f64,
 }
 
 impl SpeculationConfig {
@@ -173,7 +167,6 @@ impl SpeculationConfig {
             max_depth: DEFAULT_MAX_DEPTH,
             default_acceptance: DEFAULT_ACCEPTANCE,
             draft_time_ratio: DEFAULT_DRAFT_TIME_RATIO,
-            verify_budget: DEFAULT_VERIFY_BUDGET,
         }
     }
 
@@ -230,21 +223,6 @@ impl SpeculationConfig {
         self
     }
 
-    /// Sets the `SloAdaptive` verify-token budget (as a fraction of the
-    /// engine's batch slots).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `budget` is negative or not finite.
-    pub fn with_verify_budget(mut self, budget: f64) -> Self {
-        assert!(
-            budget.is_finite() && budget >= 0.0,
-            "verify budget must be finite and non-negative, got {budget}"
-        );
-        self.verify_budget = budget;
-        self
-    }
-
     /// Whether any request can ever draft a token under this config.
     pub fn speculates(&self) -> bool {
         match self.policy {
@@ -289,7 +267,7 @@ impl SpeculationConfig {
     /// The per-step drafted-token budget for an engine with `max_batch`
     /// slots (`Fixed` ignores it; see [`DEFAULT_VERIFY_BUDGET`]).
     pub fn budget_tokens(&self, max_batch: usize) -> usize {
-        conv::usize_from_f64((self.verify_budget * conv::f64_from_usize(max_batch)).floor())
+        conv::usize_from_f64((DEFAULT_VERIFY_BUDGET * conv::f64_from_usize(max_batch)).floor())
     }
 }
 
@@ -300,7 +278,7 @@ impl Default for SpeculationConfig {
 }
 
 /// One verify step's outcome for one request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Verify {
     /// Draft tokens proposed (after clamping the requested depth at the
     /// request's stop boundary).
@@ -319,27 +297,13 @@ impl Verify {
     pub fn rejected(&self) -> usize {
         self.drafted - self.accepted
     }
-
-    /// The wasted share of the verify step's wall time as an exact
-    /// rational `(rejected, drafted + 1)`: the pass processed
-    /// `drafted + 1` candidate positions (the drafts plus its own
-    /// correction/bonus token), of which `rejected` bought nothing.
-    ///
-    /// This is the ratio time-loss attribution charges to speculative
-    /// waste — kept as an integer pair (not an `f64`) so a step
-    /// duration multiplied through it partitions exactly, preserving
-    /// the conservation invariant of
-    /// `ador_telemetry::attribution`.
-    pub fn waste_ratio(&self) -> (usize, usize) {
-        (self.rejected(), self.drafted + 1)
-    }
 }
 
 /// The per-request acceptance process: a counter-mode SplitMix64 stream
 /// keyed by `(seed, request id)`, drawn once per drafted token. Fully
 /// deterministic and independent of engine interleaving: the `n`-th draw
 /// of request `r` is the same in a solo engine and in a 16-replica fleet.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DraftStream {
     key: u64,
     draws: u64,
@@ -418,23 +382,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn waste_ratio_is_the_rejected_share_of_verify_positions() {
-        let verify = Verify {
-            drafted: 3,
-            accepted: 1,
-            committed: 2,
-        };
-        assert_eq!(verify.rejected(), 2);
-        assert_eq!(verify.waste_ratio(), (2, 4));
-        let clean = Verify {
-            drafted: 0,
-            accepted: 0,
-            committed: 1,
-        };
-        assert_eq!(clean.waste_ratio(), (0, 1), "plain decode wastes nothing");
-    }
-
-    #[test]
     fn off_and_fixed_zero_never_speculate() {
         assert!(!SpeculationConfig::off().speculates());
         assert!(!SpeculationConfig::new(SpeculationPolicy::Fixed(0)).speculates());
@@ -476,8 +423,7 @@ mod tests {
     fn verify_budget_scales_with_batch_slots() {
         let cfg = SpeculationConfig::new(SpeculationPolicy::SloAdaptive);
         assert_eq!(cfg.budget_tokens(64), 32);
-        assert_eq!(cfg.with_verify_budget(0.25).budget_tokens(64), 16);
-        assert_eq!(cfg.with_verify_budget(0.0).budget_tokens(64), 0);
+        assert_eq!(cfg.budget_tokens(256), 128);
     }
 
     #[test]

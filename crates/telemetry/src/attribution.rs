@@ -42,7 +42,6 @@
 //! or still in flight — are skipped, not guessed at.
 
 use ador_units::{conv, Seconds};
-use serde::Serialize;
 
 use crate::event::{Event, EventKind};
 
@@ -55,7 +54,7 @@ fn nanos(t: Seconds) -> u64 {
 /// The conserved per-request latency decomposition, in integer
 /// nanoseconds. The field sum equals the request's measured end-to-end
 /// latency exactly (see the module docs for each component's meaning).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Components {
     /// Enqueue-to-admission wait, across both pools under disaggregation.
     pub queue_ns: u64,
@@ -136,7 +135,7 @@ impl Components {
 
 /// The dominant reason a request missed its SLO: the loss component
 /// that cost it the most time (ties broken by [`MISS_CAUSES`] order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MissCause {
     /// Waiting in an admission queue dominated.
     Queue,
@@ -204,7 +203,7 @@ impl std::fmt::Display for MissCause {
 }
 
 /// One completed request's conserved latency decomposition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestAttribution {
     /// The request id the decomposition belongs to.
     pub request: u64,
@@ -243,7 +242,7 @@ impl RequestAttribution {
 /// fleet). All counters are integers, so [`AttributionReport::merge`]
 /// is exact: merging per-tenant reports reproduces the fleet report
 /// bit-for-bit.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct AttributionReport {
     /// Completed requests with a full attributed lifecycle.
     pub requests: u64,

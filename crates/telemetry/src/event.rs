@@ -8,7 +8,6 @@
 //! bit-identical.
 
 use ador_units::Seconds;
-use serde::Serialize;
 
 /// What happened to a request at one point in its lifecycle.
 ///
@@ -17,7 +16,7 @@ use serde::Serialize;
 /// 32 bytes: the engine emits one event per committed token, and at
 /// fleet scale the ring-buffer write traffic of tens of millions of
 /// events is what the tracing overhead budget is spent on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// The request entered the engine's waiting queue (stamped with its
     /// arrival time).
@@ -79,7 +78,7 @@ pub enum EventKind {
 }
 
 /// One timestamped lifecycle event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Event {
     /// Simulated time at which the transition happened.
     pub time: Seconds,
@@ -156,16 +155,6 @@ impl FlightRecorder {
             .unwrap_or_default()
             .iter()
             .chain(newer.unwrap_or_default().iter())
-    }
-
-    /// The retained events for one request, oldest first — the
-    /// post-mortem view for a single SLO-missing request.
-    #[must_use]
-    pub fn for_request(&self, request: u64) -> Vec<Event> {
-        self.events()
-            .filter(|e| e.request == request)
-            .copied()
-            .collect()
     }
 
     /// Records one event, evicting the oldest once `capacity` are held.
@@ -272,18 +261,6 @@ mod tests {
         assert_eq!(ring.len(), 3);
         let kept: Vec<u64> = ring.events().map(|e| e.request).collect();
         assert_eq!(kept, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn flight_recorder_filters_per_request() {
-        let mut ring = FlightRecorder::new(8);
-        ring.record(&ev(0.0, 7, EventKind::Enqueue));
-        ring.record(&ev(0.1, 9, EventKind::Enqueue));
-        ring.record(&ev(0.2, 7, EventKind::Complete));
-        let seven = ring.for_request(7);
-        assert_eq!(seven.len(), 2);
-        assert_eq!(seven[1].kind, EventKind::Complete);
-        assert_eq!(ring.for_request(8), Vec::new());
     }
 
     #[test]

@@ -67,10 +67,9 @@ pub use phase::{spans, Phase, Span};
 pub use series::{goodput_series, SeriesCollector, SeriesPoint, SeriesSample, TimeSeries};
 
 use ador_units::Seconds;
-use serde::{Deserialize, Serialize};
 
 /// Which [`FlightRecorder`] the engine installs at construction.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub enum EventSinkKind {
     /// No recorder: the zero-overhead default.
     #[default]
@@ -95,7 +94,7 @@ pub enum EventSinkKind {
 /// needs the *first* commit after each admission or resume, so the
 /// always-on production configuration can elide the steady one-token
 /// commits and keep everything else.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub enum EventDetail {
     /// Every lifecycle transition, including one `Commit` per decode
     /// step per request — full-fidelity per-token timing (the default).
@@ -113,7 +112,7 @@ pub enum EventDetail {
 ///
 /// The default ([`TelemetryConfig::OFF`]) records nothing and adds no
 /// work to the hot path.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct TelemetryConfig {
     /// Lifecycle-event sink to install.
     pub events: EventSinkKind,

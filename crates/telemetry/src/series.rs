@@ -8,7 +8,6 @@
 
 use ador_units::conv::{f64_from_u64, usize_from_f64};
 use ador_units::Seconds;
-use serde::Serialize;
 
 /// Smallest accepted sampling interval; shorter requests are clamped so
 /// the collector can always make progress.
@@ -38,7 +37,7 @@ pub struct SeriesSample {
 }
 
 /// One point of the per-replica time series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeriesPoint {
     /// Sim time of the sample.
     pub time: Seconds,
@@ -59,7 +58,7 @@ pub struct SeriesPoint {
 }
 
 /// A completed per-replica time series.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     /// Requested sampling interval.
     pub interval: Seconds,

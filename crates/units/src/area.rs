@@ -2,8 +2,6 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A silicon area in square millimetres.
 ///
 /// # Examples
@@ -15,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// let ador = Area::from_mm2(516.0);
 /// assert!((a100 / ador - 1.6) < 0.01);
 /// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Area(f64);
 
 scalar_quantity!(Area, "square millimetres");
@@ -58,7 +56,7 @@ impl fmt::Display for Area {
 /// let h100 = Power::from_watts(700.0);
 /// assert_eq!(h100.as_watts(), 700.0);
 /// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Power(f64);
 
 scalar_quantity!(Power, "watts");

@@ -3,8 +3,6 @@
 use core::fmt;
 use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Seconds, Utilization};
 
 /// A volume of data in bytes.
@@ -22,9 +20,7 @@ use crate::{Seconds, Utilization};
 /// assert_eq!(cache, Bytes::from_mib(128));
 /// assert_eq!(format!("{cache}"), "128.00 MiB");
 /// ```
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Bytes(u64);
 
 impl Bytes {
@@ -243,7 +239,7 @@ impl From<u64> for Bytes {
 /// let t = Bytes::from_gib(80) / hbm;
 /// assert!((t.as_millis() - 25.6).abs() < 0.1);
 /// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Bandwidth(f64);
 
 impl Bandwidth {

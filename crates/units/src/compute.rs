@@ -4,8 +4,6 @@
 use core::fmt;
 use core::ops::{Div, Mul};
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Seconds, Utilization};
 
 /// A count of floating-point operations (one multiply-accumulate = 2 FLOPs,
@@ -20,7 +18,7 @@ use crate::{Seconds, Utilization};
 /// let gemv = FlopCount::from_macs(4096 * 14336);
 /// assert_eq!(gemv.get(), 2.0 * 4096.0 * 14336.0);
 /// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd)]
 pub struct FlopCount(f64);
 
 scalar_quantity!(FlopCount, "flops");
@@ -50,12 +48,6 @@ impl FlopCount {
     #[inline]
     pub fn from_tera(tflops: f64) -> Self {
         Self::new(tflops * 1e12)
-    }
-
-    /// Returns the count as multiply-accumulates.
-    #[inline]
-    pub fn as_macs(self) -> f64 {
-        self.0 / 2.0
     }
 
     /// Returns the count in units of 10⁹ operations.
@@ -94,7 +86,7 @@ impl fmt::Display for FlopCount {
 /// let prefill = FlopCount::from_tera(16.4);
 /// assert!((prefill / a100).as_millis() - 52.6 < 0.1);
 /// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd)]
 pub struct FlopRate(f64);
 
 scalar_quantity!(FlopRate, "flops per second");
@@ -187,7 +179,7 @@ impl Div<Seconds> for FlopCount {
 /// let rate = TokensPerSecond::from_interval(tbt);
 /// assert_eq!(rate.get(), 50.0);
 /// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd)]
 pub struct TokensPerSecond(f64);
 
 scalar_quantity!(TokensPerSecond, "tokens per second");
@@ -243,7 +235,6 @@ mod tests {
     #[test]
     fn macs_are_two_flops() {
         assert_eq!(FlopCount::from_macs(10).get(), 20.0);
-        assert_eq!(FlopCount::from_macs(10).as_macs(), 10.0);
     }
 
     #[test]

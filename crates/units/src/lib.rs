@@ -79,7 +79,6 @@ mod conversion_tests {
         assert_eq!(s.as_micros(), 1500.0);
         assert_eq!(Seconds::from_micros(250.0).as_millis(), 0.25);
         assert_eq!(Frequency::from_ghz(1.0).as_mhz(), 1000.0);
-        assert_eq!(Frequency::from_mhz(500.0).period().as_micros(), 0.002);
     }
 
     #[test]
@@ -153,7 +152,6 @@ mod conversion_tests {
             Cycles::new(4).saturating_sub(Cycles::new(6)),
             Cycles::new(0)
         );
-        assert_eq!(Cycles::from_f64_ceil(2.1).get(), 3);
     }
 
     proptest! {

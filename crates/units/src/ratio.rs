@@ -3,8 +3,6 @@
 use core::fmt;
 use core::ops::Mul;
 
-use serde::{Deserialize, Serialize};
-
 /// A utilization or efficiency fraction, statically guaranteed to lie in
 /// `[0, 1]`.
 ///
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(combined.get(), 0.275);
 /// assert_eq!(format!("{gpu_hbm}"), "55.0%");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Utilization(f64);
 
 impl Utilization {

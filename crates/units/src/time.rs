@@ -4,8 +4,6 @@
 use core::fmt;
 use core::ops::Div;
 
-use serde::{Deserialize, Serialize};
-
 /// A span of wall-clock time in seconds.
 ///
 /// # Examples
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!((ttft + tbt).as_millis(), 42.0);
 /// assert!(ttft > tbt);
 /// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Seconds(f64);
 
 scalar_quantity!(Seconds, "seconds");
@@ -98,9 +96,7 @@ impl fmt::Display for Seconds {
 /// let t = gemm / Frequency::from_ghz(1.5);
 /// assert_eq!(t.as_millis(), 1.0);
 /// ```
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Cycles(u64);
 
 impl Cycles {
@@ -111,12 +107,6 @@ impl Cycles {
     #[inline]
     pub const fn new(n: u64) -> Self {
         Self(n)
-    }
-
-    /// Rounds a fractional cycle estimate up to whole cycles.
-    #[inline]
-    pub fn from_f64_ceil(n: f64) -> Self {
-        Self(n.max(0.0).ceil() as u64)
     }
 
     /// Returns the raw count.
@@ -189,7 +179,7 @@ impl core::iter::Sum for Cycles {
 /// let a100 = Frequency::from_mhz(1500.0);
 /// assert_eq!(a100.as_ghz(), 1.5);
 /// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Frequency(f64);
 
 impl Frequency {
@@ -235,12 +225,6 @@ impl Frequency {
     #[inline]
     pub fn as_ghz(self) -> f64 {
         self.0 / 1e9
-    }
-
-    /// The duration of a single cycle.
-    #[inline]
-    pub fn period(self) -> Seconds {
-        Seconds::new(1.0 / self.0)
     }
 }
 
@@ -291,12 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn period_inverts_frequency() {
-        let f = Frequency::from_ghz(2.0);
-        assert!((f.period().get() - 0.5e-9).abs() < 1e-21);
-    }
-
-    #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_time_rejected() {
         let _ = Seconds::new(-1.0);
@@ -309,11 +287,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn ceil_cycles_never_lose_work(x in 0.0f64..1e15) {
-            prop_assert!(Cycles::from_f64_ceil(x).get() as f64 >= x);
-        }
-
         #[test]
         fn higher_clock_is_faster(n in 1u64..1u64 << 40, ghz in 0.1f64..5.0) {
             let slow = Cycles::new(n) / Frequency::from_ghz(ghz);

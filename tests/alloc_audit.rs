@@ -8,7 +8,8 @@
 //!   and steady-state decode — full batch, no arrivals, no completions —
 //!   allocates only in the timing stage, when a new (batch, context
 //!   bucket) misses the step-cost cache: the step's working vectors are
-//!   engine-owned scratch. It also stays within the allocations-per-step
+//!   engine-owned scratch, with speculation off and under SLO-adaptive
+//!   speculation alike. It also stays within the allocations-per-step
 //!   budget the featureless `bench_attribution` artifact enforces;
 //! * profiling is deterministic: same-seed runs produce the same stage
 //!   `calls` layout (allocation *counts* are a pure function of the
@@ -17,19 +18,34 @@
 //! The counting `GlobalAlloc` lives here, not in the library: the
 //! workspace crates are `forbid(unsafe_code)`, so the harness owns the
 //! one unavoidable `unsafe impl` and hands the engine a safe
-//! `fn() -> u64` probe via `install_alloc_probe`.
+//! `fn() -> u64` probe via `install_alloc_probe`. It counts per thread,
+//! so the harness's own threads and a test running beside another
+//! never land in a measured window.
 #![cfg(feature = "profile")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use ador::model::presets;
 use ador::perf::Deployment;
 use ador::serving::profile::{self, Stage, StepProfile, STAGES};
-use ador::serving::{Engine, Request, ServingSim, SimConfig};
+use ador::serving::{
+    Engine, Request, ServingSim, SimConfig, Slo, SpeculationConfig, SpeculationPolicy,
+};
 use ador::units::Seconds;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Const-initialized and without a
+    /// destructor, so reading it from inside the allocator never
+    /// allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with` cannot fail for a destructor-less thread local; ignoring
+    // the error keeps the allocator panic-free regardless.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 struct CountingAlloc;
 
@@ -37,7 +53,7 @@ struct CountingAlloc;
 // bump is a side effect that never touches the returned memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -46,7 +62,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -55,30 +71,26 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn probe() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 const BATCH: usize = 32;
 const MEASURED_STEPS: u64 = 256;
 
-/// Builds one engine, saturates it with long decodes, and warms it past
-/// prefill and admission into pure decode.
+/// Builds one engine under `cfg`, saturates it with the long decodes
+/// `request` builds, and warms it past prefill and admission into pure
+/// decode.
 fn steady_engine<'a>(
     arch: &'a ador::hw::Architecture,
     model: &'a ador::model::ModelConfig,
+    cfg: SimConfig,
+    request: impl Fn(u64) -> Request,
 ) -> Engine<'a> {
-    let mut engine = ServingSim::new(
-        arch,
-        model,
-        Deployment::single_device(),
-        SimConfig::new(1.0, BATCH),
-    )
-    .expect("engine builds")
-    .engine();
+    let mut engine = ServingSim::new(arch, model, Deployment::single_device(), cfg)
+        .expect("engine builds")
+        .engine();
     for id in 0..BATCH as u64 {
-        engine
-            .submit(Request::new(id, Seconds::ZERO, 64, 4_096))
-            .expect("submit");
+        engine.submit(request(id)).expect("submit");
     }
     while engine.queue_depth() > 0 {
         engine.step().expect("warmup step");
@@ -97,6 +109,29 @@ fn run_measured(engine: &mut Engine<'_>) -> (StepProfile, StepProfile) {
     (before, *engine.step_profile())
 }
 
+fn long_decode(id: u64) -> Request {
+    Request::new(id, Seconds::ZERO, 64, 4_096)
+}
+
+/// Asserts that steady decode allocated nothing outside the timing stage,
+/// which allocates only to fill the step-cost cache.
+fn assert_only_timing_allocates(before: &StepProfile, after: &StepProfile) {
+    for stage in [
+        Stage::Arrivals,
+        Stage::Speculation,
+        Stage::Admission,
+        Stage::Commit,
+    ] {
+        let allocs = after.stage(stage).allocs - before.stage(stage).allocs;
+        assert_eq!(
+            allocs,
+            0,
+            "stage {} allocated {allocs} times over {MEASURED_STEPS} steady decode steps",
+            stage.label()
+        );
+    }
+}
+
 #[test]
 fn steady_decode_stage_profile_is_metered_bounded_and_deterministic() {
     // First install wins process-wide; a second call is a no-op, so this
@@ -105,7 +140,7 @@ fn steady_decode_stage_profile_is_metered_bounded_and_deterministic() {
 
     let arch = ador::baselines::ador_table3();
     let model = presets::llama3_8b();
-    let mut engine = steady_engine(&arch, &model);
+    let mut engine = steady_engine(&arch, &model, SimConfig::new(1.0, BATCH), long_decode);
     let (before, after) = run_measured(&mut engine);
 
     // Every stage is metered: steps and per-stage calls advance together.
@@ -130,21 +165,7 @@ fn steady_decode_stage_profile_is_metered_bounded_and_deterministic() {
     );
     drop(block);
 
-    // Steady decode allocates only to fill the step-cost cache.
-    for stage in [
-        Stage::Arrivals,
-        Stage::Speculation,
-        Stage::Admission,
-        Stage::Commit,
-    ] {
-        let allocs = after.stage(stage).allocs - before.stage(stage).allocs;
-        assert_eq!(
-            allocs,
-            0,
-            "stage {} allocated {allocs} times over {MEASURED_STEPS} steady decode steps",
-            stage.label()
-        );
-    }
+    assert_only_timing_allocates(&before, &after);
 
     // The steady-decode loop stays within the same allocations-per-step
     // budget the committed BENCH_attribution.json artifact enforces.
@@ -159,7 +180,7 @@ fn steady_decode_stage_profile_is_metered_bounded_and_deterministic() {
     // Deterministic replay: a second same-seed engine walks the same
     // stage-call layout (alloc counts can differ across process states;
     // the call structure cannot).
-    let mut replay = steady_engine(&arch, &model);
+    let mut replay = steady_engine(&arch, &model, SimConfig::new(1.0, BATCH), long_decode);
     let (replay_before, replay_after) = run_measured(&mut replay);
     for stage in STAGES {
         assert_eq!(
@@ -169,4 +190,27 @@ fn steady_decode_stage_profile_is_metered_bounded_and_deterministic() {
             stage.label()
         );
     }
+}
+
+#[test]
+fn slo_adaptive_speculation_reuses_its_bid_scratch() {
+    profile::install_alloc_probe(probe);
+
+    // A TBT target no step can meet keeps every decoder at full urgency:
+    // each step collects a bid per decoder, spends the whole verify
+    // budget and runs verify draws.
+    let arch = ador::baselines::ador_table3();
+    let model = presets::llama3_8b();
+    let cfg = SimConfig::new(1.0, BATCH)
+        .with_speculation(SpeculationConfig::new(SpeculationPolicy::SloAdaptive));
+    let mut engine = steady_engine(&arch, &model, cfg, |id| {
+        long_decode(id).with_slo(Slo::tbt_only(Seconds::from_micros(1.0)))
+    });
+    let drafted = engine.counters().drafted_tokens;
+    let (before, after) = run_measured(&mut engine);
+    assert!(
+        engine.counters().drafted_tokens > drafted,
+        "the measured steps must speculate"
+    );
+    assert_only_timing_allocates(&before, &after);
 }
