@@ -10,13 +10,11 @@
 use ador_bench::json::{self, Value};
 use proptest::prelude::*;
 
-/// splitmix64 step: the repo's standard seeded mixer.
+/// One SplitMix64 step: the golden-ratio increment, then the
+/// simulator's own finalizer.
 fn mix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    ador_core::spec::splitmix64(*state)
 }
 
 /// A seeded string mixing ASCII with every escape class the emitter

@@ -139,68 +139,42 @@ impl ClusterConfig {
     }
 }
 
-/// A replica-ready event: the instant one replica next has work, on the
-/// global fleet clock. Min-heap ordered via [`Reverse`]; ties break
-/// toward the lowest replica index (engines are independent, so tie
-/// order cannot affect outcomes — the fixed order just keeps the event
-/// trace deterministic).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct ReadyAt {
+/// An entry of the fleet's event queues: `value` falls due at `time` on
+/// the global fleet clock. Min-heap ordered via [`Reverse`] by
+/// `(time, key)`, so equal times pop in key order. The ready heap holds
+/// `Due<usize, ()>` keyed by replica index (engines are independent, so
+/// this order only keeps the event trace deterministic). The transfer
+/// heap holds `Due<u64, (Request, usize)>`: a decode-side continuation
+/// and its ledger slot, due when its context finishes landing and keyed
+/// by request id, so delivery order is part of the pinned trace.
+#[derive(Debug, Clone, Copy)]
+struct Due<K, V> {
     time: Seconds,
-    replica: usize,
+    key: K,
+    value: V,
 }
 
-impl Eq for ReadyAt {}
+impl<K: Ord, V> PartialEq for Due<K, V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
 
-impl PartialOrd for ReadyAt {
+impl<K: Ord, V> Eq for Due<K, V> {}
+
+impl<K: Ord, V> PartialOrd for Due<K, V> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for ReadyAt {
+impl<K: Ord, V> Ord for Due<K, V> {
     fn cmp(&self, other: &Self) -> Ordering {
         self.time
             .partial_cmp(&other.time)
             // ador-lint: allow(panic) — invariant: event times are finite sums of latencies
             .expect("event times are never NaN")
-            .then(self.replica.cmp(&other.replica))
-    }
-}
-
-/// A KV-context transfer in flight between pools: the decode-side
-/// continuation request and its ledger slot, keyed by the instant its
-/// context finishes landing (prefill completion + link latency +
-/// serialization). Min-heap ordered via [`Reverse`]; ties break by
-/// request id, so delivery order is part of the pinned trace.
-#[derive(Debug, Clone, Copy)]
-struct TransferAt {
-    time: Seconds,
-    request: Request,
-    slot: usize,
-}
-
-impl PartialEq for TransferAt {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.request.id == other.request.id
-    }
-}
-
-impl Eq for TransferAt {}
-
-impl PartialOrd for TransferAt {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for TransferAt {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.time
-            .partial_cmp(&other.time)
-            // ador-lint: allow(panic) — invariant: maturities are finite sums of latencies
-            .expect("transfer times are never NaN")
-            .then(self.request.id.cmp(&other.request.id))
+            .then(self.key.cmp(&other.key))
     }
 }
 
@@ -249,7 +223,6 @@ pub struct ClusterSim<'a> {
     cfg: ClusterConfig,
     stream: VecDeque<ClusterRequest>,
     classes: Vec<TenantClass>,
-    offered: usize,
     /// Per-request tenant and split bookkeeping, built by
     /// [`ClusterSim::submit_stream`].
     ledger: Ledger,
@@ -263,7 +236,7 @@ pub struct ClusterSim<'a> {
     /// [`Engine::next_event_time`]. Entries are invalidated lazily —
     /// every state change pushes a fresh entry, and a popped entry whose
     /// key no longer matches its replica's live peek is discarded.
-    ready: BinaryHeap<Reverse<ReadyAt>>,
+    ready: BinaryHeap<Reverse<Due<usize, ()>>>,
     /// Cached per-replica load snapshots, refreshed only when a replica
     /// steps or receives a submission (its load state changes exactly
     /// then, and never merely by time passing).
@@ -289,7 +262,7 @@ pub struct ClusterSim<'a> {
     /// prefill replica and landing on its decode replica, so
     /// `submitted == completed + rejected + in_flight + in_transfer`
     /// holds at every [`ClusterSim::advance`] boundary.
-    transfers: BinaryHeap<Reverse<TransferAt>>,
+    transfers: BinaryHeap<Reverse<Due<u64, (Request, usize)>>>,
     /// Per-engine cursor into [`Engine::outcomes`]: completions before
     /// it are already classified (split bookkeeping done).
     seen_outcomes: Vec<usize>,
@@ -406,7 +379,6 @@ impl<'a> ClusterSim<'a> {
             cfg,
             stream: VecDeque::new(),
             classes: Vec::new(),
-            offered: 0,
             ledger: Ledger::default(),
             submitted_per_tenant: Vec::new(),
             rejected_per_tenant: Vec::new(),
@@ -489,7 +461,6 @@ impl<'a> ClusterSim<'a> {
             self.submitted_per_tenant[cr.tenant] += 1;
         }
         self.ledger = Ledger::new(&stream);
-        self.offered = stream.len();
         self.stream = stream.into();
     }
 
@@ -521,8 +492,8 @@ impl<'a> ClusterSim<'a> {
                 break;
             }
             self.ready.pop();
-            self.sweep(ev.replica, instant)?;
-            self.push_ready(ev.replica);
+            self.sweep(ev.key, instant)?;
+            self.push_ready(ev.key);
         }
         self.settle(instant)?;
         Ok(true)
@@ -672,10 +643,10 @@ impl<'a> ClusterSim<'a> {
             ));
         }
         self.ledger.land_prefill(slot, prefill);
-        self.transfers.push(Reverse(TransferAt {
+        self.transfers.push(Reverse(Due {
             time: maturity,
-            request,
-            slot,
+            key: request.id,
+            value: (request, slot),
         }));
     }
 
@@ -703,9 +674,10 @@ impl<'a> ClusterSim<'a> {
     /// Lands one matured transfer: route within the decode pool and
     /// submit the continuation there (transfers are never shed —
     /// admission control happened at the front door).
-    fn deliver_transfer(&mut self, t: TransferAt) -> Result<(), SimError> {
+    fn deliver_transfer(&mut self, t: Due<u64, (Request, usize)>) -> Result<(), SimError> {
+        let (request, slot) = t.value;
         self.clock = self.clock.max(t.time);
-        let tenant = self.ledger.tenant(t.slot);
+        let tenant = self.ledger.tenant(slot);
         let idx = self.decode_router.route_pool(
             tenant,
             self.classes.len(),
@@ -718,14 +690,14 @@ impl<'a> ClusterSim<'a> {
                 idx,
                 Event {
                     time: t.time,
-                    request: t.request.id,
+                    request: request.id,
                     kind: EventKind::KvTransferEnd {
-                        tokens: conv::u32_from_usize(t.request.input_tokens),
+                        tokens: conv::u32_from_usize(request.input_tokens),
                     },
                 },
             ));
         }
-        self.submit(idx, t.request)
+        self.submit(idx, request)
     }
 
     /// Routes one fresh arrival through the front door and submits or
@@ -785,7 +757,11 @@ impl<'a> ClusterSim<'a> {
     /// Enqueues `replica`'s next-work instant (no-op once drained).
     fn push_ready(&mut self, replica: usize) {
         if let Some(time) = self.engines[replica].next_event_time() {
-            self.ready.push(Reverse(ReadyAt { time, replica }));
+            self.ready.push(Reverse(Due {
+                time,
+                key: replica,
+                value: (),
+            }));
         }
     }
 
@@ -793,9 +769,9 @@ impl<'a> ClusterSim<'a> {
     /// stale entries: every state change pushed a fresh entry, so an
     /// entry whose key no longer equals its replica's live
     /// [`Engine::next_event_time`] is an outdated duplicate.
-    fn peek_ready(&mut self) -> Option<ReadyAt> {
+    fn peek_ready(&mut self) -> Option<Due<usize, ()>> {
         while let Some(&Reverse(ev)) = self.ready.peek() {
-            if self.engines[ev.replica].next_event_time() == Some(ev.time) {
+            if self.engines[ev.key].next_event_time() == Some(ev.time) {
                 return Some(ev);
             }
             self.ready.pop();
@@ -816,7 +792,7 @@ impl<'a> ClusterSim<'a> {
     /// Requests offered to the cluster so far (routed, shed, or still in
     /// the arrival stream).
     pub fn submitted(&self) -> usize {
-        self.offered
+        self.ledger.len()
     }
 
     /// Requests completed end-to-end. Under disaggregation a request
@@ -883,7 +859,7 @@ impl<'a> ClusterSim<'a> {
             // classification normally already ran inside advance().
             self.scan_completions();
             debug_assert_eq!(
-                self.offered,
+                self.ledger.len(),
                 self.stitched.len() + self.rejected(),
                 "disaggregated conservation must close the books"
             );
@@ -938,7 +914,7 @@ impl<'a> ClusterSim<'a> {
             replicas: self.engines.len(),
             policy: self.cfg.policy,
             decode_policy: self.link.map(|_| self.cfg.decode_policy),
-            submitted: self.offered,
+            submitted: self.ledger.len(),
             completed: self.completed(),
             rejected: self.rejected_per_tenant.iter().sum(),
             fleet,
@@ -1079,7 +1055,7 @@ impl std::fmt::Debug for ClusterSim<'_> {
         f.debug_struct("ClusterSim")
             .field("replicas", &self.engines.len())
             .field("policy", &self.cfg.policy)
-            .field("offered", &self.offered)
+            .field("offered", &self.ledger.len())
             .field("completed", &self.completed())
             .field("rejected", &self.rejected())
             .finish()
@@ -1145,6 +1121,21 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, SimError::EmptyConfig);
+    }
+
+    #[test]
+    fn fleet_engines_ignore_the_request_count() {
+        // A fleet feeds its engines its own stream and never reads
+        // `SimConfig::requests`, so a zero there must not reject it.
+        let arch = ador_table3();
+        let model = presets::llama3_8b();
+        let cfg = ClusterConfig::new(2, RouterPolicy::JoinShortestQueue)
+            .with_engine(SimConfig::new(1.0, 16).with_requests(0));
+        let report = ClusterSim::new(&arch, &model, Deployment::single_device(), cfg)
+            .unwrap()
+            .run(&two_class_mix(6.0), 20, 5)
+            .unwrap();
+        assert_eq!(report.completed, 20);
     }
 
     #[test]

@@ -134,11 +134,6 @@ impl Router {
         }
     }
 
-    /// The configured policy.
-    pub fn policy(&self) -> RouterPolicy {
-        self.policy
-    }
-
     /// Picks the replica for a request from SLO class `tenant` (of
     /// `classes` total) carrying `prefix_group` content identity, given
     /// the fleet's load snapshots.

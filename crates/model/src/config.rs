@@ -5,7 +5,6 @@ use core::fmt;
 use ador_units::Bytes;
 
 use crate::moe::MoeConfig as MoeConfigInner;
-use crate::{graph, Operator, Phase};
 
 /// Numeric storage format of weights and KV-cache entries.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
@@ -224,17 +223,6 @@ impl ModelConfig {
     /// Full KV-cache footprint for `batch` requests at `context` tokens each.
     pub fn kv_cache_bytes(&self, batch: usize, context: usize) -> Bytes {
         self.kv_bytes_per_token() * (batch * context) as u64
-    }
-
-    /// The operator list for one inference step of `phase`
-    /// (all layers + LM head); see [`graph::operators`].
-    pub fn operators(&self, phase: Phase) -> Vec<Operator> {
-        graph::operators(self, phase)
-    }
-
-    /// The operator list for a single decoder layer of `phase`.
-    pub fn layer_operators(&self, phase: Phase) -> Vec<Operator> {
-        graph::layer_operators(self, phase)
     }
 
     /// Validates internal consistency.

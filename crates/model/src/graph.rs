@@ -290,53 +290,40 @@ pub fn once_operators(cfg: &ModelConfig, phase: Phase) -> Vec<Operator> {
     ops
 }
 
-/// The complete operator list for one step of `phase`: embedding, all
-/// `cfg.layers` decoder layers, final norm, LM head.
-pub fn operators(cfg: &ModelConfig, phase: Phase) -> Vec<Operator> {
-    let layer = layer_operators(cfg, phase);
-    let once = once_operators(cfg, phase);
-    let mut ops = Vec::with_capacity(layer.len() * cfg.layers + once.len());
-    ops.push(once[0].clone()); // embed
-    for _ in 0..cfg.layers {
-        ops.extend(layer.iter().cloned());
-    }
-    ops.extend(once[1..].iter().cloned());
-    ops
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::presets;
-    use ador_units::FlopCount;
+    use crate::workload::StepSummary;
+
+    // The whole-step properties are pinned on `StepSummary::compute`, the
+    // path production prices steps through: one layer's operators times
+    // `layers`, plus the once-per-step operators.
 
     #[test]
     fn decode_weight_bytes_cover_whole_model_once() {
         let m = presets::llama3_8b();
-        let ops = operators(&m, Phase::decode(1, 512));
-        let streamed: u64 = ops.iter().map(|o| o.weight_bytes.get()).sum();
+        let streamed = StepSummary::compute(&m, Phase::decode(1, 512)).weight_bytes;
         // Streamed weights ≈ all parameters except the input embedding
         // (gathers touch only the used rows) at 2 B each.
         let expect = (m.total_params() - (m.vocab * m.hidden) as u64) * 2;
-        let rel = (streamed as f64 - expect as f64).abs() / expect as f64;
-        assert!(rel < 0.01, "streamed {streamed} vs expected {expect}");
+        let rel = (streamed.get() as f64 - expect as f64).abs() / expect as f64;
+        assert!(rel < 0.01, "streamed {streamed:?} vs expected {expect}");
     }
 
     #[test]
     fn decode_kv_read_matches_cache_size() {
         let m = presets::llama3_8b();
         let (batch, ctx) = (32, 1024);
-        let ops = operators(&m, Phase::decode(batch, ctx));
-        let kv_read: u64 = ops.iter().map(|o| o.kv_read_bytes.get()).sum();
-        assert_eq!(kv_read, m.kv_cache_bytes(batch, ctx).get());
+        let kv_read = StepSummary::compute(&m, Phase::decode(batch, ctx)).kv_read_bytes;
+        assert_eq!(kv_read, m.kv_cache_bytes(batch, ctx));
     }
 
     #[test]
     fn prefill_flops_roughly_two_params_per_token() {
         let m = presets::llama3_8b();
         let tokens = 1024;
-        let ops = operators(&m, Phase::prefill(1, tokens));
-        let flops: FlopCount = ops.iter().map(|o| o.flops()).sum();
+        let flops = StepSummary::compute(&m, Phase::prefill(1, tokens)).flops;
         // The 2·P·T rule of thumb over the decoder stack. The embedding is a
         // gather (0 FLOPs) and the LM head only projects the last position,
         // so both are excluded from P; attention adds a few percent on top.
@@ -381,14 +368,6 @@ mod tests {
         let ops = once_operators(&m, Phase::prefill(4, 512));
         let lm = ops.iter().find(|o| o.name == OpName::LmHead).unwrap();
         assert_eq!(lm.matmul_shape().unwrap().m, 4);
-    }
-
-    #[test]
-    fn full_graph_replicates_layers() {
-        let m = presets::llama3_8b();
-        let per_layer = layer_operators(&m, Phase::decode(1, 1)).len();
-        let total = operators(&m, Phase::decode(1, 1)).len();
-        assert_eq!(total, per_layer * m.layers + 3);
     }
 
     #[test]

@@ -20,15 +20,13 @@
 //! # Examples
 //!
 //! ```
-//! use ador_model::{presets, Phase};
+//! use ador_model::{presets, workload::StepSummary, Phase};
 //!
 //! let llama = presets::llama3_8b();
 //! assert!((llama.total_params() as f64 / 1e9 - 8.0).abs() < 0.1);
 //!
-//! let decode = Phase::decode(32, 1024);
-//! let ops = llama.operators(decode);
-//! let weight_bytes: u64 = ops.iter().map(|op| op.weight_bytes.get()).sum();
-//! assert!(weight_bytes > 10_000_000_000); // ~16 GB of FP16 weights per step
+//! let step = StepSummary::compute(&llama, Phase::decode(32, 1024));
+//! assert!(step.weight_bytes.get() > 10_000_000_000); // ~16 GB of FP16 weights per step
 //! ```
 
 #![forbid(unsafe_code)]

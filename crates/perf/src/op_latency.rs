@@ -239,16 +239,14 @@ mod tests {
     use ador_model::presets;
 
     fn weight_op(model: &ador_model::ModelConfig, phase: Phase) -> Operator {
-        model
-            .layer_operators(phase)
+        ador_model::graph::layer_operators(model, phase)
             .into_iter()
             .find(|o| o.name == ador_model::OpName::MlpUp)
             .unwrap()
     }
 
     fn attention_op(model: &ador_model::ModelConfig, phase: Phase) -> Operator {
-        model
-            .layer_operators(phase)
+        ador_model::graph::layer_operators(model, phase)
             .into_iter()
             .find(|o| o.name == ador_model::OpName::AttnScore)
             .unwrap()
@@ -381,8 +379,7 @@ mod tests {
     fn vector_ops_are_cheap() {
         let model = presets::llama3_8b();
         let phase = Phase::decode(32, 1024);
-        let op = model
-            .layer_operators(phase)
+        let op = ador_model::graph::layer_operators(&model, phase)
             .into_iter()
             .find(|o| o.name == ador_model::OpName::AttnNorm)
             .unwrap();

@@ -24,7 +24,7 @@
 //! path.
 
 use ador_cluster::{
-    ClusterConfig, ClusterSim, FleetSpec, KvLink, ReplicaSpec, RouterPolicy, TenantMix,
+    ClusterConfig, ClusterSim, FleetSpec, KvLink, ReplicaSpec, RouterPolicy, TenantMix, Topology,
 };
 use ador_hw::Architecture;
 use ador_model::ModelConfig;
@@ -161,15 +161,7 @@ pub fn co_explore(input: &FleetSearchInput<'_>) -> Result<FleetSearchOutcome, Si
             let fleet = FleetSpec::homogeneous(&spec, input.replicas);
             let cfg = ClusterConfig::new(0, policy);
             let label = format!("{}x{} [{policy}]", input.replicas, arch.name);
-            candidates.push(evaluate(
-                input,
-                &fleet,
-                cfg,
-                label,
-                false,
-                input.replicas,
-                input.replicas,
-            )?);
+            candidates.push(evaluate(input, &fleet, cfg, label)?);
         }
     }
 
@@ -187,15 +179,7 @@ pub fn co_explore(input: &FleetSearchInput<'_>) -> Result<FleetSearchOutcome, Si
             "disagg {prefill_count}x{} + {decode_count}x{}",
             input.chips.prefill.name, input.chips.decode.name
         );
-        candidates.push(evaluate(
-            input,
-            &fleet,
-            cfg,
-            label,
-            true,
-            prefill_count,
-            decode_count,
-        )?);
+        candidates.push(evaluate(input, &fleet, cfg, label)?);
     }
 
     let best = pick(&candidates, |_| true);
@@ -237,10 +221,8 @@ fn evaluate(
     fleet: &FleetSpec,
     cfg: ClusterConfig,
     label: String,
-    disaggregated: bool,
-    prefill_replicas: usize,
-    decode_replicas: usize,
 ) -> Result<FleetCandidate, SimError> {
+    let disaggregated = matches!(cfg.topology, Topology::Disaggregated(_));
     let decode_policy = disaggregated.then_some(cfg.decode_policy);
     let policy = cfg.policy;
     let report = ClusterSim::new_fleet(fleet, input.model, Deployment::single_device(), cfg)?.run(
@@ -258,8 +240,10 @@ fn evaluate(
         label,
         policy,
         decode_policy,
-        prefill_replicas,
-        decode_replicas,
+        // A homogeneous fleet's replicas are `Unified`, so both its pools
+        // are the whole fleet.
+        prefill_replicas: fleet.prefill_pool().len(),
+        decode_replicas: fleet.decode_pool().len(),
         disaggregated,
         attainment,
         goodput,

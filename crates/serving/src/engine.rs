@@ -17,10 +17,11 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
+use ador_model::Phase;
 use ador_perf::Evaluator;
 use ador_spec::{DraftStream, SpeculationPolicy, Verify};
 use ador_telemetry::{
-    Event, EventDetail, EventKind, EventSinkKind, FlightRecorder, SeriesCollector, SeriesSample,
+    Event, EventDetail, EventKind, FlightRecorder, SeriesCollector, SeriesSample,
 };
 use ador_units::{conv, Seconds};
 
@@ -119,11 +120,6 @@ struct Active {
     /// Deepest prefix-cache block held ([`PrefixCache::ROOT`] when the
     /// request holds none).
     cache_node: usize,
-    /// Whether a `Commit` event was emitted since this admission or
-    /// resume — telemetry-only (never read by the scheduler): under
-    /// [`EventDetail::Lifecycle`] only the phase-boundary commit and
-    /// draft-carrying verify steps reach the sink.
-    traced_commit: bool,
 }
 
 impl Active {
@@ -139,7 +135,6 @@ impl Active {
             kv_held: imported,
             cached_tokens,
             cache_node,
-            traced_commit: false,
         }
     }
 
@@ -311,11 +306,7 @@ impl<'a> Engine<'a> {
             prev_step_prefilled: false,
             backlog: 0,
             scratch: StepScratch::default(),
-            sink: match cfg.telemetry.events {
-                EventSinkKind::Off => None,
-                EventSinkKind::Log => Some(FlightRecorder::new(usize::MAX)),
-                EventSinkKind::Ring { capacity } => Some(FlightRecorder::new(capacity)),
-            },
+            sink: cfg.telemetry.events.map(FlightRecorder::new),
             series: cfg.telemetry.series_interval.map(SeriesCollector::new),
             #[cfg(feature = "profile")]
             profile: crate::profile::StepProfile::default(),
@@ -350,12 +341,22 @@ impl<'a> Engine<'a> {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidRequest`] for a zero-length prompt or
-    /// response and [`SimError::NoKvHeadroom`] if the request's full
+    /// response, [`SimError::NoKvHeadroom`] if the request's full
     /// context can never fit the KV budget (admitting it would wedge the
-    /// queue).
+    /// queue), and, when the engine speculates,
+    /// [`SimError::InvalidAcceptRate`] for an acceptance rate outside
+    /// `[0, 1]`.
     pub fn submit(&mut self, request: Request) -> Result<(), SimError> {
         if request.input_tokens == 0 || request.output_tokens == 0 {
             return Err(SimError::InvalidRequest { id: request.id });
+        }
+        if let Some(rate) = request.accept_rate {
+            if self.cfg.speculation.speculates() && !(0.0..=1.0).contains(&rate) {
+                return Err(SimError::InvalidAcceptRate {
+                    id: Some(request.id),
+                    rate,
+                });
+            }
         }
         if request.total_tokens() > self.kv_budget_tokens {
             return Err(SimError::NoKvHeadroom {
@@ -835,7 +836,7 @@ impl<'a> Engine<'a> {
                     // only when tracing is on, so the untraced path
                     // stays bit-identical.
                     let ideal_us = if self.sink.is_some() {
-                        let alone = self.prefill_time(1, remaining)?;
+                        let alone = self.step_time(Phase::prefill(1, remaining))?;
                         conv::u32_from_usize(conv::usize_from_f64(alone.as_micros().round()))
                     } else {
                         0
@@ -882,7 +883,7 @@ impl<'a> Engine<'a> {
             let mut step_time = Seconds::ZERO;
             if prefill_tokens > 0 {
                 let mean_chunk = (prefill_tokens / chunks.len()).max(1);
-                step_time += self.prefill_time(chunks.len(), mean_chunk)?;
+                step_time += self.step_time(Phase::prefill(chunks.len(), mean_chunk))?;
             }
             if decoders > 0 {
                 let ctx_sum: usize = self
@@ -893,12 +894,12 @@ impl<'a> Engine<'a> {
                     .sum();
                 let ctx = ctx_sum.checked_div(decoders).map_or(1, |c| c.max(1));
                 if drafted_total == 0 {
-                    step_time += self.decode_time(decoders, ctx)?;
+                    step_time += self.step_time(Phase::decode(decoders, ctx))?;
                 } else {
                     let verify_tokens = decoders + drafted_total;
                     let ctx_eq = (ctx_sum / verify_tokens).max(1);
-                    step_time += self.decode_time(verify_tokens, ctx_eq)?;
-                    let base = self.decode_time(decoders, ctx)?;
+                    step_time += self.step_time(Phase::decode(verify_tokens, ctx_eq))?;
+                    let base = self.step_time(Phase::decode(decoders, ctx))?;
                     let mean_depth =
                         conv::f64_from_usize(drafted_total) / conv::f64_from_usize(decoders);
                     step_time += base * (spec.draft_time_ratio * mean_depth);
@@ -985,12 +986,11 @@ impl<'a> Engine<'a> {
                 let done = a.job.done();
                 let (drafted, accepted) = verify.map_or((0, 0), |v| (v.drafted, v.accepted));
                 // Under Lifecycle detail only the phase-boundary commit
-                // (first tokens after admit/resume) and draft-carrying
-                // verify steps reach the sink — steady one-token decode
-                // steps are the event flood the overhead budget elides.
-                let boundary = !a.traced_commit;
-                a.traced_commit = true;
-                if per_token_events || boundary || drafted > 0 {
+                // and draft-carrying verify steps reach the sink — steady
+                // one-token decode steps are the event flood the overhead
+                // budget elides. A commit with no verify plan ends a
+                // prefill pass: the first tokens after admit/resume.
+                if per_token_events || verify.is_none() || drafted > 0 {
                     Self::emit(
                         &mut self.sink,
                         self.now,
@@ -1168,23 +1168,23 @@ impl<'a> Engine<'a> {
         self.kv_in_use -= moved - fresh;
     }
 
-    fn decode_time(&mut self, batch: usize, context: usize) -> Result<Seconds, SimError> {
-        let key = (batch, context.div_ceil(CTX_BUCKET) * CTX_BUCKET);
-        if let Some(&t) = self.decode_cache.get(&key) {
+    /// The latency of one `phase` step, its length rounded up to
+    /// `CTX_BUCKET` and memoized per phase kind by (batch, bucket).
+    fn step_time(&mut self, phase: Phase) -> Result<Seconds, SimError> {
+        let (cache, batch, len) = match phase {
+            Phase::Prefill { batch, prompt_len } => (&mut self.prefill_cache, batch, prompt_len),
+            Phase::Decode { batch, context_len } => (&mut self.decode_cache, batch, context_len),
+        };
+        let key = (batch, len.div_ceil(CTX_BUCKET) * CTX_BUCKET);
+        if let Some(&t) = cache.get(&key) {
             return Ok(t);
         }
-        let t = self.evaluator.decode_interval(batch, key.1)?;
-        self.decode_cache.insert(key, t);
-        Ok(t)
-    }
-
-    fn prefill_time(&mut self, batch: usize, prompt: usize) -> Result<Seconds, SimError> {
-        let key = (batch, prompt.div_ceil(CTX_BUCKET) * CTX_BUCKET);
-        if let Some(&t) = self.prefill_cache.get(&key) {
-            return Ok(t);
-        }
-        let t = self.evaluator.ttft(batch, key.1)?;
-        self.prefill_cache.insert(key, t);
+        let bucketed = match phase {
+            Phase::Prefill { .. } => Phase::prefill(batch, key.1),
+            Phase::Decode { .. } => Phase::decode(batch, key.1),
+        };
+        let t = self.evaluator.step(bucketed)?.total;
+        cache.insert(key, t);
         Ok(t)
     }
 
@@ -1234,11 +1234,7 @@ fn chunk_take(remaining: usize, chunk_budget: usize, kv_headroom: usize) -> usiz
 }
 
 fn finish(job: Job, now: Seconds) -> RequestOutcome {
-    let mean_tbt = if job.tbt_count == 0 {
-        Seconds::ZERO
-    } else {
-        job.tbt_sum / conv::f64_from_usize(job.tbt_count)
-    };
+    let mean_tbt = job.mean_tbt_so_far().unwrap_or(Seconds::ZERO);
     RequestOutcome {
         // ador-lint: allow(panic) — invariant: finish() is only called after the last output token
         ttft: job.first_token_at.expect("finished jobs emitted a token") - job.request.arrival,

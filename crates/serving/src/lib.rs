@@ -82,7 +82,7 @@ mod trace;
 pub use capacity::{bisect_rate, max_capacity, CapacityResult};
 pub use engine::{Engine, StepEvent};
 pub use generator::RequestGenerator;
-pub use prefix::{splitmix64, PrefixCache, PrefixCacheStats, PREFIX_BLOCK_TOKENS};
+pub use prefix::{PrefixCache, PrefixCacheStats, PREFIX_BLOCK_TOKENS};
 pub use qos::{EngineCounters, LatencyStats, QosReport};
 pub use request::{Request, RequestOutcome};
 pub use sim::{SchedulerPolicy, ServingSim, SimConfig, SimError};
@@ -91,6 +91,7 @@ pub use trace::TraceProfile;
 
 // Speculative decoding lives in its own engine-independent crate
 // (`ador-spec`); re-export the configuration surface so `SimConfig`
-// users need not name a second crate.
-pub use ador_spec::{SpeculationConfig, SpeculationPolicy};
+// users need not name a second crate, and the workspace's one
+// SplitMix64 hash.
+pub use ador_spec::{splitmix64, SpeculationConfig, SpeculationPolicy};
 pub use ador_telemetry::{EventDetail, TelemetryConfig};

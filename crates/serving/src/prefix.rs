@@ -34,6 +34,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use ador_spec::splitmix64;
 use ador_units::conv;
 
 /// Tokens per prefix-cache block. Matching, sharing and eviction all
@@ -58,8 +59,6 @@ pub struct PrefixCacheStats {
     pub miss_tokens: usize,
     /// Tokens of cached blocks evicted under KV pressure.
     pub evicted_tokens: usize,
-    /// Tokens of blocks inserted into the cache.
-    pub inserted_tokens: usize,
 }
 
 /// One cached block: a node of the prefix trie.
@@ -230,7 +229,6 @@ impl PrefixCache {
                     self.nodes[node].children.insert(hash, c);
                     self.live += 1;
                     fresh += 1;
-                    self.stats.inserted_tokens += PREFIX_BLOCK_TOKENS;
                     c
                 }
             };
@@ -341,10 +339,11 @@ impl PrefixCache {
     }
 }
 
-/// The deterministic content hash of `group`'s `index`-th token block
-/// (splitmix64 over the pair). Two requests share KV exactly where their
-/// groups and block positions coincide — which is how a follow-up turn's
-/// prompt, extending the previous turn's context, matches its blocks.
+/// The deterministic content hash of `group`'s `index`-th token block:
+/// [`splitmix64`] (the workspace's one definition, in `ador-spec`) over
+/// the pair. Two requests share KV exactly where their groups and block
+/// positions coincide — which is how a follow-up turn's prompt,
+/// extending the previous turn's context, matches its blocks.
 fn block_hash(group: u64, index: usize) -> u64 {
     splitmix64(
         group.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(
@@ -353,16 +352,6 @@ fn block_hash(group: u64, index: usize) -> u64 {
                 .wrapping_mul(0xBF58_476D_1CE4_E5B9),
         ),
     )
-}
-
-/// The splitmix64 finalizer: a cheap, well-mixed `u64 -> u64` hash. The
-/// single hashing primitive behind block identities here and session
-/// identities in `ador-cluster` — keep it the only copy.
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -468,7 +457,6 @@ mod tests {
         assert_eq!(fresh_a, 3 * B);
         assert_eq!(fresh_b, 0, "second insert found every block resident");
         assert_eq!(c.resident_tokens(), 3 * B);
-        assert_eq!(c.stats().inserted_tokens, 3 * B);
     }
 
     #[test]

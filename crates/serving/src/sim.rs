@@ -172,8 +172,8 @@ impl SimConfig {
 pub enum SimError {
     /// The performance model rejected the configuration.
     Perf(PerfError),
-    /// The configuration admits no requests (zero batch, requests or
-    /// prefill chunk).
+    /// The configuration admits no requests (zero batch or prefill
+    /// chunk), or a run was given none.
     EmptyConfig,
     /// The device cannot hold a request's KV cache.
     NoKvHeadroom {
@@ -207,6 +207,21 @@ pub enum SimError {
         /// The link's bandwidth.
         bandwidth: Bandwidth,
     },
+    /// A speculating engine got an acceptance rate outside `[0, 1]`: a
+    /// request's [`Request::accept_rate`], or the config's
+    /// [`SpeculationConfig::default_acceptance`].
+    InvalidAcceptRate {
+        /// Id of the offending request; `None` for the config default.
+        id: Option<u64>,
+        /// The offending rate.
+        rate: f64,
+    },
+    /// A speculating config's [`SpeculationConfig::draft_time_ratio`] is
+    /// negative or not finite.
+    InvalidDraftTimeRatio {
+        /// The configured ratio.
+        ratio: f64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -233,6 +248,14 @@ impl fmt::Display for SimError {
                 f,
                 "KV link needs a positive finite latency and a positive bandwidth, \
                  got {latency} and {bandwidth}"
+            ),
+            SimError::InvalidAcceptRate { id, rate } => match id {
+                Some(id) => write!(f, "request {id} has acceptance rate {rate}, outside [0, 1]"),
+                None => write!(f, "default acceptance rate {rate} is outside [0, 1]"),
+            },
+            SimError::InvalidDraftTimeRatio { ratio } => write!(
+                f,
+                "draft cost ratio must be finite and non-negative, got {ratio}"
             ),
         }
     }
@@ -274,16 +297,36 @@ impl<'a> ServingSim<'a> {
     /// # Errors
     ///
     /// Returns [`SimError::Perf`] if the model does not fit the deployment,
-    /// [`SimError::EmptyConfig`] for a zero batch/request/chunk count, or
+    /// [`SimError::EmptyConfig`] for a zero batch or chunk count, or
     /// [`SimError::NoKvHeadroom`] if no KV space remains after weights.
+    /// A speculating config ([`SpeculationConfig::speculates`]) returns
+    /// [`SimError::InvalidAcceptRate`] if its default acceptance lies
+    /// outside `[0, 1]`, and [`SimError::InvalidDraftTimeRatio`] if its
+    /// draft cost ratio is negative or not finite.
     pub fn new(
         arch: &'a Architecture,
         model: &'a ModelConfig,
         deployment: Deployment,
         cfg: SimConfig,
     ) -> Result<Self, SimError> {
-        if cfg.max_batch == 0 || cfg.requests == 0 || cfg.prefill_chunk == 0 {
+        // `requests` is not checked: fleets build engines here and never
+        // read it, and `run` rejects an empty request list.
+        if cfg.max_batch == 0 || cfg.prefill_chunk == 0 {
             return Err(SimError::EmptyConfig);
+        }
+        let spec = cfg.speculation;
+        if spec.speculates() {
+            if !(0.0..=1.0).contains(&spec.default_acceptance) {
+                return Err(SimError::InvalidAcceptRate {
+                    id: None,
+                    rate: spec.default_acceptance,
+                });
+            }
+            if !(spec.draft_time_ratio.is_finite() && spec.draft_time_ratio >= 0.0) {
+                return Err(SimError::InvalidDraftTimeRatio {
+                    ratio: spec.draft_time_ratio,
+                });
+            }
         }
         let evaluator = Evaluator::new(arch, model, deployment)?;
         let devices = conv::u64_from_usize(deployment.devices);
@@ -521,6 +564,16 @@ mod tests {
             SimConfig::new(1.0, 16).with_prefill_chunk(0),
         )
         .unwrap_err();
+        assert_eq!(err, SimError::EmptyConfig);
+    }
+
+    #[test]
+    fn zero_requests_build_an_engine_but_run_nothing() {
+        let arch = ador_table3();
+        let model = presets::llama3_8b();
+        let cfg = SimConfig::new(1.0, 16).with_requests(0);
+        let sim = ServingSim::new(&arch, &model, Deployment::single_device(), cfg).unwrap();
+        let err = sim.run(TraceProfile::ultrachat_like()).unwrap_err();
         assert_eq!(err, SimError::EmptyConfig);
     }
 

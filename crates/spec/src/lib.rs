@@ -366,12 +366,24 @@ impl DraftStream {
     }
 }
 
-/// SplitMix64 finalizer: the bijective mixer behind the acceptance stream.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+/// One SplitMix64 step: the golden-ratio increment, then the finalizer —
+/// the bijective mixer behind the acceptance stream.
+fn mix(x: u64) -> u64 {
+    splitmix64(x.wrapping_add(0x9E37_79B9_7F4A_7C15))
+}
+
+/// The SplitMix64 finalizer: a cheap, well-mixed, bijective `u64 -> u64`
+/// hash, and the one definition in the workspace. It drives the
+/// acceptance stream here, and `ador-serving` re-exports it for its
+/// prefix-cache block identities and `ador-cluster`'s session
+/// identities. `#[inline]` because the prefix cache hashes every block
+/// through it from another crate.
+#[inline]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 #[cfg(test)]

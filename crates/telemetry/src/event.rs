@@ -94,7 +94,7 @@ pub struct Event {
 /// "flight recorder" for post-mortem of requests that missed their SLO.
 /// With `capacity` [`usize::MAX`] it never wraps and is the unbounded,
 /// in-order log behind full-fidelity trace export
-/// ([`EventSinkKind::Log`](crate::EventSinkKind::Log)).
+/// ([`TelemetryConfig::trace`](crate::TelemetryConfig::trace)).
 ///
 /// The buffer starts empty and grows on demand, doubling but never past
 /// `capacity`, so a huge capacity costs only what is recorded.

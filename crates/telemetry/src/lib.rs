@@ -8,9 +8,10 @@
 //!
 //! * [`Event`]/[`FlightRecorder`] — structured request-lifecycle events
 //!   (enqueue, admit, prefill-chunk, preempt, resume, commit, complete,
-//!   shed) stamped with **sim time only**, buffered by one recorder: a
-//!   bounded ring for post-mortems of SLO-missing requests, or an
-//!   unbounded log for full-fidelity export;
+//!   shed) stamped with **sim time only**, buffered by one recorder
+//!   whose capacity is [`TelemetryConfig::events`]: a bounded ring for
+//!   post-mortems of SLO-missing requests, or an unbounded log for
+//!   full-fidelity export;
 //! * [`spans`] — the per-request phase decomposition of a stream (queue,
 //!   prefill, decode, preemption stall), and [`attribution`], which
 //!   charges each request's lost time to a cause;
@@ -68,23 +69,6 @@ pub use series::{goodput_series, SeriesCollector, SeriesPoint, SeriesSample, Tim
 
 use ador_units::Seconds;
 
-/// Which [`FlightRecorder`] the engine installs at construction.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub enum EventSinkKind {
-    /// No recorder: the zero-overhead default.
-    #[default]
-    Off,
-    /// Unbounded in-order log (a recorder of capacity [`usize::MAX`]) —
-    /// full-fidelity tracing; memory grows with the run.
-    Log,
-    /// Bounded ring keeping the most recent events — constant memory,
-    /// for always-on fleet runs.
-    Ring {
-        /// Maximum retained events.
-        capacity: usize,
-    },
-}
-
 /// How much of the decode path lands in the event stream.
 ///
 /// Decode commits are the event flood: one per request per step, so a
@@ -114,16 +98,19 @@ pub enum EventDetail {
 /// work to the hot path.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct TelemetryConfig {
-    /// Lifecycle-event sink to install.
-    pub events: EventSinkKind,
+    /// Capacity of the [`FlightRecorder`] the engine installs: `None`
+    /// records nothing (the zero-overhead default), [`usize::MAX`] is
+    /// the unbounded in-order log of full-fidelity tracing, and a
+    /// smaller capacity a bounded ring of the most recent events.
+    pub events: Option<usize>,
     /// Decode-path granularity of the event stream.
     pub detail: EventDetail,
     /// Time-series sampling interval; `None` disables collection.
     pub series_interval: Option<Seconds>,
     /// Run time-loss attribution over the recorded event stream when
     /// the fleet report is assembled (see [`attribution`]). Requires an
-    /// event sink; ignored when `events` is off. Off by default so a
-    /// plain traced run's report stays byte-identical to earlier
+    /// event recorder; ignored when `events` is `None`. Off by default
+    /// so a plain traced run's report stays byte-identical to earlier
     /// releases.
     pub attribution: bool,
 }
@@ -131,7 +118,7 @@ pub struct TelemetryConfig {
 impl TelemetryConfig {
     /// Everything off (the default).
     pub const OFF: Self = Self {
-        events: EventSinkKind::Off,
+        events: None,
         detail: EventDetail::PerToken,
         series_interval: None,
         attribution: false,
@@ -141,7 +128,7 @@ impl TelemetryConfig {
     #[must_use]
     pub fn trace() -> Self {
         Self {
-            events: EventSinkKind::Log,
+            events: Some(usize::MAX),
             ..Self::OFF
         }
     }
@@ -151,7 +138,7 @@ impl TelemetryConfig {
     #[must_use]
     pub fn flight_recorder(capacity: usize) -> Self {
         Self {
-            events: EventSinkKind::Ring { capacity },
+            events: Some(capacity),
             ..Self::OFF
         }
     }
@@ -171,7 +158,7 @@ impl TelemetryConfig {
     }
 
     /// Enables time-loss attribution over the recorded events (see
-    /// [`attribution`]). Only meaningful together with an event sink.
+    /// [`attribution`]). Only meaningful together with an event recorder.
     #[must_use]
     pub fn with_attribution(mut self) -> Self {
         self.attribution = true;
@@ -179,7 +166,7 @@ impl TelemetryConfig {
     }
 
     /// True when the fleet report should carry an attribution section:
-    /// attribution is requested and an event sink exists to feed it.
+    /// attribution is requested and an event recorder exists to feed it.
     #[must_use]
     pub fn attribution_enabled(&self) -> bool {
         self.attribution && self.events_enabled()
@@ -191,10 +178,10 @@ impl TelemetryConfig {
         self.events_enabled() || self.series_interval.is_some()
     }
 
-    /// True when an event sink is requested.
+    /// True when an event recorder is requested.
     #[must_use]
     pub fn events_enabled(&self) -> bool {
-        self.events != EventSinkKind::Off
+        self.events.is_some()
     }
 }
 

@@ -10,7 +10,7 @@ use ador::cluster::{ClusterSim, FleetReport};
 use ador::model::presets;
 use ador::perf::Deployment;
 use ador::serving::{
-    QosReport, Request, RequestGenerator, ServingSim, SimConfig, Slo, SpeculationConfig,
+    QosReport, Request, RequestGenerator, ServingSim, SimConfig, SimError, Slo, SpeculationConfig,
     SpeculationPolicy, StepEvent, TraceProfile,
 };
 use ador::units::Seconds;
@@ -213,6 +213,70 @@ fn speculation_off_ignores_an_out_of_range_accept_rate() {
     assert_eq!(engine.completed(), 1);
     assert_eq!(engine.counters().generated_tokens, 4);
     assert_eq!(engine.counters().drafted_tokens, 0);
+}
+
+/// Builds a single-device engine under `speculation`, submits `request`
+/// and steps it until idle.
+fn run_one(speculation: SpeculationConfig, request: Request) -> Result<(), SimError> {
+    let arch = ador::baselines::ador_table3();
+    let model = presets::llama3_8b();
+    let cfg = SimConfig::new(1.0, 8).with_speculation(speculation);
+    let mut engine = ServingSim::new(&arch, &model, Deployment::single_device(), cfg)?.engine();
+    engine.submit(request)?;
+    while engine.step()? != StepEvent::Idle {}
+    Ok(())
+}
+
+/// A speculating engine turns away a request whose acceptance rate is
+/// not a probability at submission, instead of panicking in its first
+/// verify draw.
+#[test]
+fn speculating_engine_rejects_an_out_of_range_accept_rate() {
+    for rate in [1.5, f64::NAN] {
+        let request = Request {
+            accept_rate: Some(rate),
+            ..Request::new(0, Seconds::ZERO, 128, 4)
+        };
+        let err = run_one(SpeculationConfig::new(SpeculationPolicy::Fixed(2)), request);
+        assert!(
+            matches!(err, Err(SimError::InvalidAcceptRate { id: Some(0), .. })),
+            "{rate}: {err:?}"
+        );
+    }
+}
+
+/// `SpeculationConfig`'s fields are public, so a literal can carry a
+/// default acceptance its builder refuses; a speculating engine rejects
+/// it at construction instead of panicking in a verify draw.
+#[test]
+fn speculating_engine_rejects_an_out_of_range_default_acceptance() {
+    let speculation = SpeculationConfig {
+        default_acceptance: 1.5,
+        ..SpeculationConfig::new(SpeculationPolicy::Fixed(2))
+    };
+    let err = run_one(speculation, Request::new(0, Seconds::ZERO, 128, 4));
+    assert!(
+        matches!(err, Err(SimError::InvalidAcceptRate { id: None, .. })),
+        "{err:?}"
+    );
+}
+
+/// A NaN or negative draft cost ratio would price every drafting step
+/// at a NaN or negative time (and report such a mean TBT); a speculating
+/// engine rejects it at construction.
+#[test]
+fn speculating_engine_rejects_a_bad_draft_time_ratio() {
+    for ratio in [f64::NAN, -5.0] {
+        let speculation = SpeculationConfig {
+            draft_time_ratio: ratio,
+            ..SpeculationConfig::new(SpeculationPolicy::Fixed(2))
+        };
+        let err = run_one(speculation, Request::new(0, Seconds::ZERO, 128, 4));
+        assert!(
+            matches!(err, Err(SimError::InvalidDraftTimeRatio { .. })),
+            "{ratio}: {err:?}"
+        );
+    }
 }
 
 /// The acceptance process is seeded and deterministic: the same
