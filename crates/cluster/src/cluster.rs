@@ -19,7 +19,9 @@ use std::collections::{BinaryHeap, VecDeque};
 use ador_hw::Architecture;
 use ador_model::ModelConfig;
 use ador_perf::Deployment;
-use ador_serving::{Engine, QosReport, Request, RequestOutcome, ServingSim, SimConfig, SimError};
+use ador_serving::{
+    Engine, QosReport, Request, RequestOutcome, ServingSim, SimConfig, SimError, StepCosts,
+};
 use ador_telemetry::{
     goodput_series, AttributionReport, Event, EventKind, TelemetryConfig, TimeSeries,
 };
@@ -288,7 +290,8 @@ pub struct ClusterSim<'a> {
 }
 
 impl<'a> ClusterSim<'a> {
-    /// Builds a fleet of identical replicas.
+    /// Builds a fleet of identical replicas. They price their steps in
+    /// one shared table ([`StepCosts`]).
     ///
     /// # Errors
     ///
@@ -304,8 +307,11 @@ impl<'a> ClusterSim<'a> {
         if cfg.replicas == 0 {
             return Err(SimError::EmptyConfig);
         }
+        let mut costs = StepCosts::new();
         let engines = (0..cfg.replicas)
-            .map(|_| Ok(ServingSim::new(arch, model, deployment, cfg.engine)?.engine()))
+            .map(
+                |_| Ok(ServingSim::new(arch, model, deployment, cfg.engine)?.engine_in(&mut costs)),
+            )
             .collect::<Result<Vec<_>, SimError>>()?;
         let roles = vec![PoolRole::Unified; cfg.replicas];
         Self::assemble(engines, roles, model, cfg.engine.telemetry, cfg)
@@ -315,7 +321,9 @@ impl<'a> ClusterSim<'a> {
     /// replica runs its own [`ReplicaSpec`](crate::ReplicaSpec) hardware
     /// and engine config, and under [`Topology::Disaggregated`] the
     /// specs' [`PoolRole`]s decide which pool each replica serves.
-    /// `cfg.replicas` is ignored — the fleet's length wins.
+    /// `cfg.replicas` is ignored — the fleet's length wins. Replicas of
+    /// equal hardware price their steps in one shared table
+    /// ([`StepCosts`]).
     ///
     /// # Errors
     ///
@@ -326,7 +334,24 @@ impl<'a> ClusterSim<'a> {
         fleet: &'a FleetSpec,
         model: &'a ModelConfig,
         deployment: Deployment,
+        cfg: ClusterConfig,
+    ) -> Result<Self, SimError> {
+        Self::new_fleet_in(fleet, model, deployment, cfg, &mut StepCosts::new())
+    }
+
+    /// Like [`ClusterSim::new_fleet`], but every replica prices its steps
+    /// in `costs`, so fleets built through one registry share the tables
+    /// of their common hardware. Sharing changes no output.
+    ///
+    /// # Errors
+    ///
+    /// As [`ClusterSim::new_fleet`].
+    pub fn new_fleet_in(
+        fleet: &'a FleetSpec,
+        model: &'a ModelConfig,
+        deployment: Deployment,
         mut cfg: ClusterConfig,
+        costs: &mut StepCosts<'a>,
     ) -> Result<Self, SimError> {
         if fleet.is_empty() {
             return Err(SimError::EmptyConfig);
@@ -335,7 +360,9 @@ impl<'a> ClusterSim<'a> {
         let engines = fleet
             .replicas
             .iter()
-            .map(|spec| Ok(ServingSim::new(&spec.arch, model, deployment, spec.engine)?.engine()))
+            .map(|spec| {
+                Ok(ServingSim::new(&spec.arch, model, deployment, spec.engine)?.engine_in(costs))
+            })
             .collect::<Result<Vec<_>, SimError>>()?;
         let roles: Vec<PoolRole> = fleet.replicas.iter().map(|spec| spec.role).collect();
         let telemetry_cfg = fleet
@@ -406,8 +433,12 @@ impl<'a> ClusterSim<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates engine errors (see [`Engine::submit`] / [`Engine::step`]).
+    /// Returns [`TenantMix::check`]'s error for a class that cannot
+    /// generate requests ([`SimError::InvalidArrivalRate`] or
+    /// [`SimError::InvalidAcceptRate`]), and propagates engine errors
+    /// (see [`Engine::submit`] / [`Engine::step`]).
     pub fn run(self, mix: &TenantMix, count: usize, seed: u64) -> Result<FleetReport, SimError> {
+        mix.check()?;
         let stream = mix.generate(count, seed);
         self.run_stream(mix, stream)
     }
@@ -1107,6 +1138,52 @@ mod tests {
         assert!(report.fleet.is_some());
         let by_tenant: usize = report.tenants.iter().map(|t| t.completed).sum();
         assert_eq!(by_tenant, 90, "every outcome maps back to a tenant");
+    }
+
+    /// Runs a two-replica fleet over a chatbot class plus `class`, a
+    /// literal that bypasses `TenantClass`'s constructor checks.
+    fn run_with(class: TenantClass) -> Result<FleetReport, SimError> {
+        let arch = ador_table3();
+        let model = presets::llama3_8b();
+        let mix = TenantMix::new(vec![TenantClass::chatbot(2.0), class]);
+        let cfg = ClusterConfig::new(2, RouterPolicy::JoinShortestQueue);
+        ClusterSim::new(&arch, &model, Deployment::single_device(), cfg)?.run(&mix, 20, 1)
+    }
+
+    #[test]
+    fn a_class_with_a_bad_arrival_process_is_an_error() {
+        use crate::ArrivalProcess;
+        let never_on = ArrivalProcess::OnOffMmpp {
+            rate_on: 4.0,
+            mean_on: Seconds::ZERO,
+            mean_off: Seconds::new(12.0),
+        };
+        let poisson = [0.0, -1.0, f64::NAN, f64::INFINITY, 1e-320]
+            .map(|rate| ArrivalProcess::Poisson { rate });
+        for arrivals in poisson.into_iter().chain([never_on]) {
+            let mut class = TenantClass::chatbot(1.0);
+            class.arrivals = arrivals;
+            let err = run_with(class).unwrap_err();
+            assert!(
+                matches!(err, SimError::InvalidArrivalRate { rate }
+                    if rate.to_bits() == arrivals.mean_rate().to_bits()),
+                "{arrivals:?}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_class_with_an_acceptance_outside_zero_one_is_an_error() {
+        for rate in [1.5, -0.1, f64::NAN] {
+            let mut class = TenantClass::chatbot(1.0);
+            class.accept_rate = rate;
+            let err = run_with(class).unwrap_err();
+            assert!(
+                matches!(err, SimError::InvalidAcceptRate { id: None, rate: r }
+                    if r.to_bits() == rate.to_bits()),
+                "{rate}: {err:?}"
+            );
+        }
     }
 
     #[test]

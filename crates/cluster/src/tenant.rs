@@ -15,7 +15,7 @@
 //! whose growing shared prefixes a prefix-caching engine
 //! ([`ador_serving::SimConfig::prefix_caching`]) exploits.
 
-use ador_serving::{Request, Slo, TraceProfile};
+use ador_serving::{Request, SimError, Slo, TraceProfile};
 use ador_units::{conv, Seconds};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -120,19 +120,26 @@ impl ArrivalProcess {
         arrivals
     }
 
-    fn validate(&self) {
-        let ok = match *self {
-            ArrivalProcess::Poisson { rate } => rate.is_finite() && rate > 0.0,
+    /// Whether the process can draw arrivals: a positive, finite rate
+    /// whose mean gap is finite too (a subnormal rate's is not) and, for
+    /// an on/off MMPP, a positive mean ON sojourn (a zero one never
+    /// emits) and a non-negative mean OFF sojourn.
+    fn is_valid(&self) -> bool {
+        let drawable = |rate: f64| rate.is_finite() && rate > 0.0 && rate.recip().is_finite();
+        match *self {
+            ArrivalProcess::Poisson { rate } => drawable(rate),
             ArrivalProcess::OnOffMmpp {
                 rate_on,
                 mean_on,
                 mean_off,
-            } => {
-                rate_on.is_finite() && rate_on > 0.0 && mean_on.get() > 0.0 && mean_off.get() >= 0.0
-            }
-        };
-        assert!(ok, "arrival process must have positive rates: {self:?}");
+            } => drawable(rate_on) && mean_on.get() > 0.0 && mean_off.get() >= 0.0,
+        }
     }
+}
+
+/// Whether `rate` is a probability (NaN is not).
+fn is_probability(rate: f64) -> bool {
+    (0.0..=1.0).contains(&rate)
 }
 
 fn exp_sample(rng: &mut StdRng, mean: f64) -> f64 {
@@ -241,7 +248,10 @@ impl TenantClass {
         slo: Slo,
         arrivals: ArrivalProcess,
     ) -> Self {
-        arrivals.validate();
+        assert!(
+            arrivals.is_valid(),
+            "arrival process must have positive rates: {arrivals:?}"
+        );
         Self {
             name: name.into(),
             profile,
@@ -259,11 +269,29 @@ impl TenantClass {
     /// Panics unless `0 ≤ rate ≤ 1`.
     pub fn with_acceptance(mut self, rate: f64) -> Self {
         assert!(
-            (0.0..=1.0).contains(&rate),
+            is_probability(rate),
             "acceptance must be a probability, got {rate}"
         );
         self.accept_rate = rate;
         self
+    }
+
+    /// Checks what [`TenantClass::new`] and
+    /// [`TenantClass::with_acceptance`] assert, for a class built as a
+    /// literal (its fields are public).
+    fn check(&self) -> Result<(), SimError> {
+        if !self.arrivals.is_valid() {
+            return Err(SimError::InvalidArrivalRate {
+                rate: self.arrivals.mean_rate(),
+            });
+        }
+        if !is_probability(self.accept_rate) {
+            return Err(SimError::InvalidAcceptRate {
+                id: None,
+                rate: self.accept_rate,
+            });
+        }
+        Ok(())
     }
 
     /// Turns the class into a session workload: each arrival starts a
@@ -373,6 +401,23 @@ impl TenantMix {
         &self.classes
     }
 
+    /// Checks that every class can generate requests: the checks
+    /// [`TenantClass::new`] and [`TenantClass::with_acceptance`] make,
+    /// for classes built as literals. [`TenantMix::generate`] panics on a
+    /// mix that fails them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidArrivalRate`] (carrying the class's
+    /// mean rate) for a class whose arrival rate is not positive and
+    /// finite with a finite mean gap, or whose on/off MMPP has a
+    /// non-positive mean ON or a negative mean OFF sojourn, and [`SimError::InvalidAcceptRate`]
+    /// (with `id: None`) for an acceptance rate outside `[0, 1]`. The
+    /// first failing class, in index order, decides.
+    pub fn check(&self) -> Result<(), SimError> {
+        self.classes.iter().try_for_each(TenantClass::check)
+    }
+
     /// The combined long-run mean **request** rate, req/s. For session
     /// classes each arrival is a session start that fans out into
     /// `mean_turns` requests on average, so it contributes
@@ -406,6 +451,10 @@ impl TenantMix {
     /// growing, `prefix_group`-tagged context), the per-class streams
     /// merge by arrival time, and ids are assigned in merged order
     /// (`0..count`). Fully deterministic under `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a mix that fails [`TenantMix::check`].
     pub fn generate(&self, count: usize, seed: u64) -> Vec<ClusterRequest> {
         let mut merged: Vec<(Seconds, usize, usize, usize, Option<u64>)> = Vec::new();
         for (tenant, class) in self.classes.iter().enumerate() {

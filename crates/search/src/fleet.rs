@@ -24,12 +24,13 @@
 //! path.
 
 use ador_cluster::{
-    ClusterConfig, ClusterSim, FleetSpec, KvLink, ReplicaSpec, RouterPolicy, TenantMix, Topology,
+    ClusterConfig, ClusterRequest, ClusterSim, FleetSpec, KvLink, ReplicaSpec, RouterPolicy,
+    TenantMix, Topology,
 };
 use ador_hw::Architecture;
 use ador_model::ModelConfig;
 use ador_perf::Deployment;
-use ador_serving::{SimConfig, SimError};
+use ador_serving::{SimConfig, SimError, StepCosts};
 
 /// The chip palette the fleet search draws from.
 #[derive(Debug, Clone)]
@@ -135,19 +136,45 @@ impl FleetSearchOutcome {
 /// Runs the co-exploration: evaluates every composition in the crossed
 /// candidate space on the same seeded workload and picks the winner.
 ///
-/// Deterministic: candidates are enumerated in a fixed order, each run
-/// reuses the input seed, and ties break toward the earlier candidate.
-/// A single replica cannot be split into two pools, so with
+/// Deterministic: candidates are enumerated in a fixed order, all of
+/// them serve the one request stream the input seed generates, and ties
+/// break toward the earlier candidate. Every candidate's replicas price
+/// their steps in one shared registry ([`StepCosts`]), so a chip's step
+/// is priced once per call, not once per replica and candidate. A
+/// single replica cannot be split into two pools, so with
 /// `replicas == 1` only the six homogeneous candidates run and the
 /// winner is the homogeneous baseline.
 ///
 /// # Errors
 ///
-/// Returns [`SimError::EmptyConfig`] when `replicas == 0` (no fleet to
-/// build), and otherwise propagates the first engine construction or
-/// simulation error.
+/// Returns [`TenantMix::check`]'s error for a mix class that cannot
+/// generate requests ([`SimError::InvalidArrivalRate`] or
+/// [`SimError::InvalidAcceptRate`]), [`SimError::EmptyConfig`] when
+/// `replicas == 0` (no fleet to build), and otherwise propagates the
+/// first engine construction or simulation error.
 pub fn co_explore(input: &FleetSearchInput<'_>) -> Result<FleetSearchOutcome, SimError> {
-    let mut candidates = Vec::new();
+    let shapes = candidate_shapes(input);
+    input.mix.check()?;
+    let stream = input.mix.generate(input.requests, input.seed);
+    let mut costs = StepCosts::new();
+    let candidates = shapes
+        .iter()
+        .map(|(fleet, cfg, label)| evaluate(input, &stream, &mut costs, fleet, *cfg, label))
+        .collect::<Result<Vec<_>, SimError>>()?;
+    let best = pick(&candidates, |_| true);
+    let best_homogeneous = pick(&candidates, |c| !c.disaggregated);
+    Ok(FleetSearchOutcome {
+        candidates,
+        best,
+        best_homogeneous,
+    })
+}
+
+/// Every candidate's fleet, fleet config and label, in enumeration
+/// order. Built before any run, so one step-cost registry can price all
+/// of them.
+fn candidate_shapes(input: &FleetSearchInput<'_>) -> Vec<(FleetSpec, ClusterConfig, String)> {
+    let mut shapes = Vec::new();
 
     // Homogeneous aggregated fleets: each chip × each front-door policy.
     let chips = [
@@ -161,7 +188,7 @@ pub fn co_explore(input: &FleetSearchInput<'_>) -> Result<FleetSearchOutcome, Si
             let fleet = FleetSpec::homogeneous(&spec, input.replicas);
             let cfg = ClusterConfig::new(0, policy);
             let label = format!("{}x{} [{policy}]", input.replicas, arch.name);
-            candidates.push(evaluate(input, &fleet, cfg, label)?);
+            shapes.push((fleet, cfg, label));
         }
     }
 
@@ -179,16 +206,9 @@ pub fn co_explore(input: &FleetSearchInput<'_>) -> Result<FleetSearchOutcome, Si
             "disagg {prefill_count}x{} + {decode_count}x{}",
             input.chips.prefill.name, input.chips.decode.name
         );
-        candidates.push(evaluate(input, &fleet, cfg, label)?);
+        shapes.push((fleet, cfg, label));
     }
-
-    let best = pick(&candidates, |_| true);
-    let best_homogeneous = pick(&candidates, |c| !c.disaggregated);
-    Ok(FleetSearchOutcome {
-        candidates,
-        best,
-        best_homogeneous,
-    })
+    shapes
 }
 
 /// Chooses among candidates passing `eligible`: target-meeting candidates
@@ -216,20 +236,21 @@ fn pick(candidates: &[FleetCandidate], eligible: impl Fn(&FleetCandidate) -> boo
     best.expect("candidate set is never empty")
 }
 
-fn evaluate(
-    input: &FleetSearchInput<'_>,
-    fleet: &FleetSpec,
+/// Runs one candidate fleet over `stream`, pricing its steps in `costs`.
+fn evaluate<'s>(
+    input: &FleetSearchInput<'s>,
+    stream: &[ClusterRequest],
+    costs: &mut StepCosts<'s>,
+    fleet: &'s FleetSpec,
     cfg: ClusterConfig,
-    label: String,
+    label: &str,
 ) -> Result<FleetCandidate, SimError> {
     let disaggregated = matches!(cfg.topology, Topology::Disaggregated(_));
     let decode_policy = disaggregated.then_some(cfg.decode_policy);
     let policy = cfg.policy;
-    let report = ClusterSim::new_fleet(fleet, input.model, Deployment::single_device(), cfg)?.run(
-        input.mix,
-        input.requests,
-        input.seed,
-    )?;
+    let report =
+        ClusterSim::new_fleet_in(fleet, input.model, Deployment::single_device(), cfg, costs)?
+            .run_stream(input.mix, stream.to_vec())?;
     let attainment = report.fleet_attainment();
     let goodput = report
         .fleet
@@ -237,7 +258,7 @@ fn evaluate(
         .map_or(0.0, |q| q.goodput_tokens_per_sec);
     let qos = report.fleet.as_ref();
     Ok(FleetCandidate {
-        label,
+        label: label.to_owned(),
         policy,
         decode_policy,
         // A homogeneous fleet's replicas are `Unified`, so both its pools
@@ -257,7 +278,7 @@ fn evaluate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ador_cluster::scenarios;
+    use ador_cluster::{scenarios, ArrivalProcess, TenantClass};
     use ador_model::presets;
 
     #[test]
@@ -311,6 +332,64 @@ mod tests {
             .iter()
             .all(|c| !c.disaggregated && c.prefill_replicas == 1));
         assert_eq!(one.best, one.best_homogeneous);
+    }
+
+    fn input<'a>(model: &'a ModelConfig, mix: &'a TenantMix) -> FleetSearchInput<'a> {
+        FleetSearchInput {
+            model,
+            mix,
+            chips: FleetChips::ador_defaults(),
+            replicas: 4,
+            engine: scenarios::disagg_engine(),
+            link: scenarios::disagg_link(),
+            requests: 40,
+            seed: scenarios::DISAGG_SEED,
+            target_attainment: 0.9,
+        }
+    }
+
+    #[test]
+    fn candidates_sharing_step_costs_equal_candidates_priced_alone() {
+        // One registry prices every candidate of a call; each candidate
+        // must equal the same fleet run through a registry of its own.
+        let model = presets::llama3_8b();
+        let mix = scenarios::disagg_mix(12.0);
+        let input = input(&model, &mix);
+        let outcome = co_explore(&input).unwrap();
+        let shapes = candidate_shapes(&input);
+        assert_eq!(shapes.len(), outcome.candidates.len());
+        let stream = mix.generate(input.requests, input.seed);
+        for ((fleet, cfg, label), shared) in shapes.iter().zip(&outcome.candidates) {
+            let alone = evaluate(&input, &stream, &mut StepCosts::new(), fleet, *cfg, label);
+            assert_eq!(format!("{:?}", alone.unwrap()), format!("{shared:?}"));
+        }
+    }
+
+    #[test]
+    fn a_class_with_a_zero_arrival_rate_is_an_error() {
+        let model = presets::llama3_8b();
+        let mut class = TenantClass::chatbot(4.0);
+        class.arrivals = ArrivalProcess::Poisson { rate: 0.0 };
+        let mix = TenantMix::new(vec![class]);
+        assert_eq!(
+            co_explore(&input(&model, &mix)).unwrap_err(),
+            SimError::InvalidArrivalRate { rate: 0.0 }
+        );
+    }
+
+    #[test]
+    fn a_class_with_an_acceptance_above_one_is_an_error() {
+        let model = presets::llama3_8b();
+        let mut class = TenantClass::chatbot(4.0);
+        class.accept_rate = 1.5;
+        let mix = TenantMix::new(vec![class]);
+        assert_eq!(
+            co_explore(&input(&model, &mix)).unwrap_err(),
+            SimError::InvalidAcceptRate {
+                id: None,
+                rate: 1.5
+            }
+        );
     }
 
     #[test]

@@ -14,22 +14,21 @@
 //! [`crate::ServingSim`]; this module only changes *who advances the
 //! clock*, not what one iteration does.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
+use std::rc::Rc;
 
 use ador_model::Phase;
-use ador_perf::Evaluator;
 use ador_spec::{DraftStream, SpeculationPolicy, Verify};
 use ador_telemetry::{
     Event, EventDetail, EventKind, FlightRecorder, SeriesCollector, SeriesSample,
 };
 use ador_units::{conv, Seconds};
 
+use crate::costs::StepCostTable;
 use crate::prefix::{PrefixCache, PrefixCacheStats, PREFIX_BLOCK_TOKENS};
 use crate::sim::{SchedulerPolicy, SimConfig, SimError};
 use crate::{EngineCounters, QosReport, Request, RequestOutcome};
-
-const CTX_BUCKET: usize = 128;
 
 /// Per-request scheduler state that survives preemption.
 #[derive(Debug)]
@@ -210,15 +209,12 @@ pub enum StepEvent {
 /// # Ok::<(), ador_serving::SimError>(())
 /// ```
 pub struct Engine<'a> {
-    evaluator: Evaluator<'a>,
+    /// The step prices of this engine's (architecture, model,
+    /// deployment), shared with every engine built through the same
+    /// [`StepCosts`](crate::StepCosts) registry.
+    costs: Rc<StepCostTable<'a>>,
     cfg: SimConfig,
     kv_budget_tokens: usize,
-    /// Memoized step-latency evaluations keyed by (batch, context
-    /// bucket). `BTreeMap`s by the determinism contract (`ador-lint`):
-    /// only exact-key lookups today, but an unordered map here is one
-    /// refactor away from order-dependent replay.
-    decode_cache: BTreeMap<(usize, usize), Seconds>,
-    prefill_cache: BTreeMap<(usize, usize), Seconds>,
 
     /// Submitted requests that have not yet reached the admission queue
     /// (their arrival lies at or beyond the current clock), sorted by
@@ -273,16 +269,14 @@ pub struct Engine<'a> {
 
 impl<'a> Engine<'a> {
     pub(crate) fn from_parts(
-        evaluator: Evaluator<'a>,
+        costs: Rc<StepCostTable<'a>>,
         cfg: SimConfig,
         kv_budget_tokens: usize,
     ) -> Self {
         Self {
-            evaluator,
+            costs,
             cfg,
             kv_budget_tokens,
-            decode_cache: BTreeMap::new(),
-            prefill_cache: BTreeMap::new(),
             pending: VecDeque::new(),
             waiting: VecDeque::new(),
             active: Vec::new(),
@@ -836,7 +830,7 @@ impl<'a> Engine<'a> {
                     // only when tracing is on, so the untraced path
                     // stays bit-identical.
                     let ideal_us = if self.sink.is_some() {
-                        let alone = self.step_time(Phase::prefill(1, remaining))?;
+                        let alone = self.costs.step_time(Phase::prefill(1, remaining))?;
                         conv::u32_from_usize(conv::usize_from_f64(alone.as_micros().round()))
                     } else {
                         0
@@ -883,7 +877,9 @@ impl<'a> Engine<'a> {
             let mut step_time = Seconds::ZERO;
             if prefill_tokens > 0 {
                 let mean_chunk = (prefill_tokens / chunks.len()).max(1);
-                step_time += self.step_time(Phase::prefill(chunks.len(), mean_chunk))?;
+                step_time += self
+                    .costs
+                    .step_time(Phase::prefill(chunks.len(), mean_chunk))?;
             }
             if decoders > 0 {
                 let ctx_sum: usize = self
@@ -894,12 +890,12 @@ impl<'a> Engine<'a> {
                     .sum();
                 let ctx = ctx_sum.checked_div(decoders).map_or(1, |c| c.max(1));
                 if drafted_total == 0 {
-                    step_time += self.step_time(Phase::decode(decoders, ctx))?;
+                    step_time += self.costs.step_time(Phase::decode(decoders, ctx))?;
                 } else {
                     let verify_tokens = decoders + drafted_total;
                     let ctx_eq = (ctx_sum / verify_tokens).max(1);
-                    step_time += self.step_time(Phase::decode(verify_tokens, ctx_eq))?;
-                    let base = self.step_time(Phase::decode(decoders, ctx))?;
+                    step_time += self.costs.step_time(Phase::decode(verify_tokens, ctx_eq))?;
+                    let base = self.costs.step_time(Phase::decode(decoders, ctx))?;
                     let mean_depth =
                         conv::f64_from_usize(drafted_total) / conv::f64_from_usize(decoders);
                     step_time += base * (spec.draft_time_ratio * mean_depth);
@@ -1168,26 +1164,6 @@ impl<'a> Engine<'a> {
         self.kv_in_use -= moved - fresh;
     }
 
-    /// The latency of one `phase` step, its length rounded up to
-    /// `CTX_BUCKET` and memoized per phase kind by (batch, bucket).
-    fn step_time(&mut self, phase: Phase) -> Result<Seconds, SimError> {
-        let (cache, batch, len) = match phase {
-            Phase::Prefill { batch, prompt_len } => (&mut self.prefill_cache, batch, prompt_len),
-            Phase::Decode { batch, context_len } => (&mut self.decode_cache, batch, context_len),
-        };
-        let key = (batch, len.div_ceil(CTX_BUCKET) * CTX_BUCKET);
-        if let Some(&t) = cache.get(&key) {
-            return Ok(t);
-        }
-        let bucketed = match phase {
-            Phase::Prefill { .. } => Phase::prefill(batch, key.1),
-            Phase::Decode { .. } => Phase::decode(batch, key.1),
-        };
-        let t = self.evaluator.step(bucketed)?.total;
-        cache.insert(key, t);
-        Ok(t)
-    }
-
     /// The live event recorder, if tracing is on — fleet drivers use
     /// this to record their own lifecycle events (request shedding
     /// happens at the router, not in the engine) into the same stream.
@@ -1210,9 +1186,10 @@ impl<'a> Engine<'a> {
 
 impl fmt::Debug for Engine<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let evaluator = self.costs.evaluator();
         f.debug_struct("Engine")
-            .field("arch", &self.evaluator.architecture().name)
-            .field("model", &self.evaluator.model().name)
+            .field("arch", &evaluator.architecture().name)
+            .field("model", &evaluator.model().name)
             .field("cfg", &self.cfg)
             .field("kv_budget_tokens", &self.kv_budget_tokens)
             .field("now", &self.now)
@@ -1871,5 +1848,55 @@ mod tests {
             .points
             .iter()
             .any(|p| p.active > 0 && p.kv_in_use > 0));
+    }
+
+    #[test]
+    fn step_cost_tables_are_shared_only_between_equal_inputs() {
+        // Two separately built copies of one chip share a table; a chip
+        // with doubled DRAM bandwidth, another model and a two-way
+        // deployment each get a table of their own, priced as a fresh
+        // evaluator prices them.
+        let (base, copy) = (ador_table3(), ador_table3());
+        let mut fast = ador_table3();
+        fast.dram.bandwidth = fast.dram.bandwidth * 2.0;
+        let (llama, mistral) = (presets::llama3_8b(), presets::mistral_7b());
+        let (one, two) = (Deployment::single_device(), Deployment::tensor_parallel(2));
+        let cfg = SimConfig::new(1.0, 8);
+        let mut costs = crate::StepCosts::new();
+        let mut build = |arch, model, deployment| {
+            ServingSim::new(arch, model, deployment, cfg)
+                .unwrap()
+                .engine_in(&mut costs)
+        };
+        let shared = [build(&base, &llama, one), build(&copy, &llama, one)];
+        assert!(Rc::ptr_eq(&shared[0].costs, &shared[1].costs));
+        let distinct = [
+            build(&base, &llama, one),
+            build(&fast, &llama, one),
+            build(&base, &mistral, one),
+            build(&base, &llama, two),
+        ];
+        let step = Phase::decode(8, 1000);
+        let mut prices = Vec::new();
+        for (i, engine) in distinct.iter().enumerate() {
+            assert_eq!(
+                Rc::ptr_eq(&engine.costs, &shared[0].costs),
+                i == 0,
+                "engine {i}"
+            );
+            let evaluator = engine.costs.evaluator();
+            let fresh = ador_perf::Evaluator::new(
+                evaluator.architecture(),
+                evaluator.model(),
+                evaluator.deployment(),
+            )
+            .unwrap();
+            let price = engine.costs.step_time(step).unwrap();
+            assert_eq!(price, fresh.step(Phase::decode(8, 1024)).unwrap().total);
+            prices.push(price);
+        }
+        for (i, a) in prices.iter().enumerate() {
+            assert!(prices[i + 1..].iter().all(|b| b != a), "price {i} repeats");
+        }
     }
 }

@@ -68,6 +68,7 @@
 #![warn(missing_docs)]
 
 mod capacity;
+mod costs;
 mod engine;
 mod generator;
 mod prefix;
@@ -80,6 +81,7 @@ mod slo;
 mod trace;
 
 pub use capacity::{bisect_rate, max_capacity, CapacityResult};
+pub use costs::StepCosts;
 pub use engine::{Engine, StepEvent};
 pub use generator::RequestGenerator;
 pub use prefix::{PrefixCache, PrefixCacheStats, PREFIX_BLOCK_TOKENS};

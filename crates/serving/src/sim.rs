@@ -41,7 +41,7 @@ use ador_telemetry::TelemetryConfig;
 use ador_units::{conv, Bandwidth, Seconds};
 
 use crate::engine::{Engine, StepEvent};
-use crate::{QosReport, Request, RequestGenerator, RequestOutcome, TraceProfile};
+use crate::{QosReport, Request, RequestGenerator, RequestOutcome, StepCosts, TraceProfile};
 
 /// How the scheduler shares engine iterations between prefill and decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -180,9 +180,13 @@ pub enum SimError {
         /// Tokens of KV budget available.
         budget_tokens: usize,
     },
-    /// A generated workload needs a positive, finite Poisson arrival rate.
+    /// A generated workload needs a positive, finite arrival rate: the
+    /// [`SimConfig::arrival_rate`] of a single-engine run, or a fleet
+    /// tenant class's arrival process, which when bursty (on/off) also
+    /// needs a positive mean ON and a non-negative mean OFF sojourn.
     InvalidArrivalRate {
-        /// The configured [`SimConfig::arrival_rate`] (req/s).
+        /// The configured [`SimConfig::arrival_rate`], or the tenant
+        /// class's long-run mean rate (req/s).
         rate: f64,
     },
     /// A capacity search was given a bad rate bracket.
@@ -207,11 +211,14 @@ pub enum SimError {
         /// The link's bandwidth.
         bandwidth: Bandwidth,
     },
-    /// A speculating engine got an acceptance rate outside `[0, 1]`: a
-    /// request's [`Request::accept_rate`], or the config's
-    /// [`SpeculationConfig::default_acceptance`].
+    /// An acceptance rate outside `[0, 1]`: a request's
+    /// [`Request::accept_rate`] or the config's
+    /// [`SpeculationConfig::default_acceptance`] on a speculating engine,
+    /// or a fleet tenant class's `accept_rate`, which every generated
+    /// request carries.
     InvalidAcceptRate {
-        /// Id of the offending request; `None` for the config default.
+        /// Id of the offending request; `None` for the config default or
+        /// a tenant class.
         id: Option<u64>,
         /// The offending rate.
         rate: f64,
@@ -236,7 +243,10 @@ impl fmt::Display for SimError {
                 )
             }
             SimError::InvalidArrivalRate { rate } => {
-                write!(f, "arrival rate must be positive and finite, got {rate}")
+                write!(
+                    f,
+                    "config or tenant-class arrival rate must be positive and finite, got {rate}"
+                )
             }
             SimError::InvalidBounds { lo, hi } => {
                 write!(f, "invalid capacity bounds ({lo}, {hi}): need 0 < lo < hi")
@@ -251,7 +261,10 @@ impl fmt::Display for SimError {
             ),
             SimError::InvalidAcceptRate { id, rate } => match id {
                 Some(id) => write!(f, "request {id} has acceptance rate {rate}, outside [0, 1]"),
-                None => write!(f, "default acceptance rate {rate} is outside [0, 1]"),
+                None => write!(
+                    f,
+                    "default or tenant-class acceptance rate {rate} is outside [0, 1]"
+                ),
             },
             SimError::InvalidDraftTimeRatio { ratio } => write!(
                 f,
@@ -354,9 +367,20 @@ impl<'a> ServingSim<'a> {
 
     /// Consumes the simulator into its incremental [`Engine`], for drivers
     /// that interleave several replicas (or inspect state mid-run) instead
-    /// of running one request list to completion.
+    /// of running one request list to completion. The engine prices its
+    /// steps in a table of its own; see [`ServingSim::engine_in`] to
+    /// share one.
     pub fn engine(self) -> Engine<'a> {
-        Engine::from_parts(self.evaluator, self.cfg, self.kv_budget_tokens)
+        self.engine_in(&mut StepCosts::new())
+    }
+
+    /// Like [`ServingSim::engine`], but the engine prices its steps in
+    /// `costs`' table for this simulator's architecture, model and
+    /// deployment, shared with every other engine built through `costs`
+    /// for the same three. Sharing changes no output: a table entry is
+    /// a pure function of its key, whichever engine prices it first.
+    pub fn engine_in(self, costs: &mut StepCosts<'a>) -> Engine<'a> {
+        Engine::from_parts(costs.table(self.evaluator), self.cfg, self.kv_budget_tokens)
     }
 
     /// Runs the simulation over requests drawn from `profile`.

@@ -1,0 +1,95 @@
+#!/usr/bin/env bash
+# Alternating parent/change pairs of perfbench runs, summarised per
+# end-to-end metric.
+#
+#   scripts/pairs.sh PARENT_BIN CHANGE_BIN WORKLOAD SECONDS PAIRS [SEED]
+#
+# Runs PAIRS pairs of untraced runs (`--trace 0`, seed SEED, default 1).
+# Odd pairs run the parent first, even pairs the change first, so host
+# drift falls on both sides. Prints every run's `failed` count and
+# end-to-end metrics, then for each end-to-end metric of BENCHMARK.json
+# the median and quartiles per side, the change's wins out of PAIRS
+# (ties count for neither), the median gap and the parent's
+# interquartile range. A claimed gain needs wins >= 9 of 10 and a gap
+# larger than the parent's IQR. Needs only bash and awk.
+set -euo pipefail
+
+if [ "$#" -lt 5 ]; then
+    echo "usage: $0 PARENT_BIN CHANGE_BIN WORKLOAD SECONDS PAIRS [SEED]" >&2
+    exit 2
+fi
+parent=$1
+change=$2
+workload=$3
+seconds=$4
+pairs=$5
+seed=${6:-1}
+manifest="$(cd "$(dirname "$0")/.." && pwd)/BENCHMARK.json"
+
+# One "name better" line per end-to-end metric of the manifest.
+metrics=$(awk '
+    /"end_to_end"/ { on = 1 }
+    /"per_layer"/ { on = 0 }
+    on && /"name"/ {
+        match($0, /"name": *"[^"]*"/); n = substr($0, RSTART, RLENGTH)
+        sub(/"name": *"/, "", n); sub(/"$/, "", n)
+        match($0, /"better": *"[^"]*"/); b = substr($0, RSTART, RLENGTH)
+        sub(/"better": *"/, "", b); sub(/"$/, "", b)
+        print n, b
+    }' "$manifest")
+names=$(echo "$metrics" | awk '{print $1}' | tr '\n' ' ')
+
+# An awk function: metric NAME's value in a perfbench result line.
+value='
+    function value(line, name,    m) {
+        if (!match(line, "\"" name "\":\\{\"value\":[-0-9.eE+]+")) return "nan"
+        m = substr(line, RSTART, RLENGTH); sub(/.*"value":/, "", m); return m + 0
+    }'
+
+runs=$(mktemp)
+trap 'rm -f "$runs"' EXIT
+
+for i in $(seq 1 "$pairs"); do
+    if [ $((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
+    for side in $order; do
+        if [ "$side" = parent ]; then bin=$parent; else bin=$change; fi
+        line=$("$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 1)
+        echo "$i $side $line" >> "$runs"
+        echo "$line" | awk -v pair="$i" -v side="$side" -v names="$names" "$value"'
+            {
+                match($0, /"failed":[0-9]+/)
+                printf "pair %s %s failed=%s", pair, side, substr($0, RSTART + 9, RLENGTH - 9)
+                n = split(names, a, " ")
+                for (k = 1; k <= n; k++) printf " %s=%s", a[k], value($0, a[k])
+                print ""
+            }'
+    done
+done
+
+echo "$metrics" | while read -r name better; do
+    awk -v name="$name" -v better="$better" -v pairs="$pairs" "$value"'
+        function sort(a, n,    i, j, t) {
+            for (i = 2; i <= n; i++)
+                for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
+        }
+        function quantile(a, n, p,    pos, lo) {
+            pos = (n - 1) * p + 1; lo = int(pos)
+            return lo >= n ? a[n] : a[lo] + (pos - lo) * (a[lo + 1] - a[lo])
+        }
+        {
+            v = value($0, name)
+            if ($2 == "parent") { par[$1] = v; ps[++np] = v } else { chg[$1] = v; cs[++nc] = v }
+        }
+        END {
+            wins = 0
+            for (i = 1; i <= pairs; i++)
+                if ((better == "lower" && chg[i] < par[i]) || (better == "higher" && chg[i] > par[i])) wins++
+            sort(ps, np); sort(cs, nc)
+            pm = quantile(ps, np, 0.5); cm = quantile(cs, nc, 0.5)
+            iqr = quantile(ps, np, 0.75) - quantile(ps, np, 0.25)
+            gap = cm - pm; if (gap < 0) gap = -gap
+            printf "%-14s (%s better) parent %.6g [%.6g, %.6g]  change %.6g [%.6g, %.6g]  wins %d/%d  gap %.6g  parent IQR %.6g\n",
+                name, better, pm, quantile(ps, np, 0.25), quantile(ps, np, 0.75),
+                cm, quantile(cs, nc, 0.25), quantile(cs, nc, 0.75), wins, pairs, gap, iqr
+        }' "$runs"
+done

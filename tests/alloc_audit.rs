@@ -7,7 +7,7 @@
 //! * every `Engine::step` stage is metered (calls advance with steps),
 //!   and steady-state decode — full batch, no arrivals, no completions —
 //!   allocates only in the timing stage, when a new (batch, context
-//!   bucket) misses the step-cost cache: the step's working vectors are
+//!   bucket) misses the step-cost table: the step's working vectors are
 //!   engine-owned scratch, with speculation off and under SLO-adaptive
 //!   speculation alike. It also stays within the allocations-per-step
 //!   budget the featureless `bench_attribution` artifact enforces;
@@ -114,7 +114,7 @@ fn long_decode(id: u64) -> Request {
 }
 
 /// Asserts that steady decode allocated nothing outside the timing stage,
-/// which allocates only to fill the step-cost cache.
+/// which allocates only to fill the step-cost table.
 fn assert_only_timing_allocates(before: &StepProfile, after: &StepProfile) {
     for stage in [
         Stage::Arrivals,

@@ -1,12 +1,14 @@
 //! Cluster-serving integration tests: the pinned router-policy ordering,
 //! routing determinism, SLO-aware partition isolation, the shared-clock
-//! makespan, role-blind routing of aggregated fleets, and the fleet-wide
+//! makespan, role-blind routing of aggregated fleets, replicas that share
+//! step costs reporting as fresh engines do, and the fleet-wide
 //! conservation invariant. The event loop's equivalence pins against the
 //! sweep-every-replica reference live in `ador-cluster`'s unit tests,
 //! where the reference is visible.
 
 use ador::cluster::scenarios::{
-    disagg_cluster, disagg_mix, scarce_kv_fleet, skewed_two_tenant, DISAGG_RATE, SKEWED_MIX_RATE,
+    disagg_cluster, disagg_mix, scarce_kv_fleet, session_fleet, session_workload,
+    skewed_two_tenant, DISAGG_RATE, SESSION_RATE, SESSION_REQUESTS, SESSION_SEED, SKEWED_MIX_RATE,
     SKEWED_MIX_REQUESTS,
 };
 use ador::cluster::{
@@ -16,7 +18,7 @@ use ador::cluster::{
 use ador::model::presets;
 use ador::perf::Deployment;
 use ador::serving::{
-    LatencyStats, QosReport, Request, RequestOutcome, SimConfig, SpeculationConfig,
+    LatencyStats, QosReport, Request, RequestOutcome, ServingSim, SimConfig, SpeculationConfig,
     SpeculationPolicy,
 };
 use ador::units::Seconds;
@@ -273,6 +275,42 @@ fn drive_fleet(
         .map(<[_]>::to_vec)
         .collect();
     (now, outcomes, sim.finish())
+}
+
+/// The replicas of a fleet price their steps in one shared table, so a
+/// step one replica priced is a lookup for the others. Sharing must not
+/// change what any replica reports: each of four prefix-caching
+/// replicas reports exactly what a fresh engine, pricing alone, reports
+/// on the requests the router sent that replica.
+#[test]
+fn replicas_sharing_step_costs_report_as_fresh_engines_do() {
+    let arch = ador::baselines::ador_table3();
+    let model = presets::llama3_8b();
+    let cfg = session_fleet(4, RouterPolicy::CacheAffinity);
+    let mix = session_workload(SESSION_RATE);
+    let stream = mix.generate(SESSION_REQUESTS, SESSION_SEED);
+    let report = ClusterSim::new(&arch, &model, Deployment::single_device(), cfg)
+        .unwrap()
+        .run_stream(&mix, stream.clone())
+        .unwrap();
+
+    let mut routed: Vec<Vec<Request>> = vec![Vec::new(); 4];
+    for &(id, replica) in &report.assignments {
+        let request = stream
+            .iter()
+            .find(|cr| cr.request.id == id)
+            .unwrap()
+            .request;
+        routed[replica.expect("no admission control")].push(request);
+    }
+    for (i, requests) in routed.into_iter().enumerate() {
+        assert!(!requests.is_empty(), "replica {i} got no work");
+        let (alone, _) = ServingSim::new(&arch, &model, Deployment::single_device(), cfg.engine)
+            .unwrap()
+            .run_requests(requests)
+            .unwrap();
+        assert_eq!(report.per_replica[i].as_ref(), Some(&alone), "replica {i}");
+    }
 }
 
 /// Roles only mean something under disaggregation: an aggregated fleet
