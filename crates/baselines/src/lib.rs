@@ -227,7 +227,7 @@ pub fn decode_optimized() -> Architecture {
 /// Every baseline, for registry-style iteration (Fig. 4 sweeps). The
 /// disaggregation specials ([`prefill_optimized`], [`decode_optimized`])
 /// are deliberately *not* here — they are fleet-role chips, not paper
-/// comparison columns — but [`by_name`] finds them.
+/// comparison columns.
 pub fn registry() -> Vec<Architecture> {
     vec![
         a100(),
@@ -238,24 +238,6 @@ pub fn registry() -> Vec<Architecture> {
         llmcompass_t(),
         ador_table3(),
     ]
-}
-
-/// Looks up a device by (case-insensitive) name: the [`registry`]
-/// baselines plus the disaggregation specials.
-///
-/// # Examples
-///
-/// ```
-/// assert!(ador_baselines::by_name("nvidia a100").is_some());
-/// assert!(ador_baselines::by_name("decode-optimized").is_some());
-/// assert!(ador_baselines::by_name("unknown").is_none());
-/// ```
-pub fn by_name(name: &str) -> Option<Architecture> {
-    let needle = name.to_ascii_lowercase();
-    registry()
-        .into_iter()
-        .chain([prefill_optimized(), decode_optimized()])
-        .find(|a| a.name.to_ascii_lowercase() == needle)
 }
 
 #[cfg(test)]
@@ -322,18 +304,13 @@ mod tests {
     }
 
     #[test]
-    fn lookup_by_name() {
-        assert_eq!(by_name("ador design").unwrap().cores, 32);
-        assert!(by_name("LLMCompass-T").is_some());
-        assert_eq!(by_name("prefill-optimized").unwrap().cores, 48);
-        assert_eq!(by_name("Decode-Optimized").unwrap().cores, 16);
-    }
-
-    #[test]
     fn disagg_specials_are_valid_and_specialized() {
         let p = prefill_optimized();
         let d = decode_optimized();
         assert!(p.validate().is_ok() && d.validate().is_ok());
+        assert_eq!(ador_table3().cores, 32);
+        assert_eq!(p.cores, 48);
+        assert_eq!(d.cores, 16);
         // The prefill chip out-computes; the decode chip out-streams.
         assert!(p.peak_flops() > d.peak_flops());
         assert!(d.dram.bandwidth > p.dram.bandwidth);

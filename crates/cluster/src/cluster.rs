@@ -434,11 +434,12 @@ impl<'a> ClusterSim<'a> {
     /// # Errors
     ///
     /// Returns [`TenantMix::check`]'s error for a class that cannot
-    /// generate requests ([`SimError::InvalidArrivalRate`] or
-    /// [`SimError::InvalidAcceptRate`]), and propagates engine errors
+    /// generate `count` requests ([`SimError::InvalidArrivalRate`],
+    /// [`SimError::InvalidAcceptRate`] or
+    /// [`SimError::InvalidSessionShape`]), and propagates engine errors
     /// (see [`Engine::submit`] / [`Engine::step`]).
     pub fn run(self, mix: &TenantMix, count: usize, seed: u64) -> Result<FleetReport, SimError> {
-        mix.check()?;
+        mix.check(count)?;
         let stream = mix.generate(count, seed);
         self.run_stream(mix, stream)
     }
@@ -507,7 +508,8 @@ impl<'a> ClusterSim<'a> {
     /// replica-index order (launching KV transfers) and delivers the
     /// transfers matured by the instant; last, routes the arrivals at the
     /// instant. With no instant left nothing can create a submission
-    /// again, and the call drains every replica. The conservation
+    /// again, so the instant is unbounded: the call drains every busy
+    /// replica, and the next call returns `false`. The conservation
     /// invariant `submitted == completed + rejected + in_flight +
     /// in_transfer` holds between calls.
     ///
@@ -515,8 +517,10 @@ impl<'a> ClusterSim<'a> {
     ///
     /// Propagates engine errors.
     pub fn advance(&mut self) -> Result<bool, SimError> {
-        let Some(instant) = self.horizon() else {
-            return self.drain();
+        let instant = match self.horizon() {
+            Some(instant) => instant,
+            None if self.peek_ready().is_none() => return Ok(false),
+            None => Seconds::new(f64::MAX),
         };
         while let Some(ev) = self.peek_ready() {
             if ev.time >= instant {
@@ -590,27 +594,6 @@ impl<'a> ClusterSim<'a> {
             self.route_and_submit(cr)?;
         }
         Ok(())
-    }
-
-    /// No boundary instant is left, so nothing can create a submission
-    /// anywhere again: drain every replica in index order and, with a
-    /// link, classify the stragglers. Returns `false` once there is
-    /// nothing left to drain.
-    fn drain(&mut self) -> Result<bool, SimError> {
-        if self.engines.iter().all(Engine::is_drained) {
-            return Ok(false);
-        }
-        for idx in 0..self.engines.len() {
-            while !self.engines[idx].is_drained() {
-                self.engines[idx].step()?;
-            }
-            self.clock = self.clock.max(self.engines[idx].now());
-            self.snapshots[idx] = snapshot(&self.engines[idx]);
-        }
-        if self.link.is_some() {
-            self.scan_completions();
-        }
-        Ok(true)
     }
 
     /// Classifies every newly completed engine outcome (replica index
@@ -1109,7 +1092,7 @@ mod tests {
     #![allow(clippy::unwrap_used)]
 
     use super::*;
-    use crate::scenarios;
+    use crate::{scenarios, SessionShape};
     use ador_baselines::ador_table3;
     use ador_model::presets;
     use proptest::prelude::*;
@@ -1158,7 +1141,7 @@ mod tests {
             mean_on: Seconds::ZERO,
             mean_off: Seconds::new(12.0),
         };
-        let poisson = [0.0, -1.0, f64::NAN, f64::INFINITY, 1e-320]
+        let poisson = [0.0, -1.0, f64::NAN, f64::INFINITY, 1e-307, 1e-320]
             .map(|rate| ArrivalProcess::Poisson { rate });
         for arrivals in poisson.into_iter().chain([never_on]) {
             let mut class = TenantClass::chatbot(1.0);
@@ -1170,6 +1153,46 @@ mod tests {
                 "{arrivals:?}: {err:?}"
             );
         }
+    }
+
+    /// Runs `run_with` on a chat-session class whose shape is `shape`, a
+    /// literal that bypasses `TenantClass::with_sessions`' assert, and
+    /// asserts the typed error that names it.
+    fn assert_bad_session_shape(shape: SessionShape) {
+        let mut class = TenantClass::chat_sessions(1.0);
+        class.session = Some(shape);
+        let err = run_with(class).unwrap_err();
+        assert!(
+            matches!(err, SimError::InvalidSessionShape { mean_turns, mean_think }
+                if mean_turns.to_bits() == shape.mean_turns.to_bits()
+                    && mean_think == shape.mean_think),
+            "{shape:?}: {err:?}"
+        );
+    }
+
+    #[test]
+    fn a_session_shape_with_a_negative_think_time_is_an_error() {
+        assert_bad_session_shape(SessionShape {
+            // `Seconds` subtraction does not check the sign.
+            mean_think: Seconds::ZERO - Seconds::new(1.0),
+            ..SessionShape::chat()
+        });
+    }
+
+    #[test]
+    fn a_session_shape_with_a_nan_turn_count_is_an_error() {
+        assert_bad_session_shape(SessionShape {
+            mean_turns: f64::NAN,
+            ..SessionShape::chat()
+        });
+    }
+
+    #[test]
+    fn a_session_shape_with_under_one_turn_is_an_error() {
+        assert_bad_session_shape(SessionShape {
+            mean_turns: 0.5,
+            ..SessionShape::chat()
+        });
     }
 
     #[test]
@@ -1500,14 +1523,18 @@ mod tests {
     }
 
     /// The reference the event loop is held equal to: the same boundary
-    /// instants, but every replica is swept to each one in index order,
-    /// whether or not it has work before it. Sweeping a replica without
+    /// instants, the same unbounded one at the end, but every replica is
+    /// swept to each one in index order, whether or not it has work
+    /// before it, and the run stops when every engine is drained rather
+    /// than when the ready heap is empty. Sweeping a replica without
     /// such work is a no-op, so any difference from
     /// [`ClusterSim::advance`] is a replica the ready heap failed to
     /// sweep, or swept at the wrong time.
     fn advance_reference(sim: &mut ClusterSim<'_>) -> Result<bool, SimError> {
-        let Some(instant) = sim.horizon() else {
-            return sim.drain();
+        let instant = match sim.horizon() {
+            Some(instant) => instant,
+            None if sim.engines.iter().all(Engine::is_drained) => return Ok(false),
+            None => Seconds::new(f64::MAX),
         };
         for idx in 0..sim.engines.len() {
             sim.sweep(idx, instant)?;

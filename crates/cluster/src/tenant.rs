@@ -15,7 +15,7 @@
 //! whose growing shared prefixes a prefix-caching engine
 //! ([`ador_serving::SimConfig::prefix_caching`]) exploits.
 
-use ador_serving::{Request, SimError, Slo, TraceProfile};
+use ador_serving::{arrival_rate_fits, Request, SimError, Slo, TraceProfile};
 use ador_units::{conv, Seconds};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -120,19 +120,18 @@ impl ArrivalProcess {
         arrivals
     }
 
-    /// Whether the process can draw arrivals: a positive, finite rate
-    /// whose mean gap is finite too (a subnormal rate's is not) and, for
-    /// an on/off MMPP, a positive mean ON sojourn (a zero one never
-    /// emits) and a non-negative mean OFF sojourn.
-    fn is_valid(&self) -> bool {
-        let drawable = |rate: f64| rate.is_finite() && rate > 0.0 && rate.recip().is_finite();
+    /// Whether the process can draw `count` arrivals: a rate at which
+    /// `count` gaps cannot overflow the clock ([`arrival_rate_fits`])
+    /// and, for an on/off MMPP, a positive mean ON sojourn (a zero one
+    /// never emits) and a non-negative mean OFF sojourn.
+    fn is_valid(&self, count: usize) -> bool {
         match *self {
-            ArrivalProcess::Poisson { rate } => drawable(rate),
+            ArrivalProcess::Poisson { rate } => arrival_rate_fits(rate, count),
             ArrivalProcess::OnOffMmpp {
                 rate_on,
                 mean_on,
                 mean_off,
-            } => drawable(rate_on) && mean_on.get() > 0.0 && mean_off.get() >= 0.0,
+            } => arrival_rate_fits(rate_on, count) && mean_on.get() > 0.0 && mean_off.get() >= 0.0,
         }
     }
 }
@@ -188,15 +187,13 @@ impl SessionShape {
         }
     }
 
-    fn validate(&self) {
-        assert!(
-            self.mean_turns >= 1.0 && self.mean_turns.is_finite(),
-            "sessions need a mean of at least one turn: {self:?}"
-        );
-        assert!(
-            self.mean_think.get() >= 0.0,
-            "think time cannot be negative: {self:?}"
-        );
+    /// Whether the shape can generate sessions: a finite mean of at
+    /// least one turn and a finite, non-negative mean think time.
+    fn is_valid(&self) -> bool {
+        self.mean_turns >= 1.0
+            && self.mean_turns.is_finite()
+            && self.mean_think.get() >= 0.0
+            && self.mean_think.get().is_finite()
     }
 
     /// Draws a session length: 1 + Geometric(p) with `p = 1/mean_turns`,
@@ -241,7 +238,8 @@ impl TenantClass {
     ///
     /// # Panics
     ///
-    /// Panics if the arrival process has a non-positive rate.
+    /// Panics if the arrival process cannot draw a single arrival (see
+    /// [`TenantMix::check`]).
     pub fn new(
         name: impl Into<String>,
         profile: TraceProfile,
@@ -249,8 +247,8 @@ impl TenantClass {
         arrivals: ArrivalProcess,
     ) -> Self {
         assert!(
-            arrivals.is_valid(),
-            "arrival process must have positive rates: {arrivals:?}"
+            arrivals.is_valid(1),
+            "arrival process must have positive rates that can draw an arrival: {arrivals:?}"
         );
         Self {
             name: name.into(),
@@ -276,11 +274,12 @@ impl TenantClass {
         self
     }
 
-    /// Checks what [`TenantClass::new`] and
-    /// [`TenantClass::with_acceptance`] assert, for a class built as a
-    /// literal (its fields are public).
-    fn check(&self) -> Result<(), SimError> {
-        if !self.arrivals.is_valid() {
+    /// Checks what [`TenantClass::new`], [`TenantClass::with_acceptance`]
+    /// and [`TenantClass::with_sessions`] assert, for a class built as a
+    /// literal (its fields are public) that must generate `count`
+    /// requests.
+    fn check(&self, count: usize) -> Result<(), SimError> {
+        if !self.arrivals.is_valid(count) {
             return Err(SimError::InvalidArrivalRate {
                 rate: self.arrivals.mean_rate(),
             });
@@ -291,6 +290,12 @@ impl TenantClass {
                 rate: self.accept_rate,
             });
         }
+        if let Some(shape) = self.session.filter(|shape| !shape.is_valid()) {
+            return Err(SimError::InvalidSessionShape {
+                mean_turns: shape.mean_turns,
+                mean_think: shape.mean_think,
+            });
+        }
         Ok(())
     }
 
@@ -299,10 +304,14 @@ impl TenantClass {
     ///
     /// # Panics
     ///
-    /// Panics if the shape's mean turn count is below 1 or its think time
-    /// is negative.
+    /// Panics unless the shape has a finite mean of at least one turn and
+    /// a finite, non-negative think time.
     pub fn with_sessions(mut self, shape: SessionShape) -> Self {
-        shape.validate();
+        assert!(
+            shape.is_valid(),
+            "sessions need a finite mean of at least one turn and a finite, \
+             non-negative think time: {shape:?}"
+        );
         self.session = Some(shape);
         self
     }
@@ -401,21 +410,26 @@ impl TenantMix {
         &self.classes
     }
 
-    /// Checks that every class can generate requests: the checks
-    /// [`TenantClass::new`] and [`TenantClass::with_acceptance`] make,
-    /// for classes built as literals. [`TenantMix::generate`] panics on a
-    /// mix that fails them.
+    /// Checks that every class can generate `count` requests: the checks
+    /// [`TenantClass::new`], [`TenantClass::with_acceptance`] and
+    /// [`TenantClass::with_sessions`] make, for classes built as
+    /// literals. [`TenantMix::generate`] panics on a mix that fails them.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidArrivalRate`] (carrying the class's
     /// mean rate) for a class whose arrival rate is not positive and
-    /// finite with a finite mean gap, or whose on/off MMPP has a
-    /// non-positive mean ON or a negative mean OFF sojourn, and [`SimError::InvalidAcceptRate`]
-    /// (with `id: None`) for an acceptance rate outside `[0, 1]`. The
-    /// first failing class, in index order, decides.
-    pub fn check(&self) -> Result<(), SimError> {
-        self.classes.iter().try_for_each(TenantClass::check)
+    /// finite or so small that `count` gaps overflow the clock
+    /// ([`arrival_rate_fits`]), or whose on/off MMPP has a non-positive
+    /// mean ON or a negative mean OFF sojourn;
+    /// [`SimError::InvalidAcceptRate`] (with `id: None`) for an
+    /// acceptance rate outside `[0, 1]`; and
+    /// [`SimError::InvalidSessionShape`] for a session shape with fewer
+    /// than one mean turn, a NaN or infinite one, or a negative or
+    /// infinite think time. The first failing class, in index order,
+    /// decides.
+    pub fn check(&self, count: usize) -> Result<(), SimError> {
+        self.classes.iter().try_for_each(|class| class.check(count))
     }
 
     /// The combined long-run mean **request** rate, req/s. For session
@@ -454,7 +468,7 @@ impl TenantMix {
     ///
     /// # Panics
     ///
-    /// Panics on a mix that fails [`TenantMix::check`].
+    /// Panics on a mix that fails [`TenantMix::check`] for `count`.
     pub fn generate(&self, count: usize, seed: u64) -> Vec<ClusterRequest> {
         let mut merged: Vec<(Seconds, usize, usize, usize, Option<u64>)> = Vec::new();
         for (tenant, class) in self.classes.iter().enumerate() {

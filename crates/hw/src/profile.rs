@@ -126,29 +126,6 @@ impl PerfProfile {
             op_overhead: Seconds::from_micros(0.2),
         }
     }
-
-    /// Looks up a calibrated profile by (case-insensitive) name —
-    /// `"ador"`, `"gpu"`, `"systolic-npu"` or `"streaming-sram"` — so
-    /// fleet specs and search configs can name profiles instead of
-    /// hard-wiring constructors.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ador_hw::PerfProfile;
-    ///
-    /// assert_eq!(PerfProfile::by_name("GPU"), Some(PerfProfile::gpu()));
-    /// assert!(PerfProfile::by_name("unknown").is_none());
-    /// ```
-    pub fn by_name(name: &str) -> Option<Self> {
-        match name.to_ascii_lowercase().as_str() {
-            "ador" | "ador-template" => Some(Self::ador_template()),
-            "gpu" => Some(Self::gpu()),
-            "systolic-npu" => Some(Self::systolic_npu()),
-            "streaming-sram" => Some(Self::streaming_sram()),
-            _ => None,
-        }
-    }
 }
 
 impl Default for PerfProfile {

@@ -208,21 +208,6 @@ pub fn all() -> Vec<ModelConfig> {
     ]
 }
 
-/// Looks up a preset by (case-insensitive) name.
-///
-/// # Examples
-///
-/// ```
-/// let m = ador_model::presets::by_name("llama3 8b").unwrap();
-/// assert_eq!(m.layers, 32);
-/// ```
-pub fn by_name(name: &str) -> Option<ModelConfig> {
-    let needle = name.to_ascii_lowercase();
-    all()
-        .into_iter()
-        .find(|m| m.name.to_ascii_lowercase() == needle)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,12 +255,6 @@ mod tests {
         for m in all() {
             assert!(m.validate().is_ok(), "{} failed validation", m.name);
         }
-    }
-
-    #[test]
-    fn lookup_is_case_insensitive() {
-        assert!(by_name("MIXTRAL 8X7B").is_some());
-        assert!(by_name("no such model").is_none());
     }
 
     #[test]

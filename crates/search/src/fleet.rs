@@ -148,13 +148,14 @@ impl FleetSearchOutcome {
 /// # Errors
 ///
 /// Returns [`TenantMix::check`]'s error for a mix class that cannot
-/// generate requests ([`SimError::InvalidArrivalRate`] or
-/// [`SimError::InvalidAcceptRate`]), [`SimError::EmptyConfig`] when
+/// generate `input.requests` requests ([`SimError::InvalidArrivalRate`],
+/// [`SimError::InvalidAcceptRate`] or
+/// [`SimError::InvalidSessionShape`]), [`SimError::EmptyConfig`] when
 /// `replicas == 0` (no fleet to build), and otherwise propagates the
 /// first engine construction or simulation error.
 pub fn co_explore(input: &FleetSearchInput<'_>) -> Result<FleetSearchOutcome, SimError> {
     let shapes = candidate_shapes(input);
-    input.mix.check()?;
+    input.mix.check(input.requests)?;
     let stream = input.mix.generate(input.requests, input.seed);
     let mut costs = StepCosts::new();
     let candidates = shapes

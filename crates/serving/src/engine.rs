@@ -19,7 +19,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use ador_model::Phase;
-use ador_spec::{DraftStream, SpeculationPolicy, Verify};
+use ador_spec::{DraftStream, SpeculationConfig, SpeculationPolicy, Verify};
 use ador_telemetry::{
     Event, EventDetail, EventKind, FlightRecorder, SeriesCollector, SeriesSample,
 };
@@ -27,8 +27,17 @@ use ador_units::{conv, Seconds};
 
 use crate::costs::StepCostTable;
 use crate::prefix::{PrefixCache, PrefixCacheStats, PREFIX_BLOCK_TOKENS};
+#[cfg(feature = "profile")]
+use crate::profile::Stage;
 use crate::sim::{SchedulerPolicy, SimConfig, SimError};
 use crate::{EngineCounters, QosReport, Request, RequestOutcome};
+
+/// A verify pass that drafted nothing: its own token is the whole commit.
+const ONE_TOKEN: Verify = Verify {
+    drafted: 0,
+    accepted: 0,
+    committed: 1,
+};
 
 /// Per-request scheduler state that survives preemption.
 #[derive(Debug)]
@@ -99,6 +108,19 @@ impl Job {
     fn done(&self) -> bool {
         self.generated >= self.request.output_tokens
     }
+
+    /// This step's verify outcome at draft depth `depth`. Depth 0 drafts
+    /// nothing, so the verify pass's own token is the whole commit: no
+    /// draw, and no acceptance rate to check — a request's rate matters
+    /// only when it drafts.
+    fn verify(&mut self, depth: usize, spec: &SpeculationConfig) -> Verify {
+        if depth == 0 {
+            return ONE_TOKEN;
+        }
+        let remaining = self.request.output_tokens - self.generated;
+        let rate = self.request.accept_rate.unwrap_or(spec.default_acceptance);
+        self.draft.verify(depth, remaining, rate)
+    }
 }
 
 /// An admitted request: its job plus prefill progress and resident KV.
@@ -152,14 +174,11 @@ impl Active {
 /// to the largest batch a steady step allocates nothing.
 #[derive(Debug, Default)]
 struct StepScratch {
-    /// Speculation depth per active slot.
-    depths: Vec<usize>,
-    /// Verify outcome per active slot (`None` while prefilling).
+    /// Verify outcome per active slot planned this step (`None` while
+    /// prefilling); slots admitted this step have no entry.
     plan: Vec<Option<Verify>>,
     /// Prefill grants: (active slot, tokens).
     chunks: Vec<(usize, usize)>,
-    /// Prefill tokens each active slot received this step.
-    received: Vec<usize>,
     /// Active slots whose request finished this step, ascending.
     finished: Vec<usize>,
     /// `SloAdaptive` bids: (active slot, urgency, draftable room).
@@ -236,15 +255,9 @@ pub struct Engine<'a> {
     steps: usize,
     batch_samples: f64,
     queue_samples: f64,
-    peak_batch: usize,
-    peak_queue: usize,
-    peak_kv: usize,
-    preemptions: usize,
-    prefilled_tokens: usize,
-    generated_tokens: usize,
-    drafted_tokens: usize,
-    accepted_tokens: usize,
-    rejected_tokens: usize,
+    /// Every counter but the two means and the prefix-cache counts,
+    /// which [`Engine::counters`] fills in.
+    tally: EngineCounters,
     prev_step_prefilled: bool,
 
     /// Running total of committed-but-not-resident prefill demand, kept in
@@ -288,15 +301,7 @@ impl<'a> Engine<'a> {
             steps: 0,
             batch_samples: 0.0,
             queue_samples: 0.0,
-            peak_batch: 0,
-            peak_queue: 0,
-            peak_kv: 0,
-            preemptions: 0,
-            prefilled_tokens: 0,
-            generated_tokens: 0,
-            drafted_tokens: 0,
-            accepted_tokens: 0,
-            rejected_tokens: 0,
+            tally: EngineCounters::default(),
             prev_step_prefilled: false,
             backlog: 0,
             scratch: StepScratch::default(),
@@ -498,19 +503,11 @@ impl<'a> Engine<'a> {
         let cache = self.prefix_stats().unwrap_or_default();
         EngineCounters {
             mean_batch: per_step(self.batch_samples),
-            peak_batch: self.peak_batch,
-            preemptions: self.preemptions,
             mean_queue_depth: per_step(self.queue_samples),
-            peak_queue_depth: self.peak_queue,
-            peak_kv_tokens: self.peak_kv,
-            prefilled_tokens: self.prefilled_tokens,
             prefix_hit_tokens: cache.hit_tokens,
             prefix_miss_tokens: cache.miss_tokens,
             prefix_evicted_tokens: cache.evicted_tokens,
-            generated_tokens: self.generated_tokens,
-            drafted_tokens: self.drafted_tokens,
-            accepted_tokens: self.accepted_tokens,
-            rejected_tokens: self.rejected_tokens,
+            ..self.tally
         }
     }
 
@@ -556,506 +553,47 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
+    /// One iteration, in the five stages `profile::Stage` names: arrivals,
+    /// speculation plan, admission, timing and commit. The stages share
+    /// the step's working vectors through `scratch`.
     fn step_inner(&mut self, horizon: Option<Seconds>) -> Result<StepEvent, SimError> {
         #[cfg(feature = "profile")]
-        let mut profile_mark = crate::profile::probe_now();
+        let mut mark = crate::profile::probe_now();
         loop {
-            // Move arrivals into the admission queue (preempted jobs were
-            // pushed to the front and resume first).
-            while self.pending.front().is_some_and(|r| r.arrival <= self.now) {
-                // ador-lint: allow(panic) — invariant: front() was Some on the line above
-                let request = self.pending.pop_front().expect("peeked");
-                Self::emit(
-                    &mut self.sink,
-                    request.arrival,
-                    request.id,
-                    EventKind::Enqueue,
-                );
-                self.waiting
-                    .push_back(Job::new(request, self.cfg.speculation.seed));
-            }
+            self.arrivals();
             #[cfg(feature = "profile")]
-            self.profile
-                .record(crate::profile::Stage::Arrivals, &mut profile_mark);
+            self.profile.record(Stage::Arrivals, &mut mark);
             if self.active.is_empty() && self.waiting.is_empty() {
-                match self.pending.front() {
+                return Ok(match self.pending.front() {
                     Some(next) if horizon.is_none_or(|h| next.arrival <= h) => {
                         self.now = next.arrival;
-                        return Ok(StepEvent::Jumped);
+                        StepEvent::Jumped
                     }
-                    _ => return Ok(StepEvent::Idle),
-                }
+                    _ => StepEvent::Idle,
+                });
             }
-
-            // The step's working vectors are engine-owned scratch, taken
-            // here and put back before the step returns or retries (an
-            // error return drops them; the next step regrows them).
-            let mut scratch = std::mem::take(&mut self.scratch);
-            let StepScratch {
-                depths,
-                plan,
-                chunks,
-                received,
-                finished,
-                bids,
-            } = &mut scratch;
-
-            // Speculation plan: assign each decoding request a draft
-            // depth, run its seeded verify draw, and commit
-            // `accepted + 1` tokens this step — exactly 1 with
-            // speculation off. Planned before the KV-pressure check
-            // because multi-token commits are this step's KV growth.
-            let mut decoders = self.active.iter().filter(|a| a.is_decoding()).count();
-            let spec = self.cfg.speculation;
-            depths.clear();
-            depths.resize(self.active.len(), 0);
-            match spec.policy {
-                _ if !spec.speculates() => {}
-                SpeculationPolicy::Off => {}
-                SpeculationPolicy::Fixed(k) => {
-                    // Naive fleet-wide speculation: every decoder drafts k
-                    // tokens, whatever its SLO slack or the batch load.
-                    let k = k.min(spec.max_depth);
-                    for (i, a) in self.active.iter().enumerate() {
-                        if a.is_decoding() {
-                            depths[i] = k;
-                        }
-                    }
-                }
-                SpeculationPolicy::SloAdaptive => {
-                    // SLO-customized speculation: latency-contracted
-                    // decoders bid with their TBT urgency, and the
-                    // per-step verify-token budget is spent
-                    // most-urgent-first (ties toward the older request),
-                    // so throughput tenants never pay latency tenants'
-                    // verify overhead.
-                    bids.clear();
-                    bids.extend(
-                        self.active
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, a)| a.is_decoding())
-                            .filter_map(|(i, a)| {
-                                let urgency = spec.urgency(
-                                    a.job.request.slo.and_then(|s| s.tbt_max),
-                                    a.job.mean_tbt_so_far(),
-                                )?;
-                                let room = a.job.request.output_tokens - a.job.generated - 1;
-                                Some((i, urgency, room))
-                            }),
-                    );
-                    // The slot index breaks every tie, so the order is
-                    // total and an unstable sort (no heap scratch) is exact.
-                    bids.sort_unstable_by(|a, b| {
-                        b.1.partial_cmp(&a.1)
-                            // ador-lint: allow(panic) — invariant: urgency is a ratio of finite positive times
-                            .expect("urgency is never NaN")
-                            .then(a.0.cmp(&b.0))
-                    });
-                    let mut budget = spec.budget_tokens(self.cfg.max_batch);
-                    for &(i, urgency, room) in bids.iter() {
-                        if budget == 0 {
-                            break;
-                        }
-                        let depth = spec.slack_depth(urgency).min(budget).min(room);
-                        depths[i] = depth;
-                        budget -= depth;
-                    }
-                }
-            }
-            plan.clear();
-            let mut growth = 0usize;
-            for (a, &depth) in self.active.iter_mut().zip(depths.iter()) {
-                if !a.is_decoding() {
-                    plan.push(None);
-                    continue;
-                }
-                // Depth 0 drafts nothing, so the verify pass's own token
-                // is the whole commit: no draw, and no acceptance rate to
-                // check — a request's rate matters only when it drafts.
-                let verify = if depth == 0 {
-                    Verify {
-                        drafted: 0,
-                        accepted: 0,
-                        committed: 1,
-                    }
-                } else {
-                    let job = &mut a.job;
-                    let remaining = job.request.output_tokens - job.generated;
-                    let rate = job.request.accept_rate.unwrap_or(spec.default_acceptance);
-                    job.draft.verify(depth, remaining, rate)
-                };
-                growth += verify.committed;
-                plan.push(Some(verify));
-            }
+            self.speculation();
             #[cfg(feature = "profile")]
-            self.profile
-                .record(crate::profile::Stage::Speculation, &mut profile_mark);
-
-            // KV pressure: this step grows every decoding context by its
-            // committed run. Evict cold cached prefix blocks first; only
-            // then preempt youngest-first — never the oldest, so the
-            // engine always drains — until the growth fits the budget.
-            loop {
-                let over = (self.kv_in_use + growth).saturating_sub(self.kv_budget_tokens);
-                if over == 0 {
-                    break;
-                }
-                if let Some(cache) = &mut self.cache {
-                    let freed = cache.evict(over);
-                    self.kv_in_use -= freed;
-                    if freed >= over {
-                        break;
-                    }
-                }
-                if self.active.len() <= 1 {
-                    break;
-                }
-                let was_decoding = self.preempt_youngest();
-                // ador-lint: allow(panic) — invariant: plan has one entry per active job by construction
-                let victim = plan.pop().expect("plan is aligned with active");
-                debug_assert_eq!(was_decoding, victim.is_some());
-                if let Some(v) = victim {
-                    decoders -= 1;
-                    growth -= v.committed;
-                }
-            }
-
-            // Prefill schedule: continue in-flight prefills oldest-first,
-            // then admit from the queue head, sharing one `prefill_chunk`
-            // token budget. A chunk that completes a pass also reserves the
-            // +1 KV token of the first token it emits.
-            let prefill_allowed = match self.cfg.policy {
-                SchedulerPolicy::Fused => true,
-                SchedulerPolicy::DecodePrioritized => decoders == 0 || !self.prev_step_prefilled,
-            };
-            let mut chunk_budget = if prefill_allowed {
-                self.cfg.prefill_chunk
-            } else {
-                0
-            };
-            // Headroom for fresh KV growth: free budget plus whatever
-            // eviction could reclaim. Growth granted against the
-            // evictable share is collected lazily by `charge_kv`.
-            let evictable = self.cache.as_ref().map_or(0, PrefixCache::evictable_tokens);
-            let mut kv_headroom =
-                (self.kv_budget_tokens + evictable).saturating_sub(self.kv_in_use + growth);
-            chunks.clear();
-            for (i, a) in self.active.iter().enumerate() {
-                if chunk_budget == 0 {
-                    break;
-                }
-                if a.is_decoding() {
-                    continue;
-                }
-                let remaining = a.prefill_target - a.prefilled;
-                let take = chunk_take(remaining, chunk_budget, kv_headroom);
-                if take == 0 {
-                    break;
-                }
-                chunk_budget -= take;
-                kv_headroom -= take + usize::from(take == remaining);
-                chunks.push((i, take));
-            }
-            while chunk_budget > 0 && self.active.len() < self.cfg.max_batch {
-                let Some(job) = self.waiting.front() else {
-                    break;
-                };
-                // Imported context (a disaggregated KV handoff): the
-                // transferred tokens' KV is allocated outright — no prefill
-                // compute, no prefix-cache interaction — leaving at least
-                // the final prompt token to recompute. Preemption dropped
-                // any imported KV with the rest of the context, so a
-                // resumed job recomputes everything.
-                let imported = if job.preempted {
-                    0
-                } else {
-                    job.request
-                        .imported_context
-                        .min(job.request.input_tokens - 1)
-                };
-                if imported > kv_headroom {
-                    break;
-                }
-                // Match the prompt against the prefix cache before sizing
-                // the chunk: matched blocks are skipped entirely (at least
-                // one prompt token is always recomputed — its logits emit
-                // the first output token). Acquiring pins the matched
-                // blocks (they stop being evictable), which consumes the
-                // same headroom fresh growth does.
-                let (cached, cache_node) = match (&mut self.cache, job.request.prefix_group) {
-                    (Some(cache), Some(group)) if imported == 0 => {
-                        let before = cache.evictable_tokens();
-                        let (cached, node) = cache.acquire(group, job.request.input_tokens - 1);
-                        let pinned = before - cache.evictable_tokens();
-                        if pinned > kv_headroom {
-                            cache.release(node);
-                            break;
-                        }
-                        kv_headroom -= pinned;
-                        (cached, node)
-                    }
-                    _ => (0, PrefixCache::ROOT),
-                };
-                let remaining = job.prefill_target() - cached - imported;
-                let take = chunk_take(remaining, chunk_budget, kv_headroom - imported);
-                if take == 0 {
-                    if let Some(cache) = &mut self.cache {
-                        cache.release(cache_node);
-                    }
-                    break;
-                }
-                // ador-lint: allow(panic) — invariant: the admission loop peeked front() above
-                let job = self.waiting.pop_front().expect("peeked");
-                if let Some(cache) = &mut self.cache {
-                    if imported == 0 && job.request.prefix_group.is_some() {
-                        let shareable = ((job.request.input_tokens - 1) / PREFIX_BLOCK_TOKENS)
-                            * PREFIX_BLOCK_TOKENS;
-                        cache.record_lookup(cached, shareable - cached);
-                    }
-                }
-                chunk_budget -= take;
-                kv_headroom -= imported + take + usize::from(take == remaining);
-                // Cached and imported tokens never prefill, so they leave
-                // the backlog the moment the admission decision skips them;
-                // imported KV becomes resident right here.
-                self.backlog -= cached + imported;
-                self.charge_kv(imported);
-                let kind = if job.preempted {
-                    EventKind::Resume
-                } else {
-                    // The request-alone prefill lower bound for the
-                    // remaining prompt: what attribution measures the
-                    // admission-to-first-commit span against. Priced
-                    // only when tracing is on, so the untraced path
-                    // stays bit-identical.
-                    let ideal_us = if self.sink.is_some() {
-                        let alone = self.costs.step_time(Phase::prefill(1, remaining))?;
-                        conv::u32_from_usize(conv::usize_from_f64(alone.as_micros().round()))
-                    } else {
-                        0
-                    };
-                    EventKind::Admit {
-                        cached_tokens: conv::u32_from_usize(cached),
-                        ideal_us,
-                    }
-                };
-                Self::emit(&mut self.sink, self.now, job.request.id, kind);
-                chunks.push((self.active.len(), take));
-                self.active
-                    .push(Active::admit(job, cached, cache_node, imported));
-            }
+            self.profile.record(Stage::Speculation, &mut mark);
+            let runnable = self.admission()?;
             #[cfg(feature = "profile")]
-            self.profile
-                .record(crate::profile::Stage::Admission, &mut profile_mark);
-
-            // All actives mid-prefill with zero headroom and nobody
-            // decoding: evict the youngest so the oldest can proceed.
-            if decoders == 0 && chunks.is_empty() && self.active.len() > 1 {
-                self.scratch = scratch;
+            self.profile.record(Stage::Admission, &mut mark);
+            if !runnable {
+                // Every admitted request is mid-prefill with zero headroom
+                // and nobody decodes: evict the youngest so the oldest can
+                // proceed.
                 self.preempt_youngest();
                 #[cfg(feature = "profile")]
-                self.profile
-                    .record(crate::profile::Stage::Admission, &mut profile_mark);
+                self.profile.record(Stage::Admission, &mut mark);
                 continue;
             }
-
-            // Timing: one fused engine iteration. The verify pass prices
-            // `decoders + drafted` token positions through the decode
-            // model with the per-sequence context scaled down so the
-            // resident KV total is unchanged (draft tokens attend to the
-            // *same* contexts, they do not bring their own). Token-level
-            // parallelism rides the same roofline as batch parallelism:
-            // verification is nearly free while the step is weight-bound
-            // and costs real compute once it is not. On top of that,
-            // drafting is priced per drafted token — `draft_time_ratio`
-            // of a target token's step share, i.e. mean depth × base —
-            // the batched-drafter amortization, not a per-step charge in
-            // the deepest request's depth.
-            let prefill_tokens: usize = chunks.iter().map(|&(_, t)| t).sum();
-            let drafted_total: usize = plan.iter().flatten().map(|v| v.drafted).sum();
-            let mut step_time = Seconds::ZERO;
-            if prefill_tokens > 0 {
-                let mean_chunk = (prefill_tokens / chunks.len()).max(1);
-                step_time += self
-                    .costs
-                    .step_time(Phase::prefill(chunks.len(), mean_chunk))?;
-            }
-            if decoders > 0 {
-                let ctx_sum: usize = self
-                    .active
-                    .iter()
-                    .filter(|a| a.is_decoding())
-                    .map(Active::context)
-                    .sum();
-                let ctx = ctx_sum.checked_div(decoders).map_or(1, |c| c.max(1));
-                if drafted_total == 0 {
-                    step_time += self.costs.step_time(Phase::decode(decoders, ctx))?;
-                } else {
-                    let verify_tokens = decoders + drafted_total;
-                    let ctx_eq = (ctx_sum / verify_tokens).max(1);
-                    step_time += self.costs.step_time(Phase::decode(verify_tokens, ctx_eq))?;
-                    let base = self.costs.step_time(Phase::decode(decoders, ctx))?;
-                    let mean_depth =
-                        conv::f64_from_usize(drafted_total) / conv::f64_from_usize(decoders);
-                    step_time += base * (spec.draft_time_ratio * mean_depth);
-                }
-            }
-            self.now += step_time;
-            self.steps += 1;
-            self.prev_step_prefilled = prefill_tokens > 0;
+            let step_time = self.timing()?;
             #[cfg(feature = "profile")]
-            self.profile
-                .record(crate::profile::Stage::Timing, &mut profile_mark);
-
-            // Apply prefill progress token-granularly; prompts whose pass
-            // completed publish their full-block prefix into the cache so
-            // later requests of the same group (and later session turns)
-            // can share it.
-            received.clear();
-            received.resize(self.active.len(), 0);
-            for &(i, take) in chunks.iter() {
-                received[i] = take;
-                self.charge_kv(take);
-                self.prefilled_tokens += take;
-                self.backlog -= take;
-                let a = &mut self.active[i];
-                a.prefilled += take;
-                a.kv_held += take;
-                let id = a.job.request.id;
-                Self::emit(
-                    &mut self.sink,
-                    self.now,
-                    id,
-                    EventKind::PrefillChunk {
-                        tokens: conv::u32_from_usize(take),
-                    },
-                );
-            }
-            for &(i, _) in chunks.iter() {
-                if self.active[i].is_decoding() {
-                    self.cache_publish(i);
-                }
-            }
-
-            // Token emission: every request that decoded this step commits
-            // its verified run (exactly one token with speculation off),
-            // plus every request whose prefill pass just completed emits
-            // its first — or, after preemption, next — token out of the
-            // fused step. This is also the decode-batch occupancy sample,
-            // taken after same-step admissions so fresh decoders are
-            // counted. All tokens of one commit share the step-end
-            // timestamp: the verify pass reveals them at once, so the
-            // first carries the whole inter-step gap and the rest are
-            // free — exactly how speculation buys mean TBT.
-            let per_token_events = self.cfg.telemetry.detail == EventDetail::PerToken;
-            let mut batch_now = 0usize;
-            finished.clear();
-            for (i, &got) in received.iter().enumerate() {
-                let verify = plan.get(i).copied().flatten();
-                let commit = match verify {
-                    Some(v) => v.committed,
-                    None => usize::from(got > 0 && self.active[i].is_decoding()),
-                };
-                if commit == 0 {
-                    continue;
-                }
-                batch_now += 1;
-                self.charge_kv(commit);
-                let a = &mut self.active[i];
-                a.kv_held += commit;
-                for _ in 0..commit {
-                    a.job.emit_token(self.now);
-                }
-                debug_assert!(
-                    a.job.generated <= a.job.request.output_tokens,
-                    "request {} committed past its stop boundary",
-                    a.job.request.id
-                );
-                self.generated_tokens += commit;
-                if let Some(v) = verify {
-                    self.drafted_tokens += v.drafted;
-                    self.accepted_tokens += v.accepted;
-                    self.rejected_tokens += v.rejected();
-                }
-                let id = a.job.request.id;
-                let done = a.job.done();
-                let (drafted, accepted) = verify.map_or((0, 0), |v| (v.drafted, v.accepted));
-                // Under Lifecycle detail only the phase-boundary commit
-                // and draft-carrying verify steps reach the sink — steady
-                // one-token decode steps are the event flood the overhead
-                // budget elides. A commit with no verify plan ends a
-                // prefill pass: the first tokens after admit/resume.
-                if per_token_events || verify.is_none() || drafted > 0 {
-                    Self::emit(
-                        &mut self.sink,
-                        self.now,
-                        id,
-                        EventKind::Commit {
-                            committed: conv::u32_from_usize(commit),
-                            drafted: conv::u32_from_usize(drafted),
-                            accepted: conv::u32_from_usize(accepted),
-                        },
-                    );
-                }
-                if done {
-                    finished.push(i);
-                }
-            }
-            let completed = finished.len();
-            for &i in finished.iter().rev() {
-                // Publish the finished context (prompt + response) into
-                // the cache — the follow-up turn of a session prompts with
-                // exactly this context — then drop the private remainder.
-                self.cache_publish(i);
-                let a = self.active.remove(i);
-                if let Some(cache) = &mut self.cache {
-                    cache.release(a.cache_node);
-                }
-                self.kv_in_use -= a.kv_held;
-                Self::emit(
-                    &mut self.sink,
-                    self.now,
-                    a.job.request.id,
-                    EventKind::Complete,
-                );
-                self.outcomes.push(finish(a.job, self.now));
-            }
-
-            self.batch_samples += conv::f64_from_usize(batch_now);
-            self.peak_batch = self.peak_batch.max(batch_now);
-            self.queue_samples += conv::f64_from_usize(self.waiting.len());
-            self.peak_queue = self.peak_queue.max(self.waiting.len());
-            self.peak_kv = self.peak_kv.max(self.kv_in_use);
-            self.sample_series();
-            debug_assert_eq!(
-                self.backlog,
-                self.backlog_oracle(),
-                "incremental token backlog drifted from the queue scan"
-            );
-            debug_assert_eq!(
-                self.kv_in_use,
-                self.active.iter().map(|a| a.kv_held).sum::<usize>()
-                    + self.prefix_resident_tokens(),
-                "KV ledger must equal private contexts plus resident cache blocks"
-            );
-            debug_assert!(
-                self.kv_in_use <= self.kv_budget_tokens,
-                "KV in use ({}) exceeded the budget ({})",
-                self.kv_in_use,
-                self.kv_budget_tokens
-            );
-            debug_assert!(
-                self.cache
-                    .as_ref()
-                    .is_none_or(PrefixCache::lru_matches_scan),
-                "prefix-cache LRU index drifted from the slab scan"
-            );
-            self.scratch = scratch;
+            self.profile.record(Stage::Timing, &mut mark);
+            let completed = self.commit();
             #[cfg(feature = "profile")]
             {
-                self.profile
-                    .record(crate::profile::Stage::Commit, &mut profile_mark);
+                self.profile.record(Stage::Commit, &mut mark);
                 self.profile.steps += 1;
             }
             return Ok(StepEvent::Worked {
@@ -1065,12 +603,461 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// Arrivals: moves every request whose arrival has passed from the
+    /// pending set into the admission queue, behind the preempted jobs
+    /// (those re-entered at its front and resume first).
+    fn arrivals(&mut self) {
+        while self.pending.front().is_some_and(|r| r.arrival <= self.now) {
+            // ador-lint: allow(panic) — invariant: front() was Some on the line above
+            let request = self.pending.pop_front().expect("peeked");
+            Self::emit(
+                &mut self.sink,
+                request.arrival,
+                request.id,
+                EventKind::Enqueue,
+            );
+            self.waiting
+                .push_back(Job::new(request, self.cfg.speculation.seed));
+        }
+    }
+
+    /// Speculation plan: gives each decoding request a draft depth and
+    /// draws its verify outcome into `plan`, so it commits `accepted + 1`
+    /// tokens this step — exactly 1 with speculation off. Planned before
+    /// admission because multi-token commits are this step's KV growth.
+    /// Every request draws from its own [`DraftStream`], so the order a
+    /// policy visits requests in changes no draw.
+    fn speculation(&mut self) {
+        let spec = self.cfg.speculation;
+        let plan = &mut self.scratch.plan;
+        plan.clear();
+        plan.extend(
+            self.active
+                .iter()
+                .map(|a| a.is_decoding().then_some(ONE_TOKEN)),
+        );
+        match spec.policy {
+            _ if !spec.speculates() => {}
+            SpeculationPolicy::Off => {}
+            SpeculationPolicy::Fixed(k) => {
+                // Naive fleet-wide speculation: every decoder drafts k
+                // tokens, whatever its SLO slack or the batch load.
+                let k = k.min(spec.max_depth);
+                for (a, verify) in self.active.iter_mut().zip(plan.iter_mut()) {
+                    if let Some(verify) = verify {
+                        *verify = a.job.verify(k, &spec);
+                    }
+                }
+            }
+            SpeculationPolicy::SloAdaptive => {
+                // SLO-customized speculation: latency-contracted
+                // decoders bid with their TBT urgency, and the
+                // per-step verify-token budget is spent
+                // most-urgent-first (ties toward the older request),
+                // so throughput tenants never pay latency tenants'
+                // verify overhead.
+                let bids = &mut self.scratch.bids;
+                bids.clear();
+                bids.extend(
+                    self.active
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, a)| a.is_decoding())
+                        .filter_map(|(i, a)| {
+                            let urgency = spec.urgency(
+                                a.job.request.slo.and_then(|s| s.tbt_max),
+                                a.job.mean_tbt_so_far(),
+                            )?;
+                            let room = a.job.request.output_tokens - a.job.generated - 1;
+                            Some((i, urgency, room))
+                        }),
+                );
+                // The slot index breaks every tie, so the order is
+                // total and an unstable sort (no heap scratch) is exact.
+                bids.sort_unstable_by(|a, b| {
+                    b.1.partial_cmp(&a.1)
+                        // ador-lint: allow(panic) — invariant: urgency is a ratio of finite positive times
+                        .expect("urgency is never NaN")
+                        .then(a.0.cmp(&b.0))
+                });
+                let mut budget = spec.budget_tokens(self.cfg.max_batch);
+                for &(i, urgency, room) in bids.iter() {
+                    if budget == 0 {
+                        break;
+                    }
+                    let depth = spec.slack_depth(urgency).min(budget).min(room);
+                    plan[i] = Some(self.active[i].job.verify(depth, &spec));
+                    budget -= depth;
+                }
+            }
+        }
+    }
+
+    /// Admission: relieves KV pressure, then schedules this step's
+    /// prefill chunks into `chunks`, admitting from the queue head.
+    /// Returns `false` when the step cannot run: more than one request
+    /// is admitted, none of them decodes and none got a chunk.
+    fn admission(&mut self) -> Result<bool, SimError> {
+        // KV pressure: this step grows every decoding context by its
+        // planned commit. Evict cold cached prefix blocks first; only
+        // then preempt youngest-first — never the oldest, so the engine
+        // always drains — until the growth fits the budget. A victim's
+        // plan entry goes with it.
+        let plan = &self.scratch.plan;
+        let mut growth: usize = plan.iter().flatten().map(|v| v.committed).sum();
+        loop {
+            let over = (self.kv_in_use + growth).saturating_sub(self.kv_budget_tokens);
+            if over == 0 {
+                break;
+            }
+            if let Some(cache) = &mut self.cache {
+                let freed = cache.evict(over);
+                self.kv_in_use -= freed;
+                if freed >= over {
+                    break;
+                }
+            }
+            if self.active.len() <= 1 {
+                break;
+            }
+            let was_decoding = self.preempt_youngest();
+            let victim = self.scratch.plan.pop().flatten();
+            debug_assert_eq!(
+                was_decoding,
+                victim.is_some(),
+                "plan is aligned with active"
+            );
+            growth -= victim.map_or(0, |v| v.committed);
+        }
+        let decoders = self.scratch.plan.iter().flatten().count();
+
+        // Prefill schedule: continue in-flight prefills oldest-first,
+        // then admit from the queue head, sharing one `prefill_chunk`
+        // token budget. A chunk that completes a pass also reserves the
+        // +1 KV token of the first token it emits.
+        let prefill_allowed = match self.cfg.policy {
+            SchedulerPolicy::Fused => true,
+            SchedulerPolicy::DecodePrioritized => decoders == 0 || !self.prev_step_prefilled,
+        };
+        let mut chunk_budget = if prefill_allowed {
+            self.cfg.prefill_chunk
+        } else {
+            0
+        };
+        // Headroom for fresh KV growth: free budget plus whatever
+        // eviction could reclaim. Growth granted against the
+        // evictable share is collected lazily by `charge_kv`.
+        let evictable = self.cache.as_ref().map_or(0, PrefixCache::evictable_tokens);
+        let mut kv_headroom =
+            (self.kv_budget_tokens + evictable).saturating_sub(self.kv_in_use + growth);
+        let chunks = &mut self.scratch.chunks;
+        chunks.clear();
+        for (i, a) in self.active.iter().enumerate() {
+            if chunk_budget == 0 {
+                break;
+            }
+            if a.is_decoding() {
+                continue;
+            }
+            let remaining = a.prefill_target - a.prefilled;
+            let take = chunk_take(remaining, chunk_budget, kv_headroom);
+            if take == 0 {
+                break;
+            }
+            chunk_budget -= take;
+            kv_headroom -= take + usize::from(take == remaining);
+            chunks.push((i, take));
+        }
+        while chunk_budget > 0 && self.active.len() < self.cfg.max_batch {
+            let Some(job) = self.waiting.front() else {
+                break;
+            };
+            // Imported context (a disaggregated KV handoff): the
+            // transferred tokens' KV is allocated outright — no prefill
+            // compute, no prefix-cache interaction — leaving at least
+            // the final prompt token to recompute. Preemption dropped
+            // any imported KV with the rest of the context, so a
+            // resumed job recomputes everything.
+            let imported = if job.preempted {
+                0
+            } else {
+                job.request
+                    .imported_context
+                    .min(job.request.input_tokens - 1)
+            };
+            if imported > kv_headroom {
+                break;
+            }
+            // Match the prompt against the prefix cache before sizing
+            // the chunk: matched blocks are skipped entirely (at least
+            // one prompt token is always recomputed — its logits emit
+            // the first output token). Acquiring pins the matched
+            // blocks (they stop being evictable), which consumes the
+            // same headroom fresh growth does.
+            let (cached, cache_node) = match (&mut self.cache, job.request.prefix_group) {
+                (Some(cache), Some(group)) if imported == 0 => {
+                    let before = cache.evictable_tokens();
+                    let (cached, node) = cache.acquire(group, job.request.input_tokens - 1);
+                    let pinned = before - cache.evictable_tokens();
+                    if pinned > kv_headroom {
+                        cache.release(node);
+                        break;
+                    }
+                    kv_headroom -= pinned;
+                    (cached, node)
+                }
+                _ => (0, PrefixCache::ROOT),
+            };
+            let remaining = job.prefill_target() - cached - imported;
+            let take = chunk_take(remaining, chunk_budget, kv_headroom - imported);
+            if take == 0 {
+                if let Some(cache) = &mut self.cache {
+                    cache.release(cache_node);
+                }
+                break;
+            }
+            // ador-lint: allow(panic) — invariant: the admission loop peeked front() above
+            let job = self.waiting.pop_front().expect("peeked");
+            if let Some(cache) = &mut self.cache {
+                if imported == 0 && job.request.prefix_group.is_some() {
+                    let shareable = ((job.request.input_tokens - 1) / PREFIX_BLOCK_TOKENS)
+                        * PREFIX_BLOCK_TOKENS;
+                    cache.record_lookup(cached, shareable - cached);
+                }
+            }
+            chunk_budget -= take;
+            kv_headroom -= imported + take + usize::from(take == remaining);
+            // Cached and imported tokens never prefill, so they leave
+            // the backlog the moment the admission decision skips them;
+            // imported KV becomes resident right here.
+            self.backlog -= cached + imported;
+            self.charge_kv(imported);
+            let kind = if job.preempted {
+                EventKind::Resume
+            } else {
+                // The request-alone prefill lower bound for the
+                // remaining prompt: what attribution measures the
+                // admission-to-first-commit span against. Priced
+                // only when tracing is on, so the untraced path
+                // stays bit-identical.
+                let ideal_us = if self.sink.is_some() {
+                    let alone = self.costs.step_time(Phase::prefill(1, remaining))?;
+                    conv::u32_from_usize(conv::usize_from_f64(alone.as_micros().round()))
+                } else {
+                    0
+                };
+                EventKind::Admit {
+                    cached_tokens: conv::u32_from_usize(cached),
+                    ideal_us,
+                }
+            };
+            Self::emit(&mut self.sink, self.now, job.request.id, kind);
+            self.scratch.chunks.push((self.active.len(), take));
+            self.active
+                .push(Active::admit(job, cached, cache_node, imported));
+        }
+        Ok(decoders > 0 || !self.scratch.chunks.is_empty() || self.active.len() <= 1)
+    }
+
+    /// Timing: prices one fused engine iteration and advances the clock
+    /// by it. The verify pass prices `decoders + drafted` token positions
+    /// through the decode model with the per-sequence context scaled down
+    /// so the resident KV total is unchanged (draft tokens attend to the
+    /// *same* contexts, they do not bring their own). Token-level
+    /// parallelism rides the same roofline as batch parallelism:
+    /// verification is nearly free while the step is weight-bound and
+    /// costs real compute once it is not. On top of that, drafting is
+    /// priced per drafted token — `draft_time_ratio` of a target token's
+    /// step share, i.e. mean depth × base — the batched-drafter
+    /// amortization, not a per-step charge in the deepest request's
+    /// depth.
+    fn timing(&mut self) -> Result<Seconds, SimError> {
+        let chunks = &self.scratch.chunks;
+        let prefill_tokens: usize = chunks.iter().map(|&(_, t)| t).sum();
+        let (mut decoders, mut ctx_sum, mut drafted) = (0, 0, 0);
+        for (a, verify) in self.active.iter().zip(&self.scratch.plan) {
+            if let Some(v) = verify {
+                decoders += 1;
+                ctx_sum += a.context();
+                drafted += v.drafted;
+            }
+        }
+        let mut step_time = Seconds::ZERO;
+        if prefill_tokens > 0 {
+            let mean_chunk = (prefill_tokens / chunks.len()).max(1);
+            step_time += self
+                .costs
+                .step_time(Phase::prefill(chunks.len(), mean_chunk))?;
+        }
+        if let Some(mean_ctx) = ctx_sum.checked_div(decoders) {
+            let ctx = mean_ctx.max(1);
+            if drafted == 0 {
+                step_time += self.costs.step_time(Phase::decode(decoders, ctx))?;
+            } else {
+                let verify_tokens = decoders + drafted;
+                let ctx_eq = (ctx_sum / verify_tokens).max(1);
+                step_time += self.costs.step_time(Phase::decode(verify_tokens, ctx_eq))?;
+                let base = self.costs.step_time(Phase::decode(decoders, ctx))?;
+                let mean_depth = conv::f64_from_usize(drafted) / conv::f64_from_usize(decoders);
+                step_time += base * (self.cfg.speculation.draft_time_ratio * mean_depth);
+            }
+        }
+        self.now += step_time;
+        self.steps += 1;
+        self.prev_step_prefilled = prefill_tokens > 0;
+        Ok(step_time)
+    }
+
+    /// Commit: lands the prefill chunks, commits every planned run and
+    /// every first token, retires the finished requests and samples the
+    /// step's counters. Returns how many requests finished.
+    fn commit(&mut self) -> usize {
+        // Apply prefill progress token-granularly; prompts whose pass
+        // completed publish their full-block prefix into the cache so
+        // later requests of the same group (and later session turns)
+        // can share it.
+        for c in 0..self.scratch.chunks.len() {
+            let (i, take) = self.scratch.chunks[c];
+            self.charge_kv(take);
+            self.tally.prefilled_tokens += take;
+            self.backlog -= take;
+            let a = &mut self.active[i];
+            a.prefilled += take;
+            a.kv_held += take;
+            Self::emit(
+                &mut self.sink,
+                self.now,
+                a.job.request.id,
+                EventKind::PrefillChunk {
+                    tokens: conv::u32_from_usize(take),
+                },
+            );
+        }
+        for c in 0..self.scratch.chunks.len() {
+            let i = self.scratch.chunks[c].0;
+            if self.active[i].is_decoding() {
+                self.cache_publish(i);
+            }
+        }
+
+        // Token emission: every request that decoded this step commits
+        // its verified run (exactly one token with speculation off),
+        // plus every request whose prefill pass just completed emits
+        // its first — or, after preemption, next — token out of the
+        // fused step. A request with no plan entry was prefilling when
+        // the step was planned, so only this step's chunk can have
+        // completed its pass: it commits exactly when it decodes now.
+        // This is also the decode-batch occupancy sample, taken after
+        // same-step admissions so fresh decoders are counted. All
+        // tokens of one commit share the step-end timestamp: the verify
+        // pass reveals them at once, so the first carries the whole
+        // inter-step gap and the rest are free — exactly how
+        // speculation buys mean TBT.
+        let per_token_events = self.cfg.telemetry.detail == EventDetail::PerToken;
+        let mut batch_now = 0usize;
+        self.scratch.finished.clear();
+        for i in 0..self.active.len() {
+            let verify = self.scratch.plan.get(i).copied().flatten();
+            let commit = verify.map_or(usize::from(self.active[i].is_decoding()), |v| v.committed);
+            if commit == 0 {
+                continue;
+            }
+            batch_now += 1;
+            self.charge_kv(commit);
+            let a = &mut self.active[i];
+            a.kv_held += commit;
+            for _ in 0..commit {
+                a.job.emit_token(self.now);
+            }
+            debug_assert!(
+                a.job.generated <= a.job.request.output_tokens,
+                "request {} committed past its stop boundary",
+                a.job.request.id
+            );
+            let (drafted, accepted) = verify.map_or((0, 0), |v| (v.drafted, v.accepted));
+            self.tally.generated_tokens += commit;
+            self.tally.drafted_tokens += drafted;
+            self.tally.accepted_tokens += accepted;
+            self.tally.rejected_tokens += drafted - accepted;
+            // Under Lifecycle detail only the phase-boundary commit
+            // and draft-carrying verify steps reach the sink — steady
+            // one-token decode steps are the event flood the overhead
+            // budget elides. A commit with no verify plan ends a
+            // prefill pass: the first tokens after admit/resume.
+            if per_token_events || verify.is_none() || drafted > 0 {
+                Self::emit(
+                    &mut self.sink,
+                    self.now,
+                    a.job.request.id,
+                    EventKind::Commit {
+                        committed: conv::u32_from_usize(commit),
+                        drafted: conv::u32_from_usize(drafted),
+                        accepted: conv::u32_from_usize(accepted),
+                    },
+                );
+            }
+            if a.job.done() {
+                self.scratch.finished.push(i);
+            }
+        }
+        let completed = self.scratch.finished.len();
+        while let Some(i) = self.scratch.finished.pop() {
+            // Publish the finished context (prompt + response) into
+            // the cache — the follow-up turn of a session prompts with
+            // exactly this context — then drop the private remainder.
+            self.cache_publish(i);
+            let a = self.active.remove(i);
+            if let Some(cache) = &mut self.cache {
+                cache.release(a.cache_node);
+            }
+            self.kv_in_use -= a.kv_held;
+            Self::emit(
+                &mut self.sink,
+                self.now,
+                a.job.request.id,
+                EventKind::Complete,
+            );
+            self.outcomes.push(finish(a.job, self.now));
+        }
+
+        self.batch_samples += conv::f64_from_usize(batch_now);
+        self.queue_samples += conv::f64_from_usize(self.waiting.len());
+        let tally = &mut self.tally;
+        tally.peak_batch = tally.peak_batch.max(batch_now);
+        tally.peak_queue_depth = tally.peak_queue_depth.max(self.waiting.len());
+        tally.peak_kv_tokens = tally.peak_kv_tokens.max(self.kv_in_use);
+        self.sample_series();
+        debug_assert_eq!(
+            self.backlog,
+            self.backlog_oracle(),
+            "incremental token backlog drifted from the queue scan"
+        );
+        debug_assert_eq!(
+            self.kv_in_use,
+            self.active.iter().map(|a| a.kv_held).sum::<usize>() + self.prefix_resident_tokens(),
+            "KV ledger must equal private contexts plus resident cache blocks"
+        );
+        debug_assert!(
+            self.kv_in_use <= self.kv_budget_tokens,
+            "KV in use ({}) exceeded the budget ({})",
+            self.kv_in_use,
+            self.kv_budget_tokens
+        );
+        debug_assert!(
+            self.cache
+                .as_ref()
+                .is_none_or(PrefixCache::lru_matches_scan),
+            "prefix-cache LRU index drifted from the slab scan"
+        );
+        completed
+    }
+
     /// Pauses the youngest admitted request: releases its private KV back
     /// to the pool (its cached prefix blocks merely lose a reference and
     /// stay resident — resuming will likely re-match them, making the
     /// recompute cheap) and returns its job to the head of the admission
     /// queue for resume. Returns whether the victim was decoding (so
-    /// callers can adjust their decoder count). The caller guarantees
+    /// callers can check it against its plan entry). The caller guarantees
     /// `active` is non-empty and never preempts down to zero, preserving
     /// forward progress for the oldest.
     fn preempt_youngest(&mut self) -> bool {
@@ -1081,7 +1068,7 @@ impl<'a> Engine<'a> {
         if let Some(cache) = &mut self.cache {
             cache.release(victim.cache_node);
         }
-        self.preemptions += 1;
+        self.tally.preemptions += 1;
         // The victim re-enters the queue owing a full recompute (prompt
         // plus generated-so-far), where as an active it owed only its
         // remaining prefill.
@@ -1117,9 +1104,9 @@ impl<'a> Engine<'a> {
                 kv_in_use: self.kv_in_use,
                 hit_tokens: conv::u64_from_usize(cache.hit_tokens),
                 seen_tokens: conv::u64_from_usize(cache.hit_tokens + cache.miss_tokens),
-                accepted: conv::u64_from_usize(self.accepted_tokens),
-                drafted: conv::u64_from_usize(self.drafted_tokens),
-                completed_tokens: conv::u64_from_usize(self.generated_tokens),
+                accepted: conv::u64_from_usize(self.tally.accepted_tokens),
+                drafted: conv::u64_from_usize(self.tally.drafted_tokens),
+                completed_tokens: conv::u64_from_usize(self.tally.generated_tokens),
             },
         );
     }

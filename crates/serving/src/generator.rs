@@ -1,11 +1,33 @@
 //! Poisson request generation (paper Fig. 14b: "A Request Generator
 //! simulates user requests with a Poisson distribution").
 
-use ador_units::Seconds;
+use ador_units::{conv, Seconds};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::{Request, TraceProfile};
+
+/// Whether `count` arrivals at mean rate `rate` (req/s) can be drawn
+/// without the clock overflowing. The request generators (this one and
+/// the fleet's tenant mixes) draw each gap as `-ln(u)` mean gaps with
+/// `u ≥ f64::EPSILON`, so one gap is at most `-ln(f64::EPSILON)` ≈ 36.04
+/// mean gaps: the rate must be positive and finite, and `count` such
+/// gaps must still sum to a finite time.
+///
+/// # Examples
+///
+/// ```
+/// use ador_serving::arrival_rate_fits;
+///
+/// assert!(arrival_rate_fits(5.0, 1_000_000));
+/// assert!(!arrival_rate_fits(0.0, 1));
+/// assert!(!arrival_rate_fits(1e-307, 50));
+/// ```
+pub fn arrival_rate_fits(rate: f64, count: usize) -> bool {
+    rate.is_finite()
+        && rate > 0.0
+        && (conv::f64_from_usize(count) * -f64::EPSILON.ln() / rate).is_finite()
+}
 
 /// Generates a request stream with exponential inter-arrival times and
 /// trace-profile token lengths. Fully deterministic under a seed.

@@ -83,7 +83,7 @@ mod trace;
 pub use capacity::{bisect_rate, max_capacity, CapacityResult};
 pub use costs::StepCosts;
 pub use engine::{Engine, StepEvent};
-pub use generator::RequestGenerator;
+pub use generator::{arrival_rate_fits, RequestGenerator};
 pub use prefix::{PrefixCache, PrefixCacheStats, PREFIX_BLOCK_TOKENS};
 pub use qos::{EngineCounters, LatencyStats, QosReport};
 pub use request::{Request, RequestOutcome};

@@ -41,7 +41,10 @@ use ador_telemetry::TelemetryConfig;
 use ador_units::{conv, Bandwidth, Seconds};
 
 use crate::engine::{Engine, StepEvent};
-use crate::{QosReport, Request, RequestGenerator, RequestOutcome, StepCosts, TraceProfile};
+use crate::{
+    arrival_rate_fits, QosReport, Request, RequestGenerator, RequestOutcome, StepCosts,
+    TraceProfile,
+};
 
 /// How the scheduler shares engine iterations between prefill and decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -180,10 +183,12 @@ pub enum SimError {
         /// Tokens of KV budget available.
         budget_tokens: usize,
     },
-    /// A generated workload needs a positive, finite arrival rate: the
-    /// [`SimConfig::arrival_rate`] of a single-engine run, or a fleet
-    /// tenant class's arrival process, which when bursty (on/off) also
-    /// needs a positive mean ON and a non-negative mean OFF sojourn.
+    /// A generated workload needs a positive, finite arrival rate at
+    /// which its request count cannot overflow the clock
+    /// ([`arrival_rate_fits`]): the [`SimConfig::arrival_rate`] of a
+    /// single-engine run, or a fleet tenant class's arrival process,
+    /// which when bursty (on/off) also needs a positive mean ON and a
+    /// non-negative mean OFF sojourn.
     InvalidArrivalRate {
         /// The configured [`SimConfig::arrival_rate`], or the tenant
         /// class's long-run mean rate (req/s).
@@ -229,6 +234,15 @@ pub enum SimError {
         /// The configured ratio.
         ratio: f64,
     },
+    /// A fleet tenant class's multi-turn session shape needs a finite
+    /// mean of at least one turn and a finite, non-negative mean think
+    /// time.
+    InvalidSessionShape {
+        /// The shape's mean turns per session.
+        mean_turns: f64,
+        /// The shape's mean think time between turns.
+        mean_think: Seconds,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -245,7 +259,8 @@ impl fmt::Display for SimError {
             SimError::InvalidArrivalRate { rate } => {
                 write!(
                     f,
-                    "config or tenant-class arrival rate must be positive and finite, got {rate}"
+                    "config or tenant-class arrival rate must be positive, finite and \
+                     high enough for the request count, got {rate}"
                 )
             }
             SimError::InvalidBounds { lo, hi } => {
@@ -269,6 +284,14 @@ impl fmt::Display for SimError {
             SimError::InvalidDraftTimeRatio { ratio } => write!(
                 f,
                 "draft cost ratio must be finite and non-negative, got {ratio}"
+            ),
+            SimError::InvalidSessionShape {
+                mean_turns,
+                mean_think,
+            } => write!(
+                f,
+                "sessions need a finite mean of at least one turn and a finite, \
+                 non-negative think time, got {mean_turns} turns and {mean_think}"
             ),
         }
     }
@@ -388,7 +411,9 @@ impl<'a> ServingSim<'a> {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidArrivalRate`] unless
-    /// [`SimConfig::arrival_rate`] is positive and finite. Propagates
+    /// [`SimConfig::arrival_rate`] is positive and finite and
+    /// [`SimConfig::requests`] arrivals at it cannot overflow the clock
+    /// ([`arrival_rate_fits`]). Propagates
     /// performance-model errors ([`SimError::Perf`]) and
     /// [`SimError::NoKvHeadroom`] if a sampled request can never fit the
     /// KV budget.
@@ -396,7 +421,7 @@ impl<'a> ServingSim<'a> {
         // Checked here, not in `new`: fleets build engines through `new`
         // and feed them requests, never reading this rate.
         let rate = self.cfg.arrival_rate;
-        if !(rate.is_finite() && rate > 0.0) {
+        if !arrival_rate_fits(rate, self.cfg.requests) {
             return Err(SimError::InvalidArrivalRate { rate });
         }
         let requests = RequestGenerator::new(rate, profile, self.cfg.seed).take(self.cfg.requests);
@@ -692,7 +717,9 @@ mod tests {
     fn hostile_arrival_rates_are_typed_errors() {
         let arch = ador_table3();
         let model = presets::llama3_8b();
-        for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        // 1e-307 is positive and finite, but 4 gaps of up to 36 mean
+        // gaps each could overflow the clock.
+        for rate in [0.0, -1.0, f64::NAN, f64::INFINITY, 1e-307] {
             let cfg = SimConfig::new(rate, 8).with_requests(4);
             let err = ServingSim::new(&arch, &model, Deployment::single_device(), cfg)
                 .unwrap()

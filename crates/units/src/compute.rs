@@ -1,5 +1,4 @@
-//! Compute work ([`FlopCount`]), compute rate ([`FlopRate`]) and token
-//! throughput ([`TokensPerSecond`]).
+//! Compute work ([`FlopCount`]) and compute rate ([`FlopRate`]).
 
 use core::fmt;
 use core::ops::{Div, Mul};
@@ -168,65 +167,6 @@ impl Div<Seconds> for FlopCount {
     }
 }
 
-/// Token generation throughput (the paper's TBT axis unit, tokens/s).
-///
-/// # Examples
-///
-/// ```
-/// use ador_units::{Seconds, TokensPerSecond};
-///
-/// let tbt = Seconds::from_millis(20.0);
-/// let rate = TokensPerSecond::from_interval(tbt);
-/// assert_eq!(rate.get(), 50.0);
-/// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd)]
-pub struct TokensPerSecond(f64);
-
-scalar_quantity!(TokensPerSecond, "tokens per second");
-
-impl TokensPerSecond {
-    /// Creates a throughput of `tps` tokens per second.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tps` is negative or not finite.
-    #[inline]
-    pub fn new(tps: f64) -> Self {
-        assert!(
-            tps.is_finite() && tps >= 0.0,
-            "token rate must be finite and non-negative, got {tps}"
-        );
-        Self(tps)
-    }
-
-    /// Converts a time-between-tokens interval into tokens/s.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is zero.
-    #[inline]
-    pub fn from_interval(interval: Seconds) -> Self {
-        Self::new(interval.recip_rate())
-    }
-
-    /// Converts back into a time-between-tokens interval.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the throughput is zero.
-    #[inline]
-    pub fn interval(self) -> Seconds {
-        assert!(self.0 > 0.0, "cannot invert a zero token rate");
-        Seconds::new(1.0 / self.0)
-    }
-}
-
-impl fmt::Display for TokensPerSecond {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.1} tok/s", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,16 +191,8 @@ mod tests {
     }
 
     #[test]
-    fn tokens_per_second_inverts_tbt() {
-        let rate = TokensPerSecond::from_interval(Seconds::from_millis(25.0));
-        assert_eq!(rate.get(), 40.0);
-        assert!((rate.interval().as_millis() - 25.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn display_formats() {
         assert_eq!(format!("{}", FlopRate::from_tflops(312.0)), "312.0 TFLOPS");
-        assert_eq!(format!("{}", TokensPerSecond::new(42.25)), "42.2 tok/s");
     }
 
     proptest! {

@@ -41,7 +41,7 @@ mod time;
 
 pub use area::{Area, Power};
 pub use bytes::{Bandwidth, Bytes};
-pub use compute::{FlopCount, FlopRate, TokensPerSecond};
+pub use compute::{FlopCount, FlopRate};
 pub use ratio::Utilization;
 pub use time::{Cycles, Frequency, Seconds};
 
@@ -86,9 +86,6 @@ mod conversion_tests {
         assert_eq!(FlopCount::from_macs(5).get(), 10.0); // 1 MAC = 2 FLOPs
         assert_eq!(FlopCount::from_tera(2.0).as_giga(), 2000.0);
         assert_eq!(FlopRate::from_tflops(1.5).as_gflops(), 1500.0);
-        let tps = TokensPerSecond::from_interval(Seconds::from_millis(25.0));
-        assert_eq!(tps.get(), 40.0);
-        assert_eq!(tps.interval(), Seconds::from_millis(25.0));
     }
 
     #[test]
@@ -163,14 +160,6 @@ mod conversion_tests {
             let one = Bytes::from_gib(gib) / bw;
             let many = Bytes::from_f64(Bytes::from_gib(gib).get() as f64 * scale) / bw;
             prop_assert!((many.get() - one.get() * scale).abs() <= one.get() * scale * 1e-9);
-        }
-
-        /// Tokens/s ↔ interval is an exact involution away from zero.
-        #[test]
-        fn tps_interval_round_trips(ms in 0.1f64..500.0) {
-            let interval = Seconds::from_millis(ms);
-            let back = TokensPerSecond::from_interval(interval).interval();
-            prop_assert!((back.as_millis() - ms).abs() < 1e-9);
         }
     }
 }
