@@ -111,7 +111,8 @@ impl Architecture {
     /// # Errors
     ///
     /// Returns a description of the first inconsistency: no compute fabric
-    /// at all, zero cores, or a zero-bandwidth DRAM.
+    /// at all, zero cores, more MAC cells than a `usize` counts, or a
+    /// zero-bandwidth DRAM.
     pub fn validate(&self) -> Result<(), String> {
         if self.cores == 0 {
             return Err(format!("architecture '{}' has zero cores", self.name));
@@ -125,6 +126,22 @@ impl Architecture {
         if self.sa.is_some() && self.sa_per_core == 0 {
             return Err(format!(
                 "architecture '{}' has an SA but sa_per_core = 0",
+                self.name
+            ));
+        }
+        // `sa_macs` and `mt_macs` multiply unchecked.
+        let sa_macs = self.sa.map_or(Some(0), |sa| {
+            sa.rows()
+                .checked_mul(sa.cols())?
+                .checked_mul(self.sa_per_core)?
+                .checked_mul(self.cores)
+        });
+        let mt_macs = self.mt.map_or(Some(0), |mt| {
+            mt.size().checked_mul(mt.lanes())?.checked_mul(self.cores)
+        });
+        if sa_macs.is_none() || mt_macs.is_none() {
+            return Err(format!(
+                "architecture '{}' has more MAC cells than a usize counts",
                 self.name
             ));
         }
@@ -290,10 +307,20 @@ impl ArchitectureBuilder {
     ///
     /// Panics if the configuration fails [`Architecture::validate`].
     pub fn build(self) -> Architecture {
-        if let Err(e) = self.inner.validate() {
-            panic!("invalid architecture: {e}");
-        }
-        self.inner
+        self.try_build()
+            .unwrap_or_else(|e| panic!("invalid architecture: {e}"))
+    }
+
+    /// Finishes construction, or returns why the configuration fails
+    /// [`Architecture::validate`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Architecture::validate`]'s description of the first
+    /// inconsistency.
+    pub fn try_build(self) -> Result<Architecture, String> {
+        self.inner.validate()?;
+        Ok(self.inner)
     }
 }
 
@@ -365,5 +392,22 @@ mod tests {
         let mut a = ador_design();
         a.cores = 0;
         assert!(a.validate().is_err());
+    }
+
+    #[test]
+    fn validate_catches_uncountable_mac_cells() {
+        let mut a = ador_design();
+        a.mt = Some(MacTree::new(1 << 60, 16));
+        assert!(a.validate().is_err());
+        let mut a = ador_design();
+        a.sa = Some(SystolicArray::new(1 << 32, 1 << 32));
+        assert!(a.validate().is_err());
+        // `try_build` reports what `build` would panic on.
+        let zero_bw = DramSpec::hbm2e(Bytes::from_gib(80), Bandwidth::from_gbps(0.0));
+        let err = Architecture::builder("x")
+            .systolic_array(SystolicArray::square(64))
+            .dram(zero_bw)
+            .try_build();
+        assert_eq!(err.unwrap_err(), "architecture 'x' has zero DRAM bandwidth");
     }
 }

@@ -31,7 +31,9 @@ use ador_units::{Bandwidth, Cycles, FlopRate, Frequency, Utilization};
 /// // Per-core slice of 2 TB/s across 32 cores at 1.5 GHz needs ~21 fp16
 /// // elements per cycle; a single 32-wide tree covers the beat.
 /// let matched = MacTree::sized_for(Bandwidth::from_gbps(62.5), Frequency::from_ghz(1.5), 2, 1);
-/// assert_eq!(matched.size(), 32);
+/// assert_eq!(matched.map(|mt| mt.size()), Some(32));
+/// // No tree is wide enough for a beat of 10^30 elements.
+/// assert_eq!(MacTree::sized_for(Bandwidth::from_tbps(1e30), Frequency::from_ghz(1.5), 2, 1), None);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MacTree {
@@ -66,15 +68,23 @@ impl MacTree {
     /// paper's §V-A formula, with `lanes` parallel trees sharing the
     /// stream. The width is rounded up to a power of two (adder trees are
     /// binary); the bank as a whole consumes at least the requested beat.
+    /// Returns `None` when the bank's multiplier count would not fit a
+    /// `usize`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` is zero.
     pub fn sized_for(
         bandwidth: Bandwidth,
         freq: Frequency,
         dtype_bytes: u64,
         lanes: usize,
-    ) -> Self {
+    ) -> Option<Self> {
         let elems_per_cycle = bandwidth.bytes_per_cycle(freq) / dtype_bytes as f64;
         let per_lane = (elems_per_cycle / lanes as f64).max(1.0);
-        Self::new((per_lane.ceil() as usize).next_power_of_two(), lanes)
+        // The cast saturates, so an unrepresentable width fails here.
+        let size = (per_lane.ceil() as usize).checked_next_power_of_two()?;
+        size.checked_mul(lanes).map(|_| Self::new(size, lanes))
     }
 
     /// Multipliers per tree.
@@ -94,6 +104,7 @@ impl MacTree {
 
     /// Adder-tree depth in pipeline stages (`log2(size)` adds plus the
     /// multiply stage).
+    #[inline]
     pub fn depth(&self) -> usize {
         (usize::BITS - (self.size - 1).leading_zeros()) as usize + 1
     }
@@ -115,6 +126,19 @@ impl MacTree {
     /// penalty beyond the pipeline [`depth`](Self::depth); utilization only
     /// drops on ragged `K` (partial final beat per dot product).
     pub fn matmul_timing(&self, m: usize, k: usize, n: usize, count: usize) -> GemvTiming {
+        let cycles = self.matmul_cycles(m, k, n, count);
+        let ideal = (m * k * n * count) as u64;
+        let offered = cycles.get() * self.macs() as u64;
+        GemvTiming {
+            cycles,
+            utilization: Utilization::new_clamped(ideal as f64 / offered as f64),
+        }
+    }
+
+    /// The busy cycles of [`Self::matmul_timing`] alone, for callers that
+    /// never read the utilization.
+    #[inline]
+    pub fn matmul_cycles(&self, m: usize, k: usize, n: usize, count: usize) -> Cycles {
         assert!(
             m > 0 && k > 0 && n > 0 && count > 0,
             "matmul dimensions must be positive"
@@ -124,13 +148,7 @@ impl MacTree {
         let beats_per_dot = k.div_ceil(self.size) as u64;
         let dots = (m * n * count) as u64;
         let rounds = dots.div_ceil(self.lanes as u64);
-        let cycles = rounds * beats_per_dot + self.depth() as u64;
-        let ideal = (m * k * n * count) as u64;
-        let offered = cycles * self.macs() as u64;
-        GemvTiming {
-            cycles: Cycles::new(cycles),
-            utilization: Utilization::new_clamped(ideal as f64 / offered as f64),
-        }
+        Cycles::new(rounds * beats_per_dot + self.depth() as u64)
     }
 }
 
@@ -179,7 +197,8 @@ mod tests {
         // 2 TB/s at 1.5 GHz = 1333 B/cycle = 667 fp16 elements/cycle.
         // With 16 lanes: 41.7 per lane → next pow2 = 64... the paper instead
         // fixes size 16 and raises lanes; both satisfy the beat.
-        let mt = MacTree::sized_for(Bandwidth::from_tbps(2.0), Frequency::from_ghz(1.5), 2, 16);
+        let mt =
+            MacTree::sized_for(Bandwidth::from_tbps(2.0), Frequency::from_ghz(1.5), 2, 16).unwrap();
         let consumed = mt.matched_bandwidth(Frequency::from_ghz(1.5), 2);
         assert!(
             consumed.as_tbps() >= 2.0,
@@ -208,6 +227,23 @@ mod tests {
 
     proptest! {
         #[test]
+        fn timing_builds_on_the_cycle_helper(
+            s in 1usize..128, l in 1usize..64,
+            m in 1usize..512, k in 1usize..8192, n in 1usize..8192, count in 1usize..64,
+        ) {
+            // The formula `matmul_timing` was written as before the cycle
+            // count moved into `matmul_cycles`.
+            let mt = MacTree::new(s, l);
+            let cycles = ((m * n * count) as u64).div_ceil(l as u64) * k.div_ceil(s) as u64
+                + mt.depth() as u64;
+            let utilization = (m * k * n * count) as u64 as f64 / (cycles * (s * l) as u64) as f64;
+            let t = mt.matmul_timing(m, k, n, count);
+            prop_assert_eq!(mt.matmul_cycles(m, k, n, count), t.cycles);
+            prop_assert_eq!(t.cycles.get(), cycles);
+            prop_assert_eq!(t.utilization.get().to_bits(), utilization.min(1.0).to_bits());
+        }
+
+        #[test]
         fn utilization_bounded(
             s in 1usize..128, l in 1usize..64,
             m in 1usize..64, k in 1usize..4096, n in 1usize..512,
@@ -226,7 +262,7 @@ mod tests {
         #[test]
         fn sized_for_consumes_beat(gbps in 1.0f64..4000.0, lanes in 1usize..32) {
             let f = Frequency::from_ghz(1.5);
-            let mt = MacTree::sized_for(Bandwidth::from_gbps(gbps), f, 2, lanes);
+            let mt = MacTree::sized_for(Bandwidth::from_gbps(gbps), f, 2, lanes).unwrap();
             prop_assert!(mt.matched_bandwidth(f, 2).as_gbps() >= gbps * 0.999);
         }
     }

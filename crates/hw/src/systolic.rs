@@ -101,21 +101,33 @@ impl SystolicArray {
     /// back-to-back (e.g. one per attention head). Successive GEMMs reuse
     /// the pipeline, so the first-fill penalty is paid once.
     pub fn batched_gemm_timing(&self, m: usize, k: usize, n: usize, count: usize) -> GemmTiming {
+        let cycles = self.batched_gemm_cycles(m, k, n, count);
+        let ideal_macs = (m * k * n * count) as u64;
+        let offered = cycles.get() * self.macs() as u64;
+        GemmTiming {
+            cycles,
+            folds: self.folds(m, k, n, count),
+            utilization: Utilization::new_clamped(ideal_macs as f64 / offered as f64),
+        }
+    }
+
+    /// The busy cycles of [`Self::batched_gemm_timing`] alone, for callers
+    /// that compare dataflows and never read the utilization.
+    #[inline]
+    pub fn batched_gemm_cycles(&self, m: usize, k: usize, n: usize, count: usize) -> Cycles {
+        let per_fold = (m + self.rows + self.cols - 2) as u64;
+        Cycles::new(self.folds(m, k, n, count) * per_fold + self.rows as u64)
+    }
+
+    /// Weight folds (tiles) for `count` GEMMs of `m×k · k×n`.
+    #[inline]
+    fn folds(&self, m: usize, k: usize, n: usize, count: usize) -> u64 {
         assert!(
             m > 0 && k > 0 && n > 0 && count > 0,
             "GEMM dimensions must be positive"
         );
         let folds_per_gemm = k.div_ceil(self.rows) as u64 * n.div_ceil(self.cols) as u64;
-        let folds = folds_per_gemm * count as u64;
-        let per_fold = (m + self.rows + self.cols - 2) as u64;
-        let cycles = folds * per_fold + self.rows as u64;
-        let ideal_macs = (m * k * n * count) as u64;
-        let offered = cycles * self.macs() as u64;
-        GemmTiming {
-            cycles: Cycles::new(cycles),
-            folds,
-            utilization: Utilization::new_clamped(ideal_macs as f64 / offered as f64),
-        }
+        folds_per_gemm * count as u64
     }
 
     /// The DRAM/NoC bandwidth needed to keep double buffering effective:
@@ -210,6 +222,24 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn timing_builds_on_the_cycle_helper(
+            r in 1usize..256, c in 1usize..256,
+            m in 1usize..2048, k in 1usize..8192, n in 1usize..8192, count in 1usize..64,
+        ) {
+            // The formula `batched_gemm_timing` was written as before the
+            // cycle count moved into `batched_gemm_cycles`.
+            let folds = k.div_ceil(r) as u64 * n.div_ceil(c) as u64 * count as u64;
+            let cycles = folds * (m + r + c - 2) as u64 + r as u64;
+            let ideal = (m * k * n * count) as u64;
+            let utilization = ideal as f64 / (cycles * (r * c) as u64) as f64;
+            let sa = SystolicArray::new(r, c);
+            let t = sa.batched_gemm_timing(m, k, n, count);
+            prop_assert_eq!(sa.batched_gemm_cycles(m, k, n, count), t.cycles);
+            prop_assert_eq!((t.cycles.get(), t.folds), (cycles, folds));
+            prop_assert_eq!(t.utilization.get().to_bits(), utilization.min(1.0).to_bits());
+        }
+
         #[test]
         fn utilization_bounded(
             r in 1usize..256, c in 1usize..256,

@@ -151,18 +151,31 @@ pub enum OpName {
 }
 
 impl OpName {
+    /// The paper's Fig. 11 breakdown buckets, in the order
+    /// [`Self::breakdown_index`] numbers them.
+    pub const BREAKDOWN_BUCKETS: [&'static str; 8] = [
+        "QKV Proj", "MHA", "Out Proj", "MLP1", "MLP2", "LM-Head", "Embed", "Others",
+    ];
+
+    /// This operator's Fig. 11 bucket as an index into
+    /// [`Self::BREAKDOWN_BUCKETS`]: a key that needs no string compare.
+    #[inline]
+    pub fn breakdown_index(&self) -> usize {
+        match self {
+            OpName::QkvProj => 0,
+            OpName::AttnScore | OpName::AttnSoftmax | OpName::AttnValue | OpName::Rope => 1,
+            OpName::OutProj => 2,
+            OpName::MlpGate | OpName::MlpUp | OpName::MoeRouter => 3,
+            OpName::MlpDown | OpName::MlpAct => 4,
+            OpName::LmHead => 5,
+            OpName::Embed => 6,
+            _ => 7,
+        }
+    }
+
     /// The paper's Fig. 11 breakdown bucket for this operator.
     pub fn breakdown_bucket(&self) -> &'static str {
-        match self {
-            OpName::QkvProj => "QKV Proj",
-            OpName::AttnScore | OpName::AttnSoftmax | OpName::AttnValue | OpName::Rope => "MHA",
-            OpName::OutProj => "Out Proj",
-            OpName::MlpGate | OpName::MlpUp | OpName::MoeRouter => "MLP1",
-            OpName::MlpDown | OpName::MlpAct => "MLP2",
-            OpName::LmHead => "LM-Head",
-            OpName::Embed => "Embed",
-            _ => "Others",
-        }
+        Self::BREAKDOWN_BUCKETS[self.breakdown_index()]
     }
 }
 

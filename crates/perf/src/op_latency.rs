@@ -41,8 +41,6 @@ pub struct OpLatency {
     pub memory: Seconds,
     /// Fixed dispatch overhead.
     pub overhead: Seconds,
-    /// Which side governed.
-    pub bound: BoundKind,
     /// The unit the scheduler picked.
     pub unit: UnitChoice,
 }
@@ -52,6 +50,18 @@ impl OpLatency {
     /// direct streaming), so the op costs their maximum plus dispatch.
     pub fn total(&self) -> Seconds {
         self.compute.max(self.memory) + self.overhead
+    }
+
+    /// Which side governed: dispatch if it outlasts both sides, else the
+    /// longer side (memory on a tie).
+    pub fn bound(&self) -> BoundKind {
+        if self.compute.max(self.memory) < self.overhead {
+            BoundKind::Overhead
+        } else if self.memory >= self.compute {
+            BoundKind::Memory
+        } else {
+            BoundKind::Compute
+        }
     }
 }
 
@@ -69,15 +79,17 @@ pub(crate) struct StreamRates {
 impl StreamRates {
     /// The rates on `arch` for a step of `step_flops_per_device` work.
     pub(crate) fn new(arch: &Architecture, step_flops_per_device: FlopCount) -> Self {
-        let profile = &arch.profile;
-        Self {
-            weight: profile
-                .weight_stream
-                .effective(arch.dram.bandwidth, step_flops_per_device),
-            attention: profile
+        let (spec, profile) = (arch.dram.bandwidth, &arch.profile);
+        let weight = profile.weight_stream.effective(spec, step_flops_per_device);
+        // Most profiles stream both classes under one law: evaluate it once.
+        let attention = if profile.attention_stream == profile.weight_stream {
+            weight
+        } else {
+            profile
                 .attention_stream
-                .effective(arch.dram.bandwidth, step_flops_per_device),
-        }
+                .effective(spec, step_flops_per_device)
+        };
+        Self { weight, attention }
     }
 }
 
@@ -95,7 +107,6 @@ pub(crate) fn operator_latency(
     rates: StreamRates,
 ) -> OpLatency {
     let d = deployment.devices as f64;
-    let profile = &arch.profile;
     let unit = schedule::choose_unit(arch, phase, op.class);
 
     // -- Memory side ------------------------------------------------------
@@ -161,33 +172,37 @@ pub(crate) fn operator_latency(
         ),
     };
 
-    let overhead = profile.op_overhead;
-    let bound = if compute.max(memory) < overhead {
-        BoundKind::Overhead
-    } else if memory >= compute {
-        BoundKind::Memory
-    } else {
-        BoundKind::Compute
-    };
-
     OpLatency {
         compute,
         memory,
-        overhead,
-        bound,
+        overhead: arch.profile.op_overhead,
         unit,
     }
 }
 
 fn per_device(elements: u64, d: f64) -> u64 {
-    ((elements as f64 / d).ceil() as u64).max(1)
+    ceil_u64(elements as f64 / d).max(1)
 }
 
 fn vu_time(arch: &Architecture, per_core_equiv: ador_units::Cycles) -> Seconds {
     // The element count was already a device total; spread it over the
-    // cores' vector units.
-    let cycles = (per_core_equiv.get() as f64 / arch.cores as f64).ceil();
+    // cores' vector units. The quotient lies in [0, 2^64], where the
+    // ceiling survives the round trip through u64 exactly.
+    let cycles = ceil_u64(per_core_equiv.get() as f64 / arch.cores as f64) as f64;
     Seconds::new(cycles / arch.frequency.as_hz())
+}
+
+/// `x.ceil() as u64` for every `f64`, without the libm call `ceil` makes
+/// on baseline x86-64: NaN and anything at or below zero give 0, anything
+/// above `u64::MAX` saturates.
+#[inline]
+fn ceil_u64(x: f64) -> u64 {
+    let whole = x as u64; // truncates toward zero, saturating
+    if (whole as f64) < x {
+        whole.saturating_add(1)
+    } else {
+        whole
+    }
 }
 
 /// Effective matmul rate for the chosen unit. Shapes are the *logical*
@@ -237,6 +252,7 @@ mod tests {
     use super::*;
     use ador_baselines::{a100, ador_table3, tpuv4};
     use ador_model::presets;
+    use proptest::prelude::*;
 
     fn weight_op(model: &ador_model::ModelConfig, phase: Phase) -> Operator {
         ador_model::graph::layer_operators(model, phase)
@@ -287,7 +303,7 @@ mod tests {
             Deployment::single_device(),
             big_step(),
         );
-        assert_eq!(lat.bound, BoundKind::Memory);
+        assert_eq!(lat.bound(), BoundKind::Memory);
         // 117 MB of fp16 weights at ≤1.8 TB/s effective: at least 65 µs.
         assert!(lat.total().as_micros() > 60.0, "{:?}", lat);
     }
@@ -299,7 +315,7 @@ mod tests {
         let phase = Phase::prefill(1, 1024);
         let op = weight_op(&model, phase);
         let lat = latency(&arch, &op, phase, Deployment::single_device(), big_step());
-        assert_eq!(lat.bound, BoundKind::Compute);
+        assert_eq!(lat.bound(), BoundKind::Compute);
     }
 
     #[test]
@@ -373,6 +389,53 @@ mod tests {
             STEP,
         );
         assert!(tpu.total() > ador.total());
+    }
+
+    #[test]
+    fn ceil_u64_rounds_up_like_libm_at_every_edge() {
+        let two = |e: i32| 2f64.powi(e);
+        let edges = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f64::from_bits(1), // the smallest subnormal
+            0.5,
+            1.0,
+            -0.5,
+            -1.0,
+            two(52) + 1.0,
+            two(53),
+            two(63),
+            two(64),
+            f64::MAX,
+            f64::MIN,
+        ];
+        for edge in edges {
+            // Each edge and its two neighbours in the f64 bit order.
+            for x in [
+                edge,
+                f64::from_bits(edge.to_bits().wrapping_sub(1)),
+                f64::from_bits(edge.to_bits() + 1),
+            ] {
+                assert_eq!(ceil_u64(x), x.ceil() as u64, "{x:e} = {:#x}", x.to_bits());
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+        #[test]
+        fn ceil_u64_rounds_up_like_libm(bits in 0u64..=u64::MAX, elements in 0u64..=u64::MAX, cores in 1usize..1 << 20) {
+            let x = f64::from_bits(bits);
+            prop_assert_eq!(ceil_u64(x), x.ceil() as u64);
+            // `vu_time`'s quotient keeps its libm ceiling through the u64 round trip.
+            let quotient = elements as f64 / cores as f64;
+            prop_assert_eq!((ceil_u64(quotient) as f64).to_bits(), quotient.ceil().to_bits());
+            let small = (elements >> 20) as f64 / cores as f64;
+            prop_assert_eq!((ceil_u64(small) as f64).to_bits(), small.ceil().to_bits());
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use ador_hw::Architecture;
 use ador_model::{OpClass, Phase};
-use ador_units::{FlopRate, Seconds};
+use ador_units::FlopRate;
 
 /// The compute unit(s) assigned to an operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -100,19 +100,18 @@ pub fn sa_effective_rate(
     let instances = (arch.cores * arch.sa_per_core).max(1);
     let ideal_flops = 2.0 * (m as f64) * (k as f64) * (n as f64) * (count as f64);
 
-    let timing = |m_eff: usize, n_eff: usize, c_eff: usize| -> Seconds {
-        sa.batched_gemm_timing(m_eff, k, n_eff, c_eff).cycles / arch.frequency
-    };
-
+    // The fastest split is chosen on integer cycles and converted once:
+    // u64 -> f64 and division by a positive clock are both monotone, so
+    // the minimum commutes with them and the seconds are bit-identical.
     // Split output columns across instances (latency dataflow, Fig. 6c).
-    let mut best = timing(m, n.div_ceil(instances), count);
+    let mut best = sa.batched_gemm_cycles(m, k, n.div_ceil(instances), count);
     // Split rows across instances (throughput dataflow, Fig. 6b).
-    best = best.min(timing(m.div_ceil(instances), n, count));
+    best = best.min(sa.batched_gemm_cycles(m.div_ceil(instances), k, n, count));
     // Split independent GEMMs (one attention head per instance).
     if count > 1 {
-        best = best.min(timing(m, n, count.div_ceil(instances)));
+        best = best.min(sa.batched_gemm_cycles(m, k, n, count.div_ceil(instances)));
     }
-    FlopRate::new(ideal_flops / best.get())
+    FlopRate::new(ideal_flops / (best / arch.frequency).get())
 }
 
 /// Achieved MAC-tree rate for the same shape: the per-core banks act as one
@@ -128,9 +127,9 @@ pub fn mt_effective_rate(
         return FlopRate::ZERO;
     };
     let bank = ador_hw::MacTree::new(mt.size(), mt.lanes() * arch.cores);
-    let timing = bank.matmul_timing(m, k, n, count);
+    let cycles = bank.matmul_cycles(m, k, n, count);
     let ideal_flops = 2.0 * (m as f64) * (k as f64) * (n as f64) * (count as f64);
-    FlopRate::new(ideal_flops / (timing.cycles / arch.frequency).get())
+    FlopRate::new(ideal_flops / (cycles / arch.frequency).get())
 }
 
 /// Rates of both fabrics on one shape.
@@ -161,7 +160,10 @@ mod tests {
     fn a100_like() -> ador_hw::Architecture {
         a100()
     }
+    use ador_hw::SystolicArray;
     use ador_model::Phase;
+    use ador_units::{Frequency, Seconds};
+    use proptest::prelude::*;
 
     #[test]
     fn fig8_decode_attention_goes_to_mac_tree() {
@@ -217,6 +219,48 @@ mod tests {
         let arch = ador_table3();
         let rates = fabric_rates(&arch, 256, 4096, 4096, 1);
         assert!((rates.combined().get() - (rates.sa + rates.mt).get()).abs() < 1.0);
+    }
+
+    /// `sa_effective_rate` as it stood before integer cycles: each split's
+    /// cycles became `Seconds`, and the minimum was taken there.
+    fn sa_rate_on_seconds(
+        arch: &Architecture,
+        m: usize,
+        k: usize,
+        n: usize,
+        count: usize,
+    ) -> FlopRate {
+        let sa = arch.sa.unwrap();
+        let instances = (arch.cores * arch.sa_per_core).max(1);
+        let ideal_flops = 2.0 * (m as f64) * (k as f64) * (n as f64) * (count as f64);
+        let timing = |m_eff: usize, n_eff: usize, c_eff: usize| -> Seconds {
+            sa.batched_gemm_timing(m_eff, k, n_eff, c_eff).cycles / arch.frequency
+        };
+        let mut best = timing(m, n.div_ceil(instances), count);
+        best = best.min(timing(m.div_ceil(instances), n, count));
+        if count > 1 {
+            best = best.min(timing(m, n, count.div_ceil(instances)));
+        }
+        FlopRate::new(ideal_flops / best.get())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+        #[test]
+        fn sa_split_chosen_on_cycles_matches_seconds(
+            rows in 1usize..256, cols in 1usize..256, cores in 1usize..256, per_core in 1usize..4,
+            ghz in 0.01f64..10.0, m in 1usize..8192, k in 1usize..16384, n in 1usize..65536,
+            count in 1usize..2048,
+        ) {
+            // Up to 2^55 cycles, so the u64 -> f64 conversion rounds too.
+            let mut arch = ador_table3();
+            arch.sa = Some(SystolicArray::new(rows, cols));
+            arch.cores = cores;
+            arch.sa_per_core = per_core;
+            arch.frequency = Frequency::from_ghz(ghz);
+            let (new, old) = (sa_effective_rate(&arch, m, k, n, count), sa_rate_on_seconds(&arch, m, k, n, count));
+            prop_assert_eq!(new.get().to_bits(), old.get().to_bits());
+        }
     }
 
     #[test]

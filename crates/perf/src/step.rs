@@ -13,16 +13,15 @@ use core::fmt;
 
 use ador_hw::Architecture;
 use ador_model::workload::StepSummary;
-use ador_model::{graph, ModelConfig, Operator, Phase};
+use ador_model::{graph, ModelConfig, OpName, Operator, Phase};
 use ador_noc::CollectiveCost;
 use ador_units::{Bytes, FlopCount, Seconds, Utilization};
 
 use crate::op_latency::{operator_latency, StreamRates};
 use crate::{Deployment, PerfError};
 
-/// Distinct Fig. 11 buckets one step can fill:
-/// `OpName::breakdown_bucket` names eight.
-const MAX_BUCKETS: usize = 8;
+/// Distinct Fig. 11 buckets one step can fill.
+const MAX_BUCKETS: usize = OpName::BREAKDOWN_BUCKETS.len();
 
 /// Latency of one inference step (a full prefill pass or one decode step),
 /// with the per-bucket breakdown the paper plots in Fig. 11.
@@ -159,19 +158,18 @@ impl<'m> StepPlan<'m> {
         let once_ops = graph::once_operators(model, phase);
         let mut bucket_names = [""; MAX_BUCKETS];
         let mut bucket_count = 0;
+        // Slot of each bucket index seen so far, in first-seen order.
+        let mut slot_of = [None; MAX_BUCKETS];
         let slots = layer_ops
             .iter()
             .chain(&once_ops)
             .map(|op| {
-                let name = op.name.breakdown_bucket();
-                match bucket_names[..bucket_count].iter().position(|b| *b == name) {
-                    Some(slot) => slot,
-                    None => {
-                        bucket_names[bucket_count] = name;
-                        bucket_count += 1;
-                        bucket_count - 1
-                    }
-                }
+                let bucket = op.name.breakdown_index();
+                *slot_of[bucket].get_or_insert_with(|| {
+                    bucket_names[bucket_count] = OpName::BREAKDOWN_BUCKETS[bucket];
+                    bucket_count += 1;
+                    bucket_count - 1
+                })
             })
             .collect();
         let summary = StepSummary::from_operators(&layer_ops, model.layers, &once_ops);
@@ -523,7 +521,7 @@ mod tests {
                     let arch = Architecture::builder(format!("ADOR sa{sa} mt{lanes} c{cores}"))
                         .cores(cores)
                         .systolic_array(SystolicArray::square(sa))
-                        .mac_tree(MacTree::sized_for(bandwidth, frequency, 2, lanes))
+                        .mac_tree(MacTree::sized_for(bandwidth, frequency, 2, lanes).unwrap())
                         .local_memory(local)
                         .global_memory(Bytes::from_mib(80) - local * cores as u64)
                         .dram(DramSpec::hbm2e(Bytes::from_gib(80), bandwidth))
@@ -537,10 +535,28 @@ mod tests {
         out
     }
 
-    /// Prices the oracle grid on `archs` both ways and returns how many
-    /// steps priced and how many errored, asserting bitwise agreement.
-    fn oracle_grid(archs: &[Architecture]) -> (usize, usize) {
+    /// Folds `bytes` into an FNV-1a hash.
+    fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(hash, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// How many of a grid's steps priced and errored, and one FNV-1a value
+    /// over its outcomes in grid order: every field and bucket of a priced
+    /// step as raw bits, every error as its `Debug` text.
+    #[derive(Debug, PartialEq)]
+    struct GridOutcome {
+        priced: usize,
+        errors: usize,
+        digest: u64,
+    }
+
+    /// Prices the oracle grid on `archs` both ways, asserting bitwise
+    /// agreement, and digests what the plan path returned.
+    fn oracle_grid(archs: &[Architecture]) -> GridOutcome {
         let (mut priced, mut errors) = (0, 0);
+        let mut digest = 0xcbf2_9ce4_8422_2325;
         for arch in archs {
             for model in presets::all() {
                 for devices in [1, 2, 8] {
@@ -559,11 +575,21 @@ mod tests {
                                     format!("{} {} TP{devices} {phase}", arch.name, model.name);
                                 match (eval.step(phase), reference_step(&eval, phase)) {
                                     (Ok(new), Ok(old)) => {
-                                        assert_eq!(bits_of(&new), bits_of(&old), "{case}");
+                                        let bits = bits_of(&new);
+                                        assert_eq!(bits, bits_of(&old), "{case}");
+                                        let (fields, buckets) = bits;
+                                        for bits in fields {
+                                            digest = fnv1a(digest, &bits.to_le_bytes());
+                                        }
+                                        for (name, bits) in buckets {
+                                            digest = fnv1a(digest, name.as_bytes());
+                                            digest = fnv1a(digest, &bits.to_le_bytes());
+                                        }
                                         priced += 1;
                                     }
                                     (Err(new), Err(old)) => {
                                         assert_eq!(new, old, "{case}");
+                                        digest = fnv1a(digest, format!("{new:?}").as_bytes());
                                         errors += 1;
                                     }
                                     (new, old) => panic!(
@@ -578,21 +604,50 @@ mod tests {
                 }
             }
         }
-        (priced, errors)
+        GridOutcome {
+            priced,
+            errors,
+            digest,
+        }
     }
 
     #[test]
     fn pricing_matches_the_pre_plan_reference_bit_for_bit() {
-        let (priced, errors) = oracle_grid(&ador_baselines::registry());
-        assert_eq!((priced, errors), (9_414, 546));
+        let grid = oracle_grid(&ador_baselines::registry());
+        assert_eq!((grid.priced, grid.errors), (9_414, 546));
     }
 
     #[test]
     fn pricing_matches_the_reference_on_search_candidates() {
-        let (priced, errors) = oracle_grid(&search_like_candidates());
+        let GridOutcome { priced, errors, .. } = oracle_grid(&search_like_candidates());
         assert!(
             priced > 10_000 && errors > 0,
             "{priced} priced, {errors} errors"
+        );
+    }
+
+    /// `reference_step` shares `operator_latency`, the stream law and the
+    /// fabric timing with the plan path, so only these pinned digests
+    /// notice a kernel change that moves a price. Recorded before the
+    /// kernel's integer-cycle and libm-free rewrite; every price since
+    /// must keep its bits.
+    #[test]
+    fn prices_match_the_golden_kernel_digests() {
+        assert_eq!(
+            oracle_grid(&ador_baselines::registry()),
+            GridOutcome {
+                priced: 9_414,
+                errors: 546,
+                digest: 0xf1ec_218f_7f3c_958f,
+            }
+        );
+        assert_eq!(
+            oracle_grid(&search_like_candidates()),
+            GridOutcome {
+                priced: 57_024,
+                errors: 3_456,
+                digest: 0x750d_500f_51ac_7db0,
+            }
         );
     }
 

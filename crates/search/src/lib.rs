@@ -68,8 +68,11 @@ use ador_perf::{Deployment, Evaluator, StepPlan};
 /// Returns [`SearchError::NoFeasibleCandidate`] when not a single candidate
 /// fits the vendor's area/memory budget at all (distinct from "fits but
 /// misses QoS", which yields `satisfied = false` plus the feedback notes),
-/// and [`SearchError::DeploymentPlanning`] when the workload has a zero
-/// batch or sequence length or cannot be placed on the device budget.
+/// including a vendor literal no valid candidate can be built from (a zero
+/// DRAM bandwidth, or a DRAM beat so wide that no MAC tree bank matched to
+/// it can be counted), and [`SearchError::DeploymentPlanning`] when the
+/// workload has a zero batch or sequence length or cannot be placed on the
+/// device budget.
 pub fn search(input: &SearchInput) -> Result<SearchOutcome, SearchError> {
     let vendor = &input.vendor;
     let user = &input.user;
@@ -178,7 +181,10 @@ fn candidates(
                 let Some((local, global)) = size_memories(vendor, workload, cores) else {
                     continue;
                 };
-                let mut candidate = build_candidate(vendor, mt, sa, cores, local, global);
+                let Ok(mut candidate) = build_candidate(vendor, mt, sa, cores, local, global)
+                else {
+                    continue; // the vendor's memory system fails validation
+                };
                 if area_model.estimate(&candidate).total() > vendor.area_budget {
                     continue;
                 }
@@ -203,7 +209,7 @@ fn build_candidate(
     cores: usize,
     local: ador_units::Bytes,
     global: ador_units::Bytes,
-) -> Architecture {
+) -> Result<Architecture, String> {
     Architecture::builder(format!(
         "ADOR sa{}x{} mt{}x{} c{}",
         sa.rows(),
@@ -223,7 +229,7 @@ fn build_candidate(
     ))
     .frequency(vendor.frequency)
     .process(vendor.process)
-    .build()
+    .try_build()
 }
 
 /// The paper's final-iteration behaviour: when requirements stay unmet,
@@ -385,6 +391,20 @@ mod tests {
             assert!(
                 matches!(search(&input), Err(SearchError::DeploymentPlanning(_))),
                 "batch {batch}, seq_len {seq_len}"
+            );
+        }
+    }
+
+    #[test]
+    fn unbuildable_vendor_memory_is_infeasible_not_a_panic() {
+        // A zero DRAM bandwidth fails every candidate's validation; at
+        // 10^30 GB/s no MAC tree bank matched to the beat can be counted.
+        for gbps in [0.0, 1e30] {
+            let mut input = a100_class_input();
+            input.vendor.memory_bandwidth = ador_units::Bandwidth::from_gbps(gbps);
+            assert!(
+                matches!(search(&input), Err(SearchError::NoFeasibleCandidate { .. })),
+                "{gbps} GB/s"
             );
         }
     }

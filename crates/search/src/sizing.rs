@@ -9,7 +9,8 @@ use crate::{VendorConstraints, Workload};
 /// consume one DRAM beat per cycle (`data_size_per_cycle =
 /// memory_bandwidth / core_frequency`); the lane count is swept because
 /// KV-reusing attention variants (GQA/MQA, MoE) need more compute per
-/// streamed byte (Fig. 11b).
+/// streamed byte (Fig. 11b). A beat too wide for any bank at a lane count
+/// drops that candidate.
 pub fn mt_candidates(vendor: &VendorConstraints, workload: &Workload) -> Vec<MacTree> {
     let dtype = workload.model.dtype.bytes();
     // Compute-per-byte of the attention: query heads per KV head decides how
@@ -24,7 +25,9 @@ pub fn mt_candidates(vendor: &VendorConstraints, workload: &Workload) -> Vec<Mac
     };
     lane_options
         .iter()
-        .map(|&lanes| MacTree::sized_for(vendor.memory_bandwidth, vendor.frequency, dtype, lanes))
+        .filter_map(|&lanes| {
+            MacTree::sized_for(vendor.memory_bandwidth, vendor.frequency, dtype, lanes)
+        })
         .collect()
 }
 

@@ -340,13 +340,17 @@ impl<'a> Engine<'a> {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidRequest`] for a zero-length prompt or
-    /// response, [`SimError::NoKvHeadroom`] if the request's full
-    /// context can never fit the KV budget (admitting it would wedge the
-    /// queue), and, when the engine speculates,
-    /// [`SimError::InvalidAcceptRate`] for an acceptance rate outside
-    /// `[0, 1]`.
+    /// response or an arrival time that is NaN or infinite (`Seconds`
+    /// arithmetic does not check its results), [`SimError::NoKvHeadroom`]
+    /// if the request's full context can never fit the KV budget
+    /// (admitting it would wedge the queue), and, when the engine
+    /// speculates, [`SimError::InvalidAcceptRate`] for an acceptance rate
+    /// outside `[0, 1]`.
     pub fn submit(&mut self, request: Request) -> Result<(), SimError> {
-        if request.input_tokens == 0 || request.output_tokens == 0 {
+        if request.input_tokens == 0
+            || request.output_tokens == 0
+            || !request.arrival.get().is_finite()
+        {
             return Err(SimError::InvalidRequest { id: request.id });
         }
         if let Some(rate) = request.accept_rate {
@@ -1559,6 +1563,19 @@ mod tests {
             eng.submit(big).unwrap_err(),
             SimError::NoKvHeadroom { .. }
         ));
+        // `Seconds` sums are unchecked: an arrival can overflow to +inf,
+        // and inf - inf is NaN.
+        let inf = Seconds::new(f64::MAX) * 2.0;
+        for (id, arrival) in [(5, inf), (6, inf - inf)] {
+            let late = Request {
+                arrival,
+                ..Request::new(id, Seconds::ZERO, 10, 10)
+            };
+            assert_eq!(
+                eng.submit(late).unwrap_err(),
+                SimError::InvalidRequest { id }
+            );
+        }
         assert_eq!(eng.submitted(), 0, "rejected submissions are not counted");
     }
 

@@ -201,7 +201,8 @@ pub enum SimError {
         /// Upper bracket end (req/s).
         hi: f64,
     },
-    /// A replayed request has a zero-length prompt or response.
+    /// A replayed request has a zero-length prompt or response, or an
+    /// arrival time that is NaN or infinite.
     InvalidRequest {
         /// Id of the offending request.
         id: u64,
@@ -267,7 +268,10 @@ impl fmt::Display for SimError {
                 write!(f, "invalid capacity bounds ({lo}, {hi}): need 0 < lo < hi")
             }
             SimError::InvalidRequest { id } => {
-                write!(f, "request {id} has a zero-length prompt or response")
+                write!(
+                    f,
+                    "request {id} has a zero-length prompt or response or a non-finite arrival"
+                )
             }
             SimError::InvalidKvLink { latency, bandwidth } => write!(
                 f,
@@ -438,9 +442,11 @@ impl<'a> ServingSim<'a> {
     ///
     /// Returns [`SimError::EmptyConfig`] for an empty list,
     /// [`SimError::InvalidRequest`] for a zero-length prompt or response
-    /// (possible on `Request` values built without [`Request::new`]),
-    /// [`SimError::NoKvHeadroom`] if any single request's full context can
-    /// never fit the KV budget, and propagates [`SimError::Perf`].
+    /// (possible on `Request` values built without [`Request::new`]) or a
+    /// NaN or infinite arrival (a generator at a tiny rate overflows to
+    /// one), [`SimError::NoKvHeadroom`] if any single request's full
+    /// context can never fit the KV budget, and propagates
+    /// [`SimError::Perf`].
     pub fn run_requests(
         self,
         requests: Vec<Request>,
@@ -686,6 +692,30 @@ mod tests {
         bad.output_tokens = 0;
         let err = mk().run_requests(vec![bad]).unwrap_err();
         assert_eq!(err, SimError::InvalidRequest { id: 8 });
+    }
+
+    #[test]
+    fn non_finite_arrivals_are_rejected_up_front() {
+        // At a positive but tiny rate the generator's running clock
+        // overflows to +inf; the replay must refuse those requests
+        // instead of panicking in the latency summary.
+        let arch = ador_table3();
+        let model = presets::llama3_8b();
+        let sim = ServingSim::new(
+            &arch,
+            &model,
+            Deployment::single_device(),
+            SimConfig::new(1.0, 8),
+        )
+        .unwrap();
+        let requests = RequestGenerator::new(1e-307, TraceProfile::short_chat(), 1).take(50);
+        let first = requests
+            .iter()
+            .find(|r| !r.arrival.get().is_finite())
+            .expect("a 1e-307 req/s stream overflows within 50 requests");
+        let id = first.id;
+        let err = sim.run_requests(requests).unwrap_err();
+        assert_eq!(err, SimError::InvalidRequest { id });
     }
 
     #[test]

@@ -1,21 +1,23 @@
 #!/usr/bin/env bash
 # Alternating parent/change pairs of perfbench runs, summarised per
-# end-to-end metric.
+# end-to-end metric, or per per-layer metric when traced.
 #
-#   scripts/pairs.sh PARENT_BIN CHANGE_BIN WORKLOAD SECONDS PAIRS [SEED]
+#   scripts/pairs.sh PARENT_BIN CHANGE_BIN WORKLOAD SECONDS PAIRS [SEED] [TRACE]
 #
-# Runs PAIRS pairs of untraced runs (`--trace 0`, seed SEED, default 1).
-# Odd pairs run the parent first, even pairs the change first, so host
-# drift falls on both sides. Prints every run's `failed` count and
-# end-to-end metrics, then for each end-to-end metric of BENCHMARK.json
-# the median and quartiles per side, the change's wins out of PAIRS
-# (ties count for neither), the median gap and the parent's
-# interquartile range. A claimed gain needs wins >= 9 of 10 and a gap
+# Runs PAIRS pairs of runs at seed SEED (default 1), untraced
+# (`--trace 0`) unless TRACE is 1. Odd pairs run the parent first, even
+# pairs the change first, so host drift falls on both sides. Prints
+# every run's `failed` count and metrics, then for each metric of
+# BENCHMARK.json the median and quartiles per side, the change's wins
+# out of PAIRS by the metric's `better` (ties count for neither), the
+# median gap and the parent's interquartile range. Untraced runs report
+# the `end_to_end` metrics; traced runs (`--trace 1`) report the
+# `per_layer` ones. A claimed gain needs wins >= 9 of 10 and a gap
 # larger than the parent's IQR. Needs only bash and awk.
 set -euo pipefail
 
 if [ "$#" -lt 5 ]; then
-    echo "usage: $0 PARENT_BIN CHANGE_BIN WORKLOAD SECONDS PAIRS [SEED]" >&2
+    echo "usage: $0 PARENT_BIN CHANGE_BIN WORKLOAD SECONDS PAIRS [SEED] [TRACE]" >&2
     exit 2
 fi
 parent=$1
@@ -24,12 +26,18 @@ workload=$3
 seconds=$4
 pairs=$5
 seed=${6:-1}
+trace=${7:-0}
+case $trace in
+    0) section=end_to_end ;;
+    1) section=per_layer ;;
+    *) echo "TRACE must be 0 or 1, not $trace" >&2; exit 2 ;;
+esac
 manifest="$(cd "$(dirname "$0")/.." && pwd)/BENCHMARK.json"
 
-# One "name better" line per end-to-end metric of the manifest.
-metrics=$(awk '
-    /"end_to_end"/ { on = 1 }
-    /"per_layer"/ { on = 0 }
+# One "name better" line per metric of the manifest's section.
+metrics=$(awk -v section="$section" '
+    /"end_to_end"/ { on = section == "end_to_end" }
+    /"per_layer"/ { on = section == "per_layer" }
     on && /"name"/ {
         match($0, /"name": *"[^"]*"/); n = substr($0, RSTART, RLENGTH)
         sub(/"name": *"/, "", n); sub(/"$/, "", n)
@@ -53,7 +61,7 @@ for i in $(seq 1 "$pairs"); do
     if [ $((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
     for side in $order; do
         if [ "$side" = parent ]; then bin=$parent; else bin=$change; fi
-        line=$("$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 1)
+        line=$("$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace "$trace" | tail -n 1)
         echo "$i $side $line" >> "$runs"
         echo "$line" | awk -v pair="$i" -v side="$side" -v names="$names" "$value"'
             {
@@ -66,8 +74,11 @@ for i in $(seq 1 "$pairs"); do
     done
 done
 
+# Per-layer names are longer than the end-to-end ones.
+width=$(echo "$metrics" | awk '{ if (length($1) > w) w = length($1) } END { print (w > 14 ? w : 14) }')
+
 echo "$metrics" | while read -r name better; do
-    awk -v name="$name" -v better="$better" -v pairs="$pairs" "$value"'
+    awk -v name="$name" -v better="$better" -v pairs="$pairs" -v width="$width" "$value"'
         function sort(a, n,    i, j, t) {
             for (i = 2; i <= n; i++)
                 for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
@@ -88,7 +99,7 @@ echo "$metrics" | while read -r name better; do
             pm = quantile(ps, np, 0.5); cm = quantile(cs, nc, 0.5)
             iqr = quantile(ps, np, 0.75) - quantile(ps, np, 0.25)
             gap = cm - pm; if (gap < 0) gap = -gap
-            printf "%-14s (%s better) parent %.6g [%.6g, %.6g]  change %.6g [%.6g, %.6g]  wins %d/%d  gap %.6g  parent IQR %.6g\n",
+            printf "%-" width "s (%s better) parent %.6g [%.6g, %.6g]  change %.6g [%.6g, %.6g]  wins %d/%d  gap %.6g  parent IQR %.6g\n",
                 name, better, pm, quantile(ps, np, 0.25), quantile(ps, np, 0.75),
                 cm, quantile(cs, nc, 0.25), quantile(cs, nc, 0.75), wins, pairs, gap, iqr
         }' "$runs"
