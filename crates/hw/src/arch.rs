@@ -111,8 +111,10 @@ impl Architecture {
     /// # Errors
     ///
     /// Returns a description of the first inconsistency: no compute fabric
-    /// at all, zero cores, more MAC cells than a `usize` counts, or a
-    /// zero-bandwidth DRAM.
+    /// at all, zero cores, more MAC cells than a `usize` counts, a
+    /// zero-bandwidth DRAM, or a profile stream law that is malformed (a
+    /// non-finite field, a floor above its ceiling) or can derate the
+    /// DRAM to zero bandwidth.
     pub fn validate(&self) -> Result<(), String> {
         if self.cores == 0 {
             return Err(format!("architecture '{}' has zero cores", self.name));
@@ -150,6 +152,27 @@ impl Architecture {
                 "architecture '{}' has zero DRAM bandwidth",
                 self.name
             ));
+        }
+        let laws = [
+            ("weight", self.profile.weight_stream),
+            ("attention", self.profile.attention_stream),
+        ];
+        for (class, law) in laws {
+            match law.least_utilization() {
+                None => {
+                    return Err(format!(
+                        "architecture '{}' has a malformed {class} stream law",
+                        self.name
+                    ))
+                }
+                Some(util) if self.dram.bandwidth.derated(util).is_zero() => {
+                    return Err(format!(
+                        "architecture '{}' has a {class} stream law that can reach zero bandwidth",
+                        self.name
+                    ))
+                }
+                Some(_) => {}
+            }
         }
         Ok(())
     }
@@ -327,6 +350,7 @@ impl ArchitectureBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StreamLaw;
 
     /// The Table III "ADOR Design" column.
     pub(crate) fn ador_design() -> Architecture {
@@ -409,5 +433,22 @@ mod tests {
             .dram(zero_bw)
             .try_build();
         assert_eq!(err.unwrap_err(), "architecture 'x' has zero DRAM bandwidth");
+    }
+
+    #[test]
+    fn validate_catches_stream_laws_that_stall_or_panic() {
+        // `ador-perf`'s evaluator tests cover each malformed law on the
+        // attention class; here, the weight class, and a positive
+        // utilization that underflows the DRAM bandwidth to zero.
+        let mut a = ador_design();
+        a.profile.weight_stream = StreamLaw::fixed(0.0);
+        assert!(a.validate().is_err());
+        let mut a = ador_design();
+        a.dram.bandwidth = Bandwidth::from_bytes_per_sec(1e-300);
+        a.profile.weight_stream = StreamLaw::fixed(1e-300);
+        assert!(a.validate().is_err());
+        let mut a = ador_design();
+        a.profile = PerfProfile::gpu();
+        assert_eq!(a.validate(), Ok(()));
     }
 }

@@ -49,6 +49,20 @@ impl StreamLaw {
     pub fn effective(&self, spec: Bandwidth, ops: FlopCount) -> Bandwidth {
         spec.derated(self.utilization(ops))
     }
+
+    /// A lower bound on every utilization the law gives, or `None` for a
+    /// `Measured` law that [`StreamLaw::utilization`] would panic on or
+    /// answer with NaN: a non-finite field, or a floor above its ceiling.
+    pub(crate) fn least_utilization(&self) -> Option<Utilization> {
+        match self {
+            StreamLaw::Fixed(util) => Some(*util),
+            StreamLaw::Measured(law) => {
+                let fields = [law.base, law.per_decade, law.floor, law.ceiling];
+                (fields.iter().all(|x| x.is_finite()) && law.floor <= law.ceiling)
+                    .then(|| Utilization::new_clamped(law.floor))
+            }
+        }
+    }
 }
 
 /// Calibrated execution efficiencies for one architecture.

@@ -133,16 +133,19 @@ impl SystolicArray {
     /// The DRAM/NoC bandwidth needed to keep double buffering effective:
     /// each fold's `rows·cols` weights must arrive within one fold's compute
     /// window (paper §V-C — this requirement grows with array size and sets
-    /// the NoC spec).
+    /// the NoC spec). `None` when the rate overflows an `f64` (an absurd
+    /// clock).
     pub fn weight_prefetch_bandwidth(
         &self,
         m: usize,
         dtype_bytes: u64,
         freq: Frequency,
-    ) -> Bandwidth {
+    ) -> Option<Bandwidth> {
         let window_cycles = (m + self.rows + self.cols - 2) as f64;
         let bytes_per_fold = (self.macs() as u64 * dtype_bytes) as f64;
-        Bandwidth::from_bytes_per_sec(bytes_per_fold / window_cycles * freq.as_hz())
+        let rate = bytes_per_fold / window_cycles * freq.as_hz();
+        rate.is_finite()
+            .then(|| Bandwidth::from_bytes_per_sec(rate))
     }
 }
 
@@ -204,7 +207,12 @@ mod tests {
         let f = Frequency::from_ghz(1.5);
         let small = SystolicArray::square(32).weight_prefetch_bandwidth(256, 2, f);
         let large = SystolicArray::square(128).weight_prefetch_bandwidth(256, 2, f);
-        assert!(large > small);
+        assert!(large.unwrap() > small.unwrap());
+        let absurd = Frequency::from_hz(f64::MAX);
+        assert_eq!(
+            SystolicArray::square(32).weight_prefetch_bandwidth(256, 2, absurd),
+            None
+        );
     }
 
     #[test]

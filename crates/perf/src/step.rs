@@ -652,6 +652,46 @@ mod tests {
     }
 
     #[test]
+    fn stalling_stream_laws_are_invalid_architectures() {
+        // Each law below used to pass validation, and then a decode step
+        // panicked: a zero utilization (fixed, or a measured law clamped
+        // at a zero floor) divides the KV bytes by a zero rate, and a
+        // floor above its ceiling or a NaN field panics inside
+        // `f64::clamp` or `Utilization::new_clamped`. A zero floor is
+        // rejected even where the law's base keeps it clear of zero.
+        let model = presets::llama3_8b();
+        let measured = |edit: fn(&mut ador_hw::EffectiveBandwidthModel)| {
+            let mut law = ador_hw::EffectiveBandwidthModel::default();
+            edit(&mut law);
+            ador_hw::StreamLaw::Measured(law)
+        };
+        let laws = [
+            ador_hw::StreamLaw::fixed(0.0),
+            measured(|l| {
+                l.floor = 0.0;
+                l.base = -1.0;
+            }),
+            measured(|l| l.floor = 0.0),
+            measured(|l| l.floor = 0.95),
+            measured(|l| l.base = f64::NAN),
+            measured(|l| l.per_decade = f64::NAN),
+            measured(|l| l.floor = f64::NAN),
+            measured(|l| l.ceiling = f64::NAN),
+        ];
+        for law in laws {
+            let mut arch = a100();
+            arch.profile.attention_stream = law;
+            assert!(
+                matches!(
+                    Evaluator::new(&arch, &model, Deployment::single_device()),
+                    Err(PerfError::InvalidArchitecture(_))
+                ),
+                "{law:?}"
+            );
+        }
+    }
+
+    #[test]
     fn zero_sized_phases_are_errors_not_panics() {
         let model = presets::llama3_8b();
         let arch = ador_table3();

@@ -11,15 +11,20 @@ use crate::Workload;
 /// stream that keeps the systolic arrays double-buffered during prefill and
 /// (b) the core-level all-gather of GEMV final sums during decode
 /// (paper §V-C: "The final NoC bandwidth is the higher of these two
-/// values").
-pub fn solve_noc_bandwidth(arch: &Architecture, workload: &Workload) -> Bandwidth {
+/// values"), rounded up to a power-of-two GB/s. `None` when that floor
+/// cannot be represented: an absurd clock overflows the prefetch rate or
+/// the largest power of two a `u64` holds.
+pub fn solve_noc_bandwidth(arch: &Architecture, workload: &Workload) -> Option<Bandwidth> {
     let dtype = workload.model.dtype.bytes();
 
     // (a) Prefill: every SA instance needs its next weight tile on time.
-    let prefetch = arch.sa.map_or(Bandwidth::from_bytes_per_sec(0.0), |sa| {
-        let m = workload.seq_len.min(1024);
-        sa.weight_prefetch_bandwidth(m, dtype, arch.frequency)
-    });
+    let prefetch = match arch.sa {
+        Some(sa) => {
+            let m = workload.seq_len.min(1024);
+            sa.weight_prefetch_bandwidth(m, dtype, arch.frequency)?
+        }
+        None => Bandwidth::from_bytes_per_sec(0.0),
+    };
 
     // (b) Decode: per-GEMV output slices all-gathered across cores within
     // the GEMV's own streaming window.
@@ -61,10 +66,13 @@ pub fn solve_p2p_bandwidth(
     round_up_link(need)
 }
 
-/// Rounds an on-chip requirement up to a power-of-two GB/s lane count.
-fn round_up_bandwidth(bw: Bandwidth) -> Bandwidth {
+/// Rounds an on-chip requirement up to a power-of-two GB/s lane count, or
+/// `None` past the largest power of two a `u64` holds (the cast saturates
+/// there, so the check sees it).
+fn round_up_bandwidth(bw: Bandwidth) -> Option<Bandwidth> {
     let gbps = bw.as_gbps().max(32.0);
-    Bandwidth::from_gbps((gbps.ceil() as u64).next_power_of_two() as f64)
+    let lanes = (gbps.ceil() as u64).checked_next_power_of_two()?;
+    Some(Bandwidth::from_gbps(lanes as f64))
 }
 
 /// Rounds a P2P requirement up to the nearest standard link class.
@@ -94,12 +102,12 @@ mod tests {
         let small = {
             let mut a = arch();
             a.sa = Some(ador_hw::SystolicArray::square(32));
-            solve_noc_bandwidth(&a, &w)
+            solve_noc_bandwidth(&a, &w).unwrap()
         };
         let large = {
             let mut a = arch();
             a.sa = Some(ador_hw::SystolicArray::square(128));
-            solve_noc_bandwidth(&a, &w)
+            solve_noc_bandwidth(&a, &w).unwrap()
         };
         // §V-C: "the bandwidth required to hide weight pre-fetching
         // increases with the size of the systolic array".

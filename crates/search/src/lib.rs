@@ -69,8 +69,9 @@ use ador_perf::{Deployment, Evaluator, StepPlan};
 /// fits the vendor's area/memory budget at all (distinct from "fits but
 /// misses QoS", which yields `satisfied = false` plus the feedback notes),
 /// including a vendor literal no valid candidate can be built from (a zero
-/// DRAM bandwidth, or a DRAM beat so wide that no MAC tree bank matched to
-/// it can be counted), and [`SearchError::DeploymentPlanning`] when the
+/// DRAM bandwidth, a DRAM beat so wide that no MAC tree bank matched to
+/// it can be counted, or a clock so fast that no NoC floor can be
+/// represented), and [`SearchError::DeploymentPlanning`] when the
 /// workload has a zero batch or sequence length or cannot be placed on the
 /// device budget.
 pub fn search(input: &SearchInput) -> Result<SearchOutcome, SearchError> {
@@ -189,7 +190,10 @@ fn candidates(
                     continue;
                 }
                 // Step 2: interconnect floors for this candidate.
-                candidate.noc_bandwidth = solve_noc_bandwidth(&candidate, workload);
+                let Some(noc) = solve_noc_bandwidth(&candidate, workload) else {
+                    continue; // an absurd clock: no NoC can be sized
+                };
+                candidate.noc_bandwidth = noc;
                 candidate.p2p_bandwidth = solve_p2p_bandwidth(&candidate, workload, deployment);
                 let breakdown = area_model.estimate(&candidate);
                 if breakdown.total() > vendor.area_budget {
@@ -405,6 +409,20 @@ mod tests {
             assert!(
                 matches!(search(&input), Err(SearchError::NoFeasibleCandidate { .. })),
                 "{gbps} GB/s"
+            );
+        }
+    }
+
+    #[test]
+    fn absurd_vendor_clocks_are_infeasible_not_a_panic() {
+        // At 10^300 Hz the NoC floor rounds past the largest power of two
+        // a u64 holds; at f64::MAX Hz the weight-prefetch rate overflows.
+        for hz in [1e300, f64::MAX] {
+            let mut input = a100_class_input();
+            input.vendor.frequency = ador_units::Frequency::from_hz(hz);
+            assert!(
+                matches!(search(&input), Err(SearchError::NoFeasibleCandidate { .. })),
+                "{hz} Hz"
             );
         }
     }

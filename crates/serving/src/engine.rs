@@ -183,7 +183,15 @@ struct StepScratch {
     finished: Vec<usize>,
     /// `SloAdaptive` bids: (active slot, urgency, draftable room).
     bids: Vec<(usize, f64, usize)>,
+    /// The clock at the end of each iteration of a steady decode run, in
+    /// order (see [`Engine::steady_run`]); at most [`MAX_RUN`] long.
+    stamps: Vec<Seconds>,
 }
+
+/// The most iterations one steady decode run commits at once. It bounds
+/// the run's stamp buffer, so the buffer stops growing after the engine's
+/// first long run; a longer steady stretch is simply several runs.
+const MAX_RUN: usize = 64;
 
 /// What one [`Engine::step`] call did.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -265,6 +273,10 @@ pub struct Engine<'a> {
     /// is O(1). Debug builds check it against a recompute-from-scratch
     /// oracle after every iteration.
     backlog: usize,
+    /// The clock at the last invariant check (debug builds only), so the
+    /// next check can tell that the clock never ran backwards.
+    #[cfg(debug_assertions)]
+    checked_at: Seconds,
 
     /// Working vectors reused by every step (see [`StepScratch`]).
     scratch: StepScratch,
@@ -304,6 +316,8 @@ impl<'a> Engine<'a> {
             tally: EngineCounters::default(),
             prev_step_prefilled: false,
             backlog: 0,
+            #[cfg(debug_assertions)]
+            checked_at: Seconds::ZERO,
             scratch: StepScratch::default(),
             sink: cfg.telemetry.events.map(FlightRecorder::new),
             series: cfg.telemetry.series_interval.map(SeriesCollector::new),
@@ -434,6 +448,7 @@ impl<'a> Engine<'a> {
     /// Recompute-from-scratch definition of [`Engine::backlog_tokens`] —
     /// the oracle the incremental sum is checked against (debug asserts
     /// and the property tests).
+    #[cfg(any(test, debug_assertions))]
     fn backlog_oracle(&self) -> usize {
         let pending: usize = self.pending.iter().map(|r| r.input_tokens).sum();
         let waiting: usize = self.waiting.iter().map(Job::prefill_target).sum();
@@ -545,16 +560,133 @@ impl<'a> Engine<'a> {
     /// iteration to completion even if that carries the clock past
     /// `horizon`.
     ///
+    /// Runs exactly the iterations that calling [`Engine::step`] while
+    /// the clock is below `horizon` would, and leaves every output
+    /// bit-identical to them: outcomes, counters, reports, events and
+    /// series points. Stretches of *steady decode* iterations (every
+    /// admitted request decoding one token, none completing, nothing
+    /// arriving, queued, evicted, speculated or traced per token) are
+    /// fast-forwarded: each is priced and stamped with the same lookup
+    /// and the same clock additions as the general step, then committed
+    /// request by request, so every accumulator sees the same float
+    /// operations in the same order. [`Engine::step`] never
+    /// fast-forwards; it stays the one-iteration reference.
+    ///
     /// # Errors
     ///
-    /// Propagates performance-model errors ([`SimError::Perf`]).
+    /// Propagates performance-model errors ([`SimError::Perf`]). The
+    /// iterations before the one whose pricing failed are committed, as
+    /// [`Engine::step`] would have left them.
     pub fn step_until(&mut self, horizon: Seconds) -> Result<(), SimError> {
         while self.now < horizon {
+            if self.steady_run(horizon)? {
+                continue;
+            }
             if self.step_inner(Some(horizon))? == StepEvent::Idle {
                 break;
             }
         }
         Ok(())
+    }
+
+    /// A steady decode run: up to [`MAX_RUN`] iterations, starting at the
+    /// clock, in which every admitted request decodes exactly one token.
+    /// It runs only when every admitted request is decoding with at least
+    /// two tokens left (so none completes), the queue is empty, no
+    /// pending arrival is due, speculation is off, no recorder takes
+    /// per-token commits, and the free KV budget holds one more token per
+    /// request for each iteration (so nothing is evicted or preempted).
+    /// Otherwise it changes nothing and returns `Ok(false)`.
+    ///
+    /// Each iteration is priced with the lookup `timing` makes,
+    /// `decode(n, max(ctx_sum / n, 1))`, whose mean context grows by
+    /// exactly one per iteration, and its price is added to the clock one
+    /// add at a time while the clock is below `horizon` and the next
+    /// arrival. The stamped iterations then commit request by request
+    /// through [`Job::emit_token`], and their counters iteration by
+    /// iteration through [`Engine::sample_iteration`], the helper
+    /// `commit` uses. A pricing error commits the iterations before it
+    /// and is returned.
+    fn steady_run(&mut self, horizon: Seconds) -> Result<bool, SimError> {
+        #[cfg(feature = "profile")]
+        let mut mark = crate::profile::probe_now();
+        let stop = self
+            .pending
+            .front()
+            .map_or(horizon, |r| r.arrival.min(horizon));
+        let per_token_trace =
+            self.sink.is_some() && self.cfg.telemetry.detail == EventDetail::PerToken;
+        if stop <= self.now
+            || !self.waiting.is_empty()
+            || self.active.is_empty()
+            || self.cfg.speculation.speculates()
+            || per_token_trace
+        {
+            return Ok(false);
+        }
+        // No request may complete inside the run, nor may its KV growth
+        // need an eviction or a preemption.
+        let n = self.active.len();
+        let (mut ctx_sum, mut room) = (0, MAX_RUN);
+        for a in &self.active {
+            if !a.is_decoding() {
+                return Ok(false);
+            }
+            ctx_sum += a.context();
+            room = room.min(a.job.request.output_tokens - a.job.generated - 1);
+        }
+        room = room.min(self.kv_budget_tokens.saturating_sub(self.kv_in_use) / n);
+        if room == 0 {
+            return Ok(false);
+        }
+        #[cfg(feature = "profile")]
+        self.profile.record(Stage::Admission, &mut mark);
+
+        let mean_ctx = ctx_sum / n;
+        let stamps = &mut self.scratch.stamps;
+        stamps.clear();
+        let mut clock = self.now;
+        let mut failed = None;
+        while stamps.len() < room && clock < stop {
+            let phase = Phase::decode(n, (mean_ctx + stamps.len()).max(1));
+            match self.costs.step_time(phase) {
+                Ok(step_time) => {
+                    clock += step_time;
+                    stamps.push(clock);
+                }
+                Err(e) => {
+                    failed = Some(e);
+                    break;
+                }
+            }
+        }
+        #[cfg(feature = "profile")]
+        self.profile.record(Stage::Timing, &mut mark);
+
+        let k = self.scratch.stamps.len();
+        for a in &mut self.active {
+            a.kv_held += k;
+            for &at in &self.scratch.stamps {
+                a.job.emit_token(at);
+            }
+        }
+        let (kv_in_use, generated) = (self.kv_in_use, self.tally.generated_tokens);
+        for j in 0..k {
+            self.now = self.scratch.stamps[j];
+            self.kv_in_use = kv_in_use + n * (j + 1);
+            self.tally.generated_tokens = generated + n * (j + 1);
+            self.sample_iteration(n);
+        }
+        self.steps += k;
+        self.prev_step_prefilled = false;
+        #[cfg(debug_assertions)]
+        self.check_invariants();
+        #[cfg(feature = "profile")]
+        {
+            self.profile.record(Stage::Commit, &mut mark);
+            self.profile.steps += conv::u64_from_usize(k);
+        }
+        failed.map_or(Ok(k > 0), |e| Err(e.into()))
     }
 
     /// One iteration, in the five stages `profile::Stage` names: arrivals,
@@ -1024,36 +1156,69 @@ impl<'a> Engine<'a> {
             self.outcomes.push(finish(a.job, self.now));
         }
 
-        self.batch_samples += conv::f64_from_usize(batch_now);
+        self.sample_iteration(batch_now);
+        #[cfg(debug_assertions)]
+        self.check_invariants();
+        completed
+    }
+
+    /// Samples one finished iteration's counters: the decode-batch
+    /// occupancy and queue-depth sums behind the means, the three peaks
+    /// and the time series. Shared by `commit` and the steady run, so
+    /// both feed the float sums the same additions in the same order.
+    fn sample_iteration(&mut self, batch: usize) {
+        self.batch_samples += conv::f64_from_usize(batch);
         self.queue_samples += conv::f64_from_usize(self.waiting.len());
         let tally = &mut self.tally;
-        tally.peak_batch = tally.peak_batch.max(batch_now);
+        tally.peak_batch = tally.peak_batch.max(batch);
         tally.peak_queue_depth = tally.peak_queue_depth.max(self.waiting.len());
         tally.peak_kv_tokens = tally.peak_kv_tokens.max(self.kv_in_use);
         self.sample_series();
-        debug_assert_eq!(
+    }
+
+    /// Debug builds only: checks every incremental ledger against its
+    /// recompute-from-scratch definition after each iteration and each
+    /// steady run. The token backlog equals its queue scan, the KV ledger
+    /// equals private contexts plus resident cache blocks and stays
+    /// within the budget, the prefix cache's LRU index equals its slab
+    /// scan, every submitted request is pending, queued, admitted or
+    /// completed, and the clock never runs backwards.
+    #[cfg(debug_assertions)]
+    fn check_invariants(&mut self) {
+        assert_eq!(
             self.backlog,
             self.backlog_oracle(),
             "incremental token backlog drifted from the queue scan"
         );
-        debug_assert_eq!(
+        assert_eq!(
             self.kv_in_use,
             self.active.iter().map(|a| a.kv_held).sum::<usize>() + self.prefix_resident_tokens(),
             "KV ledger must equal private contexts plus resident cache blocks"
         );
-        debug_assert!(
+        assert!(
             self.kv_in_use <= self.kv_budget_tokens,
             "KV in use ({}) exceeded the budget ({})",
             self.kv_in_use,
             self.kv_budget_tokens
         );
-        debug_assert!(
+        assert!(
             self.cache
                 .as_ref()
                 .is_none_or(PrefixCache::lru_matches_scan),
             "prefix-cache LRU index drifted from the slab scan"
         );
-        completed
+        assert_eq!(
+            self.pending.len() + self.waiting.len() + self.active.len() + self.outcomes.len(),
+            self.submitted,
+            "every submitted request is pending, queued, admitted or completed"
+        );
+        assert!(
+            self.now >= self.checked_at,
+            "the clock ran backwards from {} to {}",
+            self.checked_at,
+            self.now
+        );
+        self.checked_at = self.now;
     }
 
     /// Pauses the youngest admitted request: releases its private KV back
@@ -1649,6 +1814,211 @@ mod tests {
             ));
             prop_assert_eq!(off, traced);
         }
+    }
+
+    /// An engine's whole observable state as text. The `Debug` text of an
+    /// `f64` tells every bit pattern apart (NaN payloads aside), so equal
+    /// fingerprints mean bit-identical state.
+    fn fingerprint(eng: &Engine<'_>) -> String {
+        format!(
+            "now {:?} steps {} batch {:?} queue {:?} kv {} backlog {} prev {} \
+             pending {:?} waiting {:?} active {:?} cache {:?} {:?} counters {:?} outcomes {:?}",
+            eng.now,
+            eng.steps,
+            eng.batch_samples,
+            eng.queue_samples,
+            eng.kv_in_use,
+            eng.backlog,
+            eng.prev_step_prefilled,
+            eng.pending,
+            eng.waiting,
+            eng.active,
+            eng.prefix_stats(),
+            eng.prefix_resident_tokens(),
+            eng.counters(),
+            eng.outcomes,
+        )
+    }
+
+    /// `step_until(horizon)` without steady runs, through the public
+    /// one-iteration `step`: step while the clock is below the horizon
+    /// and the next event is not beyond it.
+    fn step_to(eng: &mut Engine<'_>, horizon: Seconds) {
+        while eng.now() < horizon && eng.next_event_time().is_some_and(|t| t <= horizon) {
+            eng.step().unwrap();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// `step_until` fast-forwards steady decode runs and `step` never
+        /// does, so an engine driven by `step` and its twin driven by
+        /// `step_until` to the same horizons (random instants, most of
+        /// them inside runs, and arrival instants) must agree bit for bit
+        /// at every horizon and at the end: state, counters, outcomes,
+        /// report, event stream and series points. The scenarios cover
+        /// both scheduler policies, prefix caching, KV-scarce budgets
+        /// (eviction and preemption), imported context, speculation
+        /// (where the run must fall back), Lifecycle tracing with a
+        /// series and PerToken tracing, and requests submitted up front
+        /// or at their arrivals, as a fleet submits them.
+        #[test]
+        fn step_until_matches_stepping_bit_for_bit(
+            seed in 0u64..1_000_000,
+            rate in 2.0f64..24.0,
+            long in 0u8..2,
+            policy in 0u8..2,
+            caching in 0u8..2,
+            kv in 0u8..3,
+            imported in 0u8..2,
+            spec in 0u8..4,
+            telemetry in 0u8..4,
+            at_arrival in 0u8..2,
+        ) {
+            let arch = ador_table3();
+            let model = presets::llama3_8b();
+            let speculation = match spec {
+                0 | 1 => SpeculationConfig::off(),
+                2 => SpeculationConfig::new(SpeculationPolicy::Fixed(2)),
+                _ => SpeculationConfig::new(SpeculationPolicy::SloAdaptive),
+            };
+            let series = Seconds::from_millis(20.0);
+            let telemetry = match telemetry {
+                0 => ador_telemetry::TelemetryConfig::OFF,
+                1 => ador_telemetry::TelemetryConfig::OFF.with_series(series),
+                2 => ador_telemetry::TelemetryConfig::trace()
+                    .with_detail(EventDetail::Lifecycle)
+                    .with_series(series),
+                _ => ador_telemetry::TelemetryConfig::trace(),
+            };
+            let cfg = SimConfig::new(rate, 8)
+                .with_policy([SchedulerPolicy::Fused, SchedulerPolicy::DecodePrioritized]
+                    [usize::from(policy)])
+                .with_prefix_caching(caching == 1)
+                .with_kv_memory_fraction([0.9, 0.02, 0.006][usize::from(kv)])
+                .with_speculation(speculation)
+                .with_telemetry(telemetry);
+            let profile = if long == 1 {
+                TraceProfile::ultrachat_like()
+            } else {
+                TraceProfile::short_chat()
+            };
+            let requests: Vec<Request> = crate::RequestGenerator::new(rate, profile, seed)
+                .take(24)
+                .into_iter()
+                .map(|r| {
+                    let r = r
+                        .with_prefix_group(r.id % 3)
+                        .with_slo(crate::Slo::tbt_only(Seconds::from_millis(5.0)));
+                    if imported == 1 && r.id % 2 == 0 {
+                        r.with_imported_context(r.input_tokens - 1)
+                    } else {
+                        r
+                    }
+                })
+                .collect();
+
+            let mut stepped = engine(&arch, &model, cfg);
+            let mut twin = engine(&arch, &model, cfg);
+            let submit = |eng: &mut Engine<'_>, r: Request| {
+                // A request larger than a scarce budget is rejected by
+                // both engines alike.
+                let _ = eng.submit(r);
+            };
+            // Horizons: instants spread over the run (most land inside a
+            // steady run), every fifth iteration end (a run must stop
+            // exactly there), and arrival instants: every one when
+            // requests are submitted at their arrival, else every fourth,
+            // so that most runs end at a pending arrival.
+            let last = requests.last().map_or(Seconds::ZERO, |r| r.arrival);
+            let mut horizons: Vec<(Seconds, Option<Request>)> = requests
+                .iter()
+                .filter(|r| at_arrival == 1 || r.id % 4 == 0)
+                .map(|r| (r.arrival, (at_arrival == 1).then_some(*r)))
+                .collect();
+            for i in 0..24 {
+                let u = ador_spec::splitmix64(seed.wrapping_add(i)) >> 11;
+                let fraction = conv::f64_from_u64(u) / conv::f64_from_u64(1 << 53);
+                horizons.push((last * (1.5 * fraction), None));
+            }
+            let mut probe = engine(&arch, &model, cfg);
+            for r in &requests {
+                submit(&mut probe, *r);
+            }
+            for i in 0.. {
+                if probe.step().unwrap() == StepEvent::Idle {
+                    break;
+                }
+                if i % 5 == 0 {
+                    horizons.push((probe.now(), None));
+                }
+            }
+            horizons.sort_by(|a, b| a.0.get().total_cmp(&b.0.get()));
+            if at_arrival == 0 {
+                for r in &requests {
+                    submit(&mut stepped, *r);
+                    submit(&mut twin, *r);
+                }
+            }
+            for (horizon, arriving) in horizons {
+                step_to(&mut stepped, horizon);
+                twin.step_until(horizon).unwrap();
+                prop_assert_eq!(fingerprint(&stepped), fingerprint(&twin));
+                if let Some(r) = arriving {
+                    submit(&mut stepped, r);
+                    submit(&mut twin, r);
+                }
+            }
+            while stepped.step().unwrap() != StepEvent::Idle {}
+            twin.step_until(Seconds::new(f64::MAX)).unwrap();
+            prop_assert!(twin.is_drained());
+            prop_assert_eq!(fingerprint(&stepped), fingerprint(&twin));
+            prop_assert_eq!(
+                format!("{:?}", stepped.report()),
+                format!("{:?}", twin.report())
+            );
+            let events = |eng: &mut Engine<'_>| eng.take_event_sink().map(|mut r| r.drain());
+            prop_assert_eq!(format!("{:?}", events(&mut stepped)), format!("{:?}", events(&mut twin)));
+            let points = |eng: &mut Engine<'_>| eng.take_series().map(SeriesCollector::finish);
+            prop_assert_eq!(format!("{:?}", points(&mut stepped)), format!("{:?}", points(&mut twin)));
+        }
+    }
+
+    #[test]
+    fn a_pricing_error_inside_a_run_keeps_the_iterations_before_it() {
+        // With the whole KV pool as the budget, a decode whose context
+        // bucket rounds up past the pool fails to price. The run meets
+        // that mid-way: it must commit the iterations before the failing
+        // one and return the error, as stepping does.
+        let arch = ador_table3();
+        let model = presets::llama3_8b();
+        let cfg = SimConfig::new(1.0, 8).with_kv_memory_fraction(1.0);
+        let mut stepped = engine(&arch, &model, cfg);
+        let mut twin = engine(&arch, &model, cfg);
+        let budget = stepped.kv_budget_tokens();
+        let input = budget / 128 * 128 - 40;
+        for eng in [&mut stepped, &mut twin] {
+            eng.submit(Request::new(0, Seconds::ZERO, input, budget - input))
+                .unwrap();
+        }
+        let stepped_err = loop {
+            match stepped.step() {
+                Ok(StepEvent::Idle) => panic!("the scenario must fail to price"),
+                Ok(_) => {}
+                Err(e) => break e,
+            }
+        };
+        let twin_err = twin.step_until(Seconds::new(f64::MAX)).unwrap_err();
+        assert!(matches!(
+            twin_err,
+            SimError::Perf(ador_perf::PerfError::KvCacheTooLarge { .. })
+        ));
+        assert_eq!(twin_err, stepped_err);
+        assert!(
+            twin.counters().generated_tokens > 2,
+            "the run made progress"
+        );
+        assert_eq!(fingerprint(&stepped), fingerprint(&twin));
     }
 
     #[test]

@@ -291,6 +291,7 @@ impl PrefixCache {
     /// Whether the LRU index equals its recompute-from-scratch definition
     /// (every resident, unreferenced, childless non-root slot) — the
     /// oracle debug builds check after every engine step.
+    #[cfg(any(test, debug_assertions))]
     pub(crate) fn lru_matches_scan(&self) -> bool {
         let mut leaves = 0usize;
         for (slot, n) in self.nodes.iter().enumerate() {

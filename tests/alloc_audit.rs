@@ -10,7 +10,9 @@
 //!   bucket) misses the step-cost table: the step's working vectors are
 //!   engine-owned scratch, with speculation off and under SLO-adaptive
 //!   speculation alike. It also stays within the allocations-per-step
-//!   budget the featureless `bench_attribution` artifact enforces;
+//!   budget the featureless `bench_attribution` artifact enforces. The
+//!   same holds for the steady decode runs `Engine::step_until`
+//!   fast-forwards, whose profile counts every iteration as a step;
 //! * profiling is deterministic: same-seed runs produce the same stage
 //!   `calls` layout (allocation *counts* are a pure function of the
 //!   deterministic work, so replays agree).
@@ -116,6 +118,7 @@ fn long_decode(id: u64) -> Request {
 /// Asserts that steady decode allocated nothing outside the timing stage,
 /// which allocates only to fill the step-cost table.
 fn assert_only_timing_allocates(before: &StepProfile, after: &StepProfile) {
+    let steps = after.steps - before.steps;
     for stage in [
         Stage::Arrivals,
         Stage::Speculation,
@@ -126,7 +129,7 @@ fn assert_only_timing_allocates(before: &StepProfile, after: &StepProfile) {
         assert_eq!(
             allocs,
             0,
-            "stage {} allocated {allocs} times over {MEASURED_STEPS} steady decode steps",
+            "stage {} allocated {allocs} times over {steps} steady decode steps",
             stage.label()
         );
     }
@@ -211,6 +214,42 @@ fn slo_adaptive_speculation_reuses_its_bid_scratch() {
     assert!(
         engine.counters().drafted_tokens > drafted,
         "the measured steps must speculate"
+    );
+    assert_only_timing_allocates(&before, &after);
+}
+
+#[test]
+fn fast_forwarded_steady_decode_allocates_only_in_timing() {
+    profile::install_alloc_probe(probe);
+
+    let arch = ador::baselines::ador_table3();
+    let model = presets::llama3_8b();
+    let mut engine = steady_engine(&arch, &model, SimConfig::new(1.0, BATCH), long_decode);
+    // Warm-up through `step_until`: one call long enough for several
+    // full-length runs, so the run's stamp buffer has reached its bound.
+    let span = Seconds::from_millis(250.0);
+    engine
+        .step_until(engine.now() + span * 4.0)
+        .expect("warm-up run");
+    let before = *engine.step_profile();
+    let tokens = engine.counters().generated_tokens;
+    for _ in 0..16 {
+        engine
+            .step_until(engine.now() + span)
+            .expect("measured run");
+    }
+    let after = *engine.step_profile();
+    assert_eq!(engine.active_len(), BATCH, "no request completed");
+
+    // Every fast-forwarded iteration commits one token per request and is
+    // counted as a step; the runs cover many iterations per timing call.
+    let steps = after.steps - before.steps;
+    let generated = engine.counters().generated_tokens - tokens;
+    assert_eq!(steps * BATCH as u64, generated as u64);
+    let runs = after.stage(Stage::Timing).calls - before.stage(Stage::Timing).calls;
+    assert!(
+        runs > 0 && runs * 8 < steps,
+        "{steps} iterations in {runs} runs: steady decode must fast-forward"
     );
     assert_only_timing_allocates(&before, &after);
 }
