@@ -550,7 +550,7 @@ impl TenantMix {
 /// the seed/tenant/session triple): the `prefix_group` every turn of one
 /// session carries.
 fn session_group(seed: u64, tenant: usize, session: usize) -> u64 {
-    ador_serving::splitmix64(
+    ador_spec::splitmix64(
         seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add((conv::u64_from_usize(tenant) + 1).wrapping_mul(0xBF58_476D_1CE4_E5B9))
             .wrapping_add((conv::u64_from_usize(session) + 1).wrapping_mul(0x94D0_49BB_1331_11EB)),

@@ -112,9 +112,9 @@ impl Architecture {
     ///
     /// Returns a description of the first inconsistency: no compute fabric
     /// at all, zero cores, more MAC cells than a `usize` counts, a
-    /// zero-bandwidth DRAM, or a profile stream law that is malformed (a
-    /// non-finite field, a floor above its ceiling) or can derate the
-    /// DRAM to zero bandwidth.
+    /// zero-bandwidth DRAM, a zero GEMM efficiency, or a profile stream
+    /// law that is malformed (a non-finite field, a floor above its
+    /// ceiling) or can derate the DRAM to zero bandwidth.
     pub fn validate(&self) -> Result<(), String> {
         if self.cores == 0 {
             return Err(format!("architecture '{}' has zero cores", self.name));
@@ -150,6 +150,12 @@ impl Architecture {
         if self.dram.bandwidth.is_zero() {
             return Err(format!(
                 "architecture '{}' has zero DRAM bandwidth",
+                self.name
+            ));
+        }
+        if self.profile.gemm_efficiency.get() == 0.0 {
+            return Err(format!(
+                "architecture '{}' has zero GEMM efficiency",
                 self.name
             ));
         }

@@ -27,7 +27,8 @@ pub enum PerfError {
         /// Bytes left after weights.
         available: Bytes,
     },
-    /// The architecture failed validation.
+    /// The architecture failed validation, or prices a step at a
+    /// non-finite time.
     InvalidArchitecture(String),
     /// The phase has a zero batch or a zero prompt/context length.
     InvalidPhase(Phase),

@@ -358,8 +358,11 @@ impl<'a> Evaluator<'a> {
     /// # Errors
     ///
     /// Returns [`PerfError::PlanModelMismatch`] if `plan` was built for a
-    /// different model, or [`PerfError::KvCacheTooLarge`] if the phase's KV
-    /// cache does not fit next to the weight shard.
+    /// different model, [`PerfError::KvCacheTooLarge`] if the phase's KV
+    /// cache does not fit next to the weight shard, or
+    /// [`PerfError::InvalidArchitecture`] if the architecture prices the
+    /// step at a non-finite time (a profile derate so small that a rate
+    /// underflows).
     pub fn price(&self, plan: &StepPlan<'_>) -> Result<StepLatency, PerfError> {
         if !core::ptr::eq(plan.model, self.model) && plan.model != self.model {
             return Err(PerfError::PlanModelMismatch {
@@ -368,7 +371,16 @@ impl<'a> Evaluator<'a> {
             });
         }
         self.check_kv(plan.kv_bytes)?;
-        Ok(plan.price_on(self.arch, self.deployment).0)
+        let (step, _) = plan.price_on(self.arch, self.deployment);
+        if !step.total.get().is_finite() {
+            return Err(PerfError::InvalidArchitecture(format!(
+                "architecture '{}' prices a {} step at {} s",
+                self.arch.name,
+                plan.phase,
+                step.total.get()
+            )));
+        }
+        Ok(step)
     }
 
     fn check_kv(&self, kv_bytes: Bytes) -> Result<(), PerfError> {
@@ -409,7 +421,7 @@ mod tests {
     use ador_hw::memory::DramSpec;
     use ador_hw::{MacTree, ProcessNode, SystolicArray};
     use ador_model::presets;
-    use ador_units::{Bandwidth, Frequency};
+    use ador_units::{Bandwidth, Frequency, Utilization};
 
     /// `Evaluator::step` as it stood before step plans: it builds the
     /// operator graph twice, evaluates the stream law once per operator
@@ -689,6 +701,46 @@ mod tests {
                 "{law:?}"
             );
         }
+    }
+
+    #[test]
+    fn degenerate_profiles_price_no_step_at_a_non_finite_time() {
+        // Derates that pass validation but underflow a rate to a
+        // subnormal make some steps take `inf` seconds: pricing reports
+        // those as an invalid architecture (so `search()` skips the
+        // candidate) instead of returning `Ok(inf)`. A zero GEMM
+        // efficiency would price every matmul as free, so validation
+        // rejects it outright.
+        let model = presets::llama3_8b();
+        let (decode, prefill) = (Phase::decode(128, 4096), Phase::prefill(8, 4096));
+        let invalid = |edit: fn(&mut Architecture), phase: Phase| {
+            let mut arch = a100();
+            edit(&mut arch);
+            let eval = Evaluator::new(&arch, &model, Deployment::single_device()).unwrap();
+            matches!(eval.step(phase), Err(PerfError::InvalidArchitecture(_)))
+        };
+        let attention = |a: &mut Architecture| {
+            a.profile.attention_stream = ador_hw::StreamLaw::fixed(1e-310);
+        };
+        let gemm = |a: &mut Architecture| a.profile.gemm_efficiency = Utilization::new(1e-310);
+        assert!(invalid(attention, decode));
+        assert!(invalid(gemm, decode));
+        assert!(invalid(gemm, prefill));
+
+        // The rule is finiteness, not plausibility: a weight stream at
+        // 1e-310 still prices a decode step, at a finite 7.5e307 s.
+        let mut arch = a100();
+        arch.profile.weight_stream = ador_hw::StreamLaw::fixed(1e-310);
+        let eval = Evaluator::new(&arch, &model, Deployment::single_device()).unwrap();
+        let slow = eval.step(decode).unwrap().total.get();
+        assert!(slow.is_finite() && slow > 1e307, "{slow}");
+
+        let mut arch = a100();
+        arch.profile.gemm_efficiency = Utilization::new(0.0);
+        assert!(matches!(
+            Evaluator::new(&arch, &model, Deployment::single_device()),
+            Err(PerfError::InvalidArchitecture(_))
+        ));
     }
 
     #[test]

@@ -136,18 +136,16 @@ struct Active {
     /// covered by shared cache blocks, plus decoded tokens.
     kv_held: usize,
     /// Tokens covered by the prefix-cache blocks this request references
-    /// (charged to the shared pool, not to `kv_held`).
+    /// (charged to the shared pool, not to `kv_held`): the first
+    /// `cached_tokens` of its group's chain.
     cached_tokens: usize,
-    /// Deepest prefix-cache block held ([`PrefixCache::ROOT`] when the
-    /// request holds none).
-    cache_node: usize,
 }
 
 impl Active {
     /// `imported` tokens arrive with their KV already materialized (a
     /// disaggregated handoff): they join `kv_held` at admission and are
     /// excluded from the prefill pass alongside the prefix-cache hit.
-    fn admit(job: Job, cached_tokens: usize, cache_node: usize, imported: usize) -> Self {
+    fn admit(job: Job, cached_tokens: usize, imported: usize) -> Self {
         let prefill_target = job.prefill_target() - cached_tokens - imported;
         Self {
             job,
@@ -155,7 +153,6 @@ impl Active {
             prefill_target,
             kv_held: imported,
             cached_tokens,
-            cache_node,
         }
     }
 
@@ -930,25 +927,26 @@ impl<'a> Engine<'a> {
             // the first output token). Acquiring pins the matched
             // blocks (they stop being evictable), which consumes the
             // same headroom fresh growth does.
-            let (cached, cache_node) = match (&mut self.cache, job.request.prefix_group) {
+            let group = job.request.prefix_group;
+            let cached = match (&mut self.cache, group) {
                 (Some(cache), Some(group)) if imported == 0 => {
                     let before = cache.evictable_tokens();
-                    let (cached, node) = cache.acquire(group, job.request.input_tokens - 1);
+                    let cached = cache.acquire(group, job.request.input_tokens - 1);
                     let pinned = before - cache.evictable_tokens();
                     if pinned > kv_headroom {
-                        cache.release(node);
+                        cache.release(group, cached);
                         break;
                     }
                     kv_headroom -= pinned;
-                    (cached, node)
+                    cached
                 }
-                _ => (0, PrefixCache::ROOT),
+                _ => 0,
             };
             let remaining = job.prefill_target() - cached - imported;
             let take = chunk_take(remaining, chunk_budget, kv_headroom - imported);
             if take == 0 {
-                if let Some(cache) = &mut self.cache {
-                    cache.release(cache_node);
+                if let (Some(cache), Some(group)) = (&mut self.cache, group) {
+                    cache.release(group, cached);
                 }
                 break;
             }
@@ -989,8 +987,7 @@ impl<'a> Engine<'a> {
             };
             Self::emit(&mut self.sink, self.now, job.request.id, kind);
             self.scratch.chunks.push((self.active.len(), take));
-            self.active
-                .push(Active::admit(job, cached, cache_node, imported));
+            self.active.push(Active::admit(job, cached, imported));
         }
         Ok(decoders > 0 || !self.scratch.chunks.is_empty() || self.active.len() <= 1)
     }
@@ -1143,8 +1140,8 @@ impl<'a> Engine<'a> {
             // exactly this context — then drop the private remainder.
             self.cache_publish(i);
             let a = self.active.remove(i);
-            if let Some(cache) = &mut self.cache {
-                cache.release(a.cache_node);
+            if let (Some(cache), Some(group)) = (&mut self.cache, a.job.request.prefix_group) {
+                cache.release(group, a.cached_tokens);
             }
             self.kv_in_use -= a.kv_held;
             Self::emit(
@@ -1180,9 +1177,9 @@ impl<'a> Engine<'a> {
     /// recompute-from-scratch definition after each iteration and each
     /// steady run. The token backlog equals its queue scan, the KV ledger
     /// equals private contexts plus resident cache blocks and stays
-    /// within the budget, the prefix cache's LRU index equals its slab
-    /// scan, every submitted request is pending, queued, admitted or
-    /// completed, and the clock never runs backwards.
+    /// within the budget, the prefix cache has no empty chain and its LRU
+    /// index equals its chain scan, every submitted request is pending,
+    /// queued, admitted or completed, and the clock never runs backwards.
     #[cfg(debug_assertions)]
     fn check_invariants(&mut self) {
         assert_eq!(
@@ -1205,7 +1202,7 @@ impl<'a> Engine<'a> {
             self.cache
                 .as_ref()
                 .is_none_or(PrefixCache::lru_matches_scan),
-            "prefix-cache LRU index drifted from the slab scan"
+            "prefix cache has an empty chain or an LRU index drifted from its chain scan"
         );
         assert_eq!(
             self.pending.len() + self.waiting.len() + self.active.len() + self.outcomes.len(),
@@ -1234,8 +1231,8 @@ impl<'a> Engine<'a> {
         let mut victim = self.active.pop().expect("caller checks non-empty");
         let was_decoding = victim.is_decoding();
         self.kv_in_use -= victim.kv_held;
-        if let Some(cache) = &mut self.cache {
-            cache.release(victim.cache_node);
+        if let (Some(cache), Some(group)) = (&mut self.cache, victim.job.request.prefix_group) {
+            cache.release(group, victim.cached_tokens);
         }
         self.tally.preemptions += 1;
         // The victim re-enters the queue owing a full recompute (prompt
@@ -1312,11 +1309,10 @@ impl<'a> Engine<'a> {
         if aligned <= a.cached_tokens {
             return;
         }
-        let (node, fresh) = cache.extend(group, a.cache_node, a.cached_tokens, context);
+        let fresh = cache.extend(group, a.cached_tokens, context);
         let moved = aligned - a.cached_tokens;
         a.kv_held -= moved;
         a.cached_tokens = aligned;
-        a.cache_node = node;
         self.kv_in_use -= moved - fresh;
     }
 

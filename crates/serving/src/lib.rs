@@ -93,7 +93,6 @@ pub use trace::TraceProfile;
 
 // Speculative decoding lives in its own engine-independent crate
 // (`ador-spec`); re-export the configuration surface so `SimConfig`
-// users need not name a second crate, and the workspace's one
-// SplitMix64 hash.
-pub use ador_spec::{splitmix64, SpeculationConfig, SpeculationPolicy};
+// users need not name a second crate.
+pub use ador_spec::{SpeculationConfig, SpeculationPolicy};
 pub use ador_telemetry::{EventDetail, TelemetryConfig};

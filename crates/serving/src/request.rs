@@ -16,7 +16,7 @@ pub struct Request {
     /// Response length in tokens.
     pub output_tokens: usize,
     /// Content identity for prefix caching. Requests sharing a group share
-    /// one deterministic token-block hash chain, so their prompts have a
+    /// one chain of cached token blocks, so their prompts have a
     /// common prefix of `min(input_tokens, other.input_tokens)` tokens —
     /// exactly the shape of a multi-turn session, where each turn's prompt
     /// extends the previous turn's full context. `None` (the default)

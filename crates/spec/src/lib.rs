@@ -374,10 +374,8 @@ fn mix(x: u64) -> u64 {
 
 /// The SplitMix64 finalizer: a cheap, well-mixed, bijective `u64 -> u64`
 /// hash, and the one definition in the workspace. It drives the
-/// acceptance stream here, and `ador-serving` re-exports it for its
-/// prefix-cache block identities and `ador-cluster`'s session
-/// identities. `#[inline]` because the prefix cache hashes every block
-/// through it from another crate.
+/// acceptance stream here and `ador-cluster`'s session identities.
+/// `#[inline]` so callers in other crates can inline it.
 #[inline]
 pub fn splitmix64(x: u64) -> u64 {
     let mut z = x;

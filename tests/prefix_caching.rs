@@ -154,21 +154,21 @@ proptest! {
         let b = PREFIX_BLOCK_TOKENS;
         let mut cache = PrefixCache::new();
         let mut deepest: HashMap<u64, usize> = HashMap::new(); // group -> blocks
-        let mut holders: Vec<usize> = Vec::new();
+        let mut holders: Vec<(u64, usize)> = Vec::new(); // (group, held tokens)
         for (&group, &blocks) in groups.iter().zip(&lengths) {
             let want = blocks * b;
-            let (matched, node) = cache.acquire(group, want + b - 1);
+            let matched = cache.acquire(group, want + b - 1);
             prop_assert_eq!(
                 matched,
                 deepest.get(&group).copied().unwrap_or(0).min(blocks) * b,
                 "a chain must match exactly its already-inserted prefix"
             );
-            let (leaf, fresh) = cache.extend(group, node, matched, want);
+            let fresh = cache.extend(group, matched, want);
             let known = deepest.entry(group).or_insert(0);
             let expect_fresh = blocks.saturating_sub(*known) * b;
             prop_assert_eq!(fresh, expect_fresh, "only unseen blocks are fresh");
             *known = (*known).max(blocks);
-            holders.push(leaf);
+            holders.push((group, want));
 
             // The cardinal invariant: resident tokens == Σ unique live
             // blocks across groups, regardless of holder multiplicity.
@@ -181,8 +181,8 @@ proptest! {
 
         // Release every holder: all blocks become evictable, and evicting
         // them reclaims exactly the resident population.
-        for node in holders {
-            cache.release(node);
+        for (group, held) in holders {
+            cache.release(group, held);
         }
         let resident = cache.resident_tokens();
         prop_assert_eq!(cache.evictable_tokens(), resident);
