@@ -886,13 +886,11 @@ impl<'a> ClusterSim<'a> {
         let per_replica: Vec<Option<QosReport>> = self.engines.iter().map(|e| e.report()).collect();
         // Engine counters come from the per-replica reports (halves under
         // disaggregation); every population figure comes from the
-        // end-to-end outcomes. The pooled copy is scoped to the merge so
-        // its memory is free again for the per-tenant split below.
-        let fleet = {
+        // end-to-end outcomes, read in place.
+        let fleet = self.e2e_outcomes().next().is_some().then(|| {
             let completed: Vec<QosReport> = per_replica.iter().flatten().cloned().collect();
-            let outcomes: Vec<RequestOutcome> = self.e2e_outcomes().copied().collect();
-            (!outcomes.is_empty()).then(|| QosReport::merge(&completed, &outcomes))
-        };
+            QosReport::merge(&completed, self.e2e_outcomes())
+        });
 
         let tokens_per_replica: Vec<f64> = self
             .engines
@@ -905,10 +903,6 @@ impl<'a> ClusterSim<'a> {
             })
             .collect();
 
-        let mut per_tenant: Vec<Vec<RequestOutcome>> = vec![Vec::new(); self.classes.len()];
-        for outcome in self.e2e_outcomes() {
-            per_tenant[self.tenant_of(outcome)].push(*outcome);
-        }
         let tenants: Vec<TenantQos> = self
             .classes
             .iter()
@@ -917,7 +911,7 @@ impl<'a> ClusterSim<'a> {
                 TenantQos::from_outcomes(
                     class.name.clone(),
                     class.slo,
-                    &per_tenant[i],
+                    self.e2e_outcomes().filter(|o| self.tenant_of(o) == i),
                     self.submitted_per_tenant[i],
                     self.rejected_per_tenant[i],
                 )
@@ -977,15 +971,14 @@ impl<'a> ClusterSim<'a> {
         }
         // The lane accumulates in classification/delivery order; pin a
         // single time-ordered view (starts before ends at equal stamps).
+        // The key is total (a request departs once and lands once), so an
+        // unstable sort orders the lane exactly as a stable one would.
+        // Lane times are non-negative sums of latencies (never `-0.0`),
+        // whose bit patterns order like their values.
         let mut transfer_events = std::mem::take(&mut self.transfer_events);
-        let is_end = |e: &Event| matches!(e.kind, EventKind::KvTransferEnd { .. });
-        transfer_events.sort_by(|(_, a), (_, b)| {
-            a.time
-                .partial_cmp(&b.time)
-                // ador-lint: allow(panic) — invariant: event times are finite sums of latencies
-                .expect("event times are never NaN")
-                .then(a.request.cmp(&b.request))
-                .then(is_end(a).cmp(&is_end(b)))
+        transfer_events.sort_unstable_by_key(|(_, e)| {
+            let is_end = matches!(e.kind, EventKind::KvTransferEnd { .. });
+            (e.time.get().to_bits(), e.request, is_end)
         });
         let (tenant_goodput, goodput_interval) = match tcfg.series_interval {
             None => (Vec::new(), Seconds::ZERO),
@@ -1177,6 +1170,43 @@ mod tests {
             mean_think: Seconds::ZERO - Seconds::new(1.0),
             ..SessionShape::chat()
         });
+    }
+
+    #[test]
+    fn a_session_shape_whose_turns_overflow_the_clock_is_an_error() {
+        // A single think draw of up to ~36 means overflows at 1e308 s.
+        for seed in 1..=3 {
+            let mut class = TenantClass::chat_sessions(1.0);
+            let shape = SessionShape {
+                mean_think: Seconds::new(1e308),
+                ..SessionShape::chat()
+            };
+            class.session = Some(shape);
+            let arch = ador_table3();
+            let model = presets::llama3_8b();
+            let mix = TenantMix::new(vec![TenantClass::chatbot(2.0), class]);
+            let cfg = ClusterConfig::new(2, RouterPolicy::JoinShortestQueue);
+            let err = ClusterSim::new(&arch, &model, Deployment::single_device(), cfg)
+                .unwrap()
+                .run(&mix, 50, seed)
+                .unwrap_err();
+            assert!(
+                matches!(err, SimError::InvalidSessionShape { mean_think, .. }
+                    if mean_think == shape.mean_think),
+                "seed {seed}: {err:?}"
+            );
+        }
+        // The bound scales with the turn cap: a think time whose largest
+        // draw (~3.6e307 s) is finite but that a longest session (126
+        // turns at a mean of 4) multiplies past the clock fails too, and
+        // the preset shape passes.
+        assert_bad_session_shape(SessionShape {
+            mean_think: Seconds::new(1e306),
+            ..SessionShape::chat()
+        });
+        let mut class = TenantClass::chat_sessions(1.0);
+        class.session = Some(SessionShape::chat());
+        assert!(run_with(class).is_ok());
     }
 
     #[test]

@@ -76,12 +76,24 @@ impl Ledger {
         self.ids.len()
     }
 
-    /// The slot of request `id`.
+    /// The slot of request `id`: O(1) when the stream's ids are dense
+    /// (consecutive from the smallest, as [`TenantMix::generate`]'s are),
+    /// a binary search otherwise.
+    ///
+    /// [`TenantMix::generate`]: crate::TenantMix::generate
     pub(crate) fn slot(&self, id: u64) -> usize {
-        self.ids
-            .binary_search(&id)
-            // ador-lint: allow(panic) — invariant: every id the fleet handles came from its stream
-            .expect("request id is in the stream")
+        // In a dense stream the id's offset from the smallest id is its
+        // slot.
+        let guess = self.ids.first().and_then(|&first| {
+            let offset = usize::try_from(id.wrapping_sub(first)).ok()?;
+            (self.ids.get(offset) == Some(&id)).then_some(offset)
+        });
+        guess.unwrap_or_else(|| {
+            self.ids
+                .binary_search(&id)
+                // ador-lint: allow(panic) — invariant: every id the fleet handles came from its stream
+                .expect("request id is in the stream")
+        })
     }
 
     /// The tenant of the request in `slot`.
@@ -191,6 +203,31 @@ mod tests {
         ledger.open_split(0, stream[1].request);
         assert_eq!(ledger.splits.len(), 1);
         assert_eq!(ledger.split_orig(0), Some(stream[1].request));
+    }
+
+    #[test]
+    fn slots_of_dense_and_gapped_ids_match_their_sorted_positions() {
+        // Dense from a base near `u64::MAX` (the offset path); the same
+        // ids with one missing, so that every id past the gap has an
+        // in-range offset that is not its slot; and with a far outlier
+        // below them (the binary search behind the offset path).
+        let base = u64::MAX - 40;
+        let run = |skip: u64| {
+            (0..=40)
+                .filter(move |&k| k != skip)
+                .map(|k| tagged(base + k, 0))
+        };
+        let dense: Vec<ClusterRequest> = run(41).rev().collect();
+        let gapped: Vec<ClusterRequest> = run(17).collect();
+        let outlier: Vec<ClusterRequest> = run(41).chain([tagged(3, 0)]).collect();
+        for stream in [dense, gapped, outlier] {
+            let ledger = Ledger::new(&stream);
+            let mut ids: Vec<u64> = stream.iter().map(|cr| cr.request.id).collect();
+            ids.sort_unstable();
+            for (slot, &id) in ids.iter().enumerate() {
+                assert_eq!(ledger.slot(id), slot, "id {id}");
+            }
+        }
     }
 
     /// Sparse, non-monotone ids near `u64::MAX` (a bijection on any

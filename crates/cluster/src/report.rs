@@ -33,39 +33,41 @@ pub struct TenantQos {
 }
 
 impl TenantQos {
-    /// Summarizes one class from its completed outcomes and shed count.
-    pub fn from_outcomes(
+    /// Summarizes one class from its completed outcomes and shed count,
+    /// in one pass over the outcomes.
+    pub fn from_outcomes<'o>(
         name: impl Into<String>,
         slo: Slo,
-        outcomes: &[RequestOutcome],
+        outcomes: impl IntoIterator<Item = &'o RequestOutcome>,
         submitted: usize,
         rejected: usize,
     ) -> Self {
-        let slo_met = outcomes.iter().filter(|o| slo.met(o)).count();
-        let judged = outcomes.len() + rejected;
+        let (mut ttfts, mut tbts) = (Vec::new(), Vec::new());
+        let mut slo_met = 0;
+        for o in outcomes {
+            ttfts.push(o.ttft);
+            tbts.push(o.mean_tbt);
+            slo_met += usize::from(slo.met(o));
+        }
+        let completed = ttfts.len();
+        let judged = completed + rejected;
         let attainment = if judged == 0 {
             0.0
         } else {
             conv::f64_from_usize(slo_met) / conv::f64_from_usize(judged)
         };
-        let stats = |pick: fn(&RequestOutcome) -> ador_units::Seconds| {
-            if outcomes.is_empty() {
-                None
-            } else {
-                let samples: Vec<ador_units::Seconds> = outcomes.iter().map(pick).collect();
-                Some(LatencyStats::from_samples(&samples))
-            }
-        };
+        let stats =
+            |samples: Vec<Seconds>| (!samples.is_empty()).then(|| LatencyStats::from_vec(samples));
         Self {
             name: name.into(),
             submitted,
-            completed: outcomes.len(),
+            completed,
             rejected,
             slo,
             slo_met,
             attainment,
-            ttft: stats(|o| o.ttft),
-            tbt: stats(|o| o.mean_tbt),
+            ttft: stats(ttfts),
+            tbt: stats(tbts),
         }
     }
 }
@@ -208,7 +210,6 @@ pub(crate) fn imbalance(tokens_per_replica: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use ador_serving::Request;
-    use ador_units::Seconds;
 
     fn outcome(ttft_ms: f64, tbt_ms: f64) -> RequestOutcome {
         RequestOutcome {

@@ -120,6 +120,17 @@ impl ArrivalProcess {
         arrivals
     }
 
+    /// The latest of `count` arrivals as far as the gap draws decide:
+    /// `count` gaps of at most `-ln(f64::EPSILON)` mean gaps each (at the
+    /// ON rate for an on/off MMPP, whose OFF sojourns come on top).
+    fn latest_gap_sum(&self, count: usize) -> f64 {
+        let rate = match *self {
+            ArrivalProcess::Poisson { rate } => rate,
+            ArrivalProcess::OnOffMmpp { rate_on, .. } => rate_on,
+        };
+        conv::f64_from_usize(count) * -f64::EPSILON.ln() / rate
+    }
+
     /// Whether the process can draw `count` arrivals: a rate at which
     /// `count` gaps cannot overflow the clock ([`arrival_rate_fits`])
     /// and, for an on/off MMPP, a positive mean ON sojourn (a zero one
@@ -196,15 +207,35 @@ impl SessionShape {
             && self.mean_think.get().is_finite()
     }
 
+    /// Whether every turn of a session that starts by `latest_start`
+    /// seconds arrives at a finite time: [`SessionShape::sample_turns`]
+    /// draws at most the turns of its smallest uniform draw, and each
+    /// think time is at most `-ln(f64::EPSILON)` means (see
+    /// `exp_sample`).
+    fn turns_fit(&self, latest_start: f64) -> bool {
+        let max_turns = if self.mean_turns <= 1.0 {
+            1
+        } else {
+            self.turns_at(f64::EPSILON)
+        };
+        let think = -f64::EPSILON.ln() * self.mean_think.get();
+        (latest_start + conv::f64_from_usize(max_turns) * think).is_finite()
+    }
+
     /// Draws a session length: 1 + Geometric(p) with `p = 1/mean_turns`,
     /// so the mean is `mean_turns` and single-turn sessions stay common.
     fn sample_turns(&self, rng: &mut StdRng) -> usize {
         if self.mean_turns <= 1.0 {
             return 1;
         }
+        self.turns_at(rng.gen_range(f64::EPSILON..1.0))
+    }
+
+    /// The session length at uniform draw `u` (longest at the smallest
+    /// `u`): the inverse CDF of the geometric distribution on
+    /// {0, 1, ...}, plus one.
+    fn turns_at(&self, u: f64) -> usize {
         let p = 1.0 / self.mean_turns;
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        // Inverse-CDF of the geometric distribution on {0, 1, ...}.
         1 + conv::usize_from_f64((u.ln() / (1.0 - p).ln()).floor())
     }
 }
@@ -290,7 +321,11 @@ impl TenantClass {
                 rate: self.accept_rate,
             });
         }
-        if let Some(shape) = self.session.filter(|shape| !shape.is_valid()) {
+        let latest_start = self.arrivals.latest_gap_sum(count);
+        if let Some(shape) = self
+            .session
+            .filter(|shape| !shape.is_valid() || !shape.turns_fit(latest_start))
+        {
             return Err(SimError::InvalidSessionShape {
                 mean_turns: shape.mean_turns,
                 mean_think: shape.mean_think,
@@ -425,9 +460,11 @@ impl TenantMix {
     /// [`SimError::InvalidAcceptRate`] (with `id: None`) for an
     /// acceptance rate outside `[0, 1]`; and
     /// [`SimError::InvalidSessionShape`] for a session shape with fewer
-    /// than one mean turn, a NaN or infinite one, or a negative or
-    /// infinite think time. The first failing class, in index order,
-    /// decides.
+    /// than one mean turn, a NaN or infinite one, a negative or infinite
+    /// think time, or a think time so long that a session's turns could
+    /// arrive past the end of the clock (its longest session of largest
+    /// think draws, started after `count` largest arrival gaps). The
+    /// first failing class, in index order, decides.
     pub fn check(&self, count: usize) -> Result<(), SimError> {
         self.classes.iter().try_for_each(|class| class.check(count))
     }

@@ -114,7 +114,8 @@ impl Architecture {
     /// at all, zero cores, more MAC cells than a `usize` counts, a
     /// zero-bandwidth DRAM, a zero GEMM efficiency, or a profile stream
     /// law that is malformed (a non-finite field, a floor above its
-    /// ceiling) or can derate the DRAM to zero bandwidth.
+    /// ceiling) or can derate the DRAM so far that its full capacity no
+    /// longer streams in finite time (zero bandwidth included).
     pub fn validate(&self) -> Result<(), String> {
         if self.cores == 0 {
             return Err(format!("architecture '{}' has zero cores", self.name));
@@ -163,6 +164,10 @@ impl Architecture {
             ("weight", self.profile.weight_stream),
             ("attention", self.profile.attention_stream),
         ];
+        // Every byte an operator streams comes from the DRAM, so a full
+        // DRAM streamed at a law's least bandwidth bounds every stream
+        // time the evaluator divides out.
+        let capacity = self.dram.capacity.get() as f64;
         for (class, law) in laws {
             match law.least_utilization() {
                 None => {
@@ -171,9 +176,13 @@ impl Architecture {
                         self.name
                     ))
                 }
-                Some(util) if self.dram.bandwidth.derated(util).is_zero() => {
+                Some(util)
+                    if !(capacity / self.dram.bandwidth.derated(util).as_bytes_per_sec())
+                        .is_finite() =>
+                {
                     return Err(format!(
-                        "architecture '{}' has a {class} stream law that can reach zero bandwidth",
+                        "architecture '{}' has a {class} stream law too slow to stream its \
+                         DRAM in finite time",
                         self.name
                     ))
                 }
@@ -439,6 +448,28 @@ mod tests {
             .dram(zero_bw)
             .try_build();
         assert_eq!(err.unwrap_err(), "architecture 'x' has zero DRAM bandwidth");
+    }
+
+    #[test]
+    fn validate_catches_stream_laws_too_slow_for_a_full_dram() {
+        // Derates that stay positive but stream an A100-size DRAM in
+        // infinite time: 80 GiB at 2 TB/s x 1e-310 takes ~4.3e308 s.
+        for util in [1e-310, 1e-320] {
+            let mut a = ador_design();
+            a.dram = DramSpec::hbm2e(Bytes::from_gib(80), Bandwidth::from_tbps(2.0));
+            a.profile.weight_stream = StreamLaw::fixed(util);
+            let err = a.validate().unwrap_err();
+            assert!(err.contains("weight stream law too slow"), "{err}");
+            let mut a = ador_design();
+            a.dram = DramSpec::hbm2e(Bytes::from_gib(80), Bandwidth::from_tbps(2.0));
+            a.profile.attention_stream = StreamLaw::fixed(util);
+            assert!(a.validate().is_err());
+        }
+        // A slow but finite floor passes: 80 GiB at 2e-296 B/s.
+        let mut a = ador_design();
+        a.dram = DramSpec::hbm2e(Bytes::from_gib(80), Bandwidth::from_tbps(2.0));
+        a.profile.weight_stream = StreamLaw::fixed(1e-308);
+        assert_eq!(a.validate(), Ok(()));
     }
 
     #[test]

@@ -705,35 +705,45 @@ mod tests {
 
     #[test]
     fn degenerate_profiles_price_no_step_at_a_non_finite_time() {
-        // Derates that pass validation but underflow a rate to a
-        // subnormal make some steps take `inf` seconds: pricing reports
-        // those as an invalid architecture (so `search()` skips the
-        // candidate) instead of returning `Ok(inf)`. A zero GEMM
-        // efficiency would price every matmul as free, so validation
-        // rejects it outright.
+        // Derates that underflow a rate to a subnormal make some steps
+        // take `inf` seconds. Validation rejects a stream law whose floor
+        // cannot stream the full DRAM in finite time, and pricing reports
+        // any other non-finite step as an invalid architecture (so
+        // `search()` skips the candidate) instead of returning `Ok(inf)`.
+        // A zero GEMM efficiency would price every matmul as free, so
+        // validation rejects it outright.
         let model = presets::llama3_8b();
         let (decode, prefill) = (Phase::decode(128, 4096), Phase::prefill(8, 4096));
-        let invalid = |edit: fn(&mut Architecture), phase: Phase| {
+        let invalid = |edit: &dyn Fn(&mut Architecture), phase: Phase| {
             let mut arch = a100();
             edit(&mut arch);
-            let eval = Evaluator::new(&arch, &model, Deployment::single_device()).unwrap();
-            matches!(eval.step(phase), Err(PerfError::InvalidArchitecture(_)))
-        };
-        let attention = |a: &mut Architecture| {
-            a.profile.attention_stream = ador_hw::StreamLaw::fixed(1e-310);
+            let priced = Evaluator::new(&arch, &model, Deployment::single_device())
+                .and_then(|eval| eval.step(phase).map(|step| step.total));
+            matches!(priced, Err(PerfError::InvalidArchitecture(_)))
         };
         let gemm = |a: &mut Architecture| a.profile.gemm_efficiency = Utilization::new(1e-310);
-        assert!(invalid(attention, decode));
-        assert!(invalid(gemm, decode));
-        assert!(invalid(gemm, prefill));
-
-        // The rule is finiteness, not plausibility: a weight stream at
-        // 1e-310 still prices a decode step, at a finite 7.5e307 s.
-        let mut arch = a100();
-        arch.profile.weight_stream = ador_hw::StreamLaw::fixed(1e-310);
-        let eval = Evaluator::new(&arch, &model, Deployment::single_device()).unwrap();
-        let slow = eval.step(decode).unwrap().total.get();
-        assert!(slow.is_finite() && slow > 1e307, "{slow}");
+        assert!(invalid(&gemm, decode));
+        assert!(invalid(&gemm, prefill));
+        // A weight stream at 1e-310 once priced a decode step at a finite
+        // 7.5e307 s, and one at 1e-320 panicked inside `Bytes / Bandwidth`;
+        // an attention stream at 1e-310 priced it at `inf`.
+        for util in [1e-310, 1e-320] {
+            let weight = |a: &mut Architecture| {
+                a.profile.weight_stream = ador_hw::StreamLaw::fixed(util);
+            };
+            let attention = |a: &mut Architecture| {
+                a.profile.attention_stream = ador_hw::StreamLaw::fixed(util);
+            };
+            for edit in [&weight as &dyn Fn(&mut Architecture), &attention] {
+                let mut arch = a100();
+                edit(&mut arch);
+                assert!(matches!(
+                    Evaluator::new(&arch, &model, Deployment::single_device()),
+                    Err(PerfError::InvalidArchitecture(_))
+                ));
+                assert!(invalid(edit, decode));
+            }
+        }
 
         let mut arch = a100();
         arch.profile.gemm_efficiency = Utilization::new(0.0);

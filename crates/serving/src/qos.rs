@@ -27,20 +27,67 @@ impl LatencyStats {
     ///
     /// # Panics
     ///
-    /// Panics if `samples` is empty.
+    /// Panics if `samples` is empty or holds a NaN.
     pub fn from_samples(samples: &[Seconds]) -> Self {
+        Self::from_vec(samples.to_vec())
+    }
+
+    /// [`LatencyStats::from_samples`] over an owned population, sorted in
+    /// place.
+    ///
+    /// The one sort is unstable, on each sample's IEEE bit pattern, which
+    /// orders non-negative samples as `partial_cmp` does. Samples with
+    /// the sign bit set (`-0.0`, negatives) land at the top end in
+    /// reverse; moving that block to the front reversed gives
+    /// `f64::total_cmp`'s order, which differs from `partial_cmp`'s only
+    /// in putting `-0.0` before `+0.0`. A stable `partial_cmp` sort keeps
+    /// the zeros in input order, so a percentile that lands on a zero
+    /// takes its sign from the zeros' input order. The mean sums the same
+    /// ascending sequence: a sum from `+0.0` does not see the sign of a
+    /// zero term.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` is empty or holds a NaN.
+    pub fn from_vec(mut samples: Vec<Seconds>) -> Self {
         assert!(
             !samples.is_empty(),
             "cannot summarize an empty latency population"
         );
-        let mut sorted: Vec<Seconds> = samples.to_vec();
-        // ador-lint: allow(panic) — invariant: latencies are differences of finite sim times
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are never NaN"));
+        // Input-order ranks, among the zeros, of the `-0.0` samples
+        // (empty, and unallocated, unless a `-0.0` occurs).
+        let negative_zeros: Vec<usize> = samples
+            .iter()
+            .filter(|s| s.is_zero())
+            .enumerate()
+            .filter(|(_, s)| s.get().is_sign_negative())
+            .map(|(rank, _)| rank)
+            .collect();
+        samples.sort_unstable_by_key(|s| s.get().to_bits());
+        let signed = samples.partition_point(|s| s.get().is_sign_positive());
+        if signed < samples.len() {
+            samples[signed..].reverse();
+            samples.rotate_left(signed);
+        }
+        // Every NaN is at one end or the other now.
+        let is_nan = |s: Option<&Seconds>| s.is_some_and(|s| s.get().is_nan());
+        assert!(
+            !is_nan(samples.first()) && !is_nan(samples.last()),
+            "latencies are never NaN"
+        );
         let pick = |q: f64| {
-            let rank = conv::usize_from_f64((q * conv::f64_from_usize(sorted.len())).ceil());
-            sorted[rank.clamp(1, sorted.len()) - 1]
+            let rank = conv::usize_from_f64((q * conv::f64_from_usize(samples.len())).ceil());
+            let at = rank.clamp(1, samples.len()) - 1;
+            let sample = samples[at];
+            if sample.is_zero() && !negative_zeros.is_empty() {
+                let first_zero = samples.partition_point(|s| s.get() < 0.0);
+                let negative = negative_zeros.binary_search(&(at - first_zero)).is_ok();
+                Seconds::new(if negative { -0.0 } else { 0.0 })
+            } else {
+                sample
+            }
         };
-        let mean = sorted.iter().copied().sum::<Seconds>() / conv::f64_from_usize(sorted.len());
+        let mean = samples.iter().copied().sum::<Seconds>() / conv::f64_from_usize(samples.len());
         Self {
             mean,
             p50: pick(0.50),
@@ -153,29 +200,37 @@ impl QosReport {
     /// # Panics
     ///
     /// Panics if `outcomes` is empty.
-    pub fn from_outcomes(
-        outcomes: &[RequestOutcome],
+    pub fn from_outcomes<'o>(
+        outcomes: impl IntoIterator<Item = &'o RequestOutcome>,
         makespan: Seconds,
         counters: EngineCounters,
     ) -> Self {
-        assert!(!outcomes.is_empty(), "no completed requests to report on");
-        let ttfts: Vec<Seconds> = outcomes.iter().map(|o| o.ttft).collect();
-        let tbts: Vec<Seconds> = outcomes.iter().map(|o| o.mean_tbt).collect();
-        let e2es: Vec<Seconds> = outcomes.iter().map(|o| o.e2e).collect();
-        let tokens: usize = outcomes.iter().map(|o| o.request.output_tokens).sum();
-        let good_tokens: usize = outcomes
-            .iter()
-            .filter(|o| o.request.slo.is_none_or(|slo| slo.met(o)))
-            .map(|o| o.request.output_tokens)
-            .sum();
+        // One pass collects the three populations and the token counts.
+        let outcomes = outcomes.into_iter();
+        let n = outcomes.size_hint().0;
+        let mut ttfts = Vec::with_capacity(n);
+        let mut tbts = Vec::with_capacity(n);
+        let mut e2es = Vec::with_capacity(n);
+        let (mut tokens, mut good_tokens) = (0, 0);
+        for o in outcomes {
+            ttfts.push(o.ttft);
+            tbts.push(o.mean_tbt);
+            e2es.push(o.e2e);
+            tokens += o.request.output_tokens;
+            if o.request.slo.is_none_or(|slo| slo.met(o)) {
+                good_tokens += o.request.output_tokens;
+            }
+        }
+        let completed = ttfts.len();
+        assert!(completed > 0, "no completed requests to report on");
         let span = makespan.get().max(1e-12);
         Self {
-            completed: outcomes.len(),
+            completed,
             makespan,
-            ttft: LatencyStats::from_samples(&ttfts),
-            tbt: LatencyStats::from_samples(&tbts),
-            e2e: LatencyStats::from_samples(&e2es),
-            requests_per_sec: conv::f64_from_usize(outcomes.len()) / span,
+            ttft: LatencyStats::from_vec(ttfts),
+            tbt: LatencyStats::from_vec(tbts),
+            e2e: LatencyStats::from_vec(e2es),
+            requests_per_sec: conv::f64_from_usize(completed) / span,
             tokens_per_sec: conv::f64_from_usize(tokens) / span,
             goodput_tokens_per_sec: conv::f64_from_usize(good_tokens) / span,
             mean_batch: counters.mean_batch,
@@ -243,12 +298,11 @@ impl QosReport {
     ///
     /// Panics if `outcomes` is empty or holds more requests than the
     /// reports completed.
-    pub fn merge(reports: &[QosReport], outcomes: &[RequestOutcome]) -> Self {
+    pub fn merge<'o>(
+        reports: &[QosReport],
+        outcomes: impl IntoIterator<Item = &'o RequestOutcome>,
+    ) -> Self {
         let completed: usize = reports.iter().map(|r| r.completed).sum();
-        assert!(
-            outcomes.len() <= completed,
-            "pooled outcomes must have completed on the merged reports"
-        );
         let makespan = reports
             .iter()
             .map(|r| r.makespan)
@@ -285,7 +339,12 @@ impl QosReport {
             accepted_tokens: sum(|r| r.accepted_tokens),
             rejected_tokens: sum(|r| r.rejected_tokens),
         };
-        Self::from_outcomes(outcomes, makespan, counters)
+        let report = Self::from_outcomes(outcomes, makespan, counters);
+        assert!(
+            report.completed <= completed,
+            "pooled outcomes must have completed on the merged reports"
+        );
+        report
     }
 }
 
@@ -399,6 +458,120 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn empty_population_rejected() {
         let _ = LatencyStats::from_samples(&[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "never NaN")]
+    fn nan_sample_rejected() {
+        let nan = Seconds::new(1.0) * f64::NAN;
+        let _ = LatencyStats::from_samples(&[Seconds::new(0.5), nan, Seconds::new(0.2)]);
+    }
+
+    /// The summary before its integer-key sort: a stable `partial_cmp`
+    /// sort, the oracle [`LatencyStats::from_vec`] must equal bit for bit.
+    fn reference_stats(samples: &[Seconds]) -> LatencyStats {
+        let mut sorted: Vec<Seconds> = samples.to_vec();
+        sorted.sort_by(|a, b| {
+            a.partial_cmp(b)
+                .expect("no NaN in the oracle's populations")
+        });
+        let pick = |q: f64| {
+            let rank = (q * sorted.len() as f64).ceil() as usize;
+            sorted[rank.clamp(1, sorted.len()) - 1]
+        };
+        LatencyStats {
+            mean: sorted.iter().copied().sum::<Seconds>() / sorted.len() as f64,
+            p50: pick(0.50),
+            p95: pick(0.95),
+            p99: pick(0.99),
+            max: pick(1.0),
+        }
+    }
+
+    fn stat_bits(s: &LatencyStats) -> [u64; 5] {
+        [s.mean, s.p50, s.p95, s.p99, s.max].map(|x| x.get().to_bits())
+    }
+
+    /// A population of 1 to 300 samples that mixes ties, both zeros,
+    /// subnormals, `+inf`, huge and negative values with ordinary ones.
+    /// `Seconds::new` rejects negatives and infinities, so samples are
+    /// scaled from one second, as `Seconds` arithmetic can.
+    fn population(seed: u64) -> Vec<Seconds> {
+        let mut state = seed;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let len = 1 + (next() % 300) as usize;
+        let negatives = next() % 4 == 0;
+        // Some populations are mostly zeros, so percentiles land on them.
+        let zeros = if next() % 4 == 0 { 16 } else { 2 };
+        let mut samples: Vec<f64> = Vec::with_capacity(len);
+        for _ in 0..len {
+            let x = match next() % (10 + zeros) {
+                0 => f64::from_bits(1 + next() % (1 << 52)), // subnormal
+                1 => f64::INFINITY,
+                2 => f64::MAX / (1 + next() % 4) as f64,
+                3 if negatives => -((next() % 1000) as f64) * 1e-3,
+                4 if !samples.is_empty() => samples[(next() % samples.len() as u64) as usize],
+                k if k >= 10 && k % 2 == 0 => 0.0,
+                k if k >= 10 => -0.0,
+                // Any finite non-negative bit pattern.
+                _ => f64::from_bits(next() % 0x7FF0_0000_0000_0000),
+            };
+            samples.push(x);
+        }
+        samples.into_iter().map(|x| Seconds::new(1.0) * x).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// The integer-key sort summarizes every population exactly as
+        /// the stable `partial_cmp` sort did, down to the sign of a zero.
+        #[test]
+        fn summary_matches_the_stable_sort(seed in 0u64..u64::MAX) {
+            let samples = population(seed);
+            proptest::prop_assert_eq!(
+                stat_bits(&LatencyStats::from_samples(&samples)),
+                stat_bits(&reference_stats(&samples))
+            );
+        }
+    }
+
+    #[test]
+    fn a_zero_percentile_keeps_the_sign_of_its_input_order() {
+        // Under a stable sort the zeros stay in input order, so the
+        // median of [-0, +0] is -0 and that of [+0, -0] is +0.
+        let (neg, pos) = (Seconds::new(-0.0), Seconds::ZERO);
+        for zeros in [[neg, pos], [pos, neg]] {
+            let s = LatencyStats::from_samples(&zeros);
+            assert_eq!(stat_bits(&s), stat_bits(&reference_stats(&zeros)));
+            assert_eq!(
+                s.p50.get().is_sign_negative(),
+                zeros[0].get().is_sign_negative()
+            );
+        }
+        let mut reached = 0;
+        for seed in 0..2_000 {
+            let samples = population(seed);
+            let s = LatencyStats::from_samples(&samples);
+            reached += usize::from(
+                [s.p50, s.p95, s.p99].iter().any(|x| x.is_zero())
+                    && samples
+                        .iter()
+                        .any(|x| x.is_zero() && x.get().is_sign_negative()),
+            );
+            assert_eq!(
+                stat_bits(&s),
+                stat_bits(&reference_stats(&samples)),
+                "seed {seed}"
+            );
+        }
+        assert!(reached > 20, "{reached} populations picked a signed zero");
     }
 
     #[test]

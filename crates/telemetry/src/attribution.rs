@@ -46,9 +46,19 @@ use ador_units::{conv, Seconds};
 use crate::event::{Event, EventKind};
 
 /// Converts a sim timestamp to integer nanoseconds (exactly once per
-/// event, so downstream arithmetic is exact).
+/// event, so downstream arithmetic is exact): `(t * 1e9).round()`,
+/// saturating, without the libm call `round` makes on baseline x86-64
+/// (the idiom of `ador_units::Bytes::from_f64`). Below 2^53 the
+/// truncation and the fraction `ns - whole` are exact; at and above it
+/// `ns` is whole already.
 fn nanos(t: Seconds) -> u64 {
-    conv::u64_from_f64((t.get() * 1e9).round())
+    let ns = t.get() * 1e9;
+    let whole = conv::u64_from_f64(ns); // truncates toward zero, saturating
+    if ns - conv::f64_from_u64(whole) >= 0.5 {
+        whole.saturating_add(1)
+    } else {
+        whole
+    }
 }
 
 /// The conserved per-request latency decomposition, in integer
@@ -349,63 +359,162 @@ enum Ph {
 /// complete, well-formed lifecycle, ordered by request id; truncated
 /// (ring-evicted), shed, or in-flight requests are skipped.
 ///
-/// Cost: for `n` events, one `sort_unstable` of `n` packed (request id,
-/// recording position) keys groups the events by request; each group is
-/// then copied into one reused buffer, stably time-sorted and walked.
-/// Nothing is allocated per request, except inside the standard
-/// library's stable sort, which takes heap scratch for a lifecycle too
-/// long for its on-stack buffer (more than 128 events with today's
-/// `std`: long per-token streams).
+/// Cost: linear in the events. A radix sort on the request id groups
+/// them, in 8 bytes of working memory per event when the ids are dense
+/// (16 when they spread wider); each request's events are then copied
+/// into one reused buffer, stably time-sorted and walked. Nothing is
+/// allocated per request, except inside the standard library's stable
+/// sort, which allocates a heap buffer for a lifecycle too long for its
+/// on-stack one (more than 128 events with today's `std`: long
+/// per-token streams).
 #[must_use]
 pub fn attribute_events(replicas: &[Vec<Event>]) -> Vec<RequestAttribution> {
     let prefill_ts = prefill_timelines(replicas);
-
-    // One key per event: (request id, recording position), where the
-    // position counts through the streams in replica order; `starts[r]`
-    // is replica `r`'s first position. Keys are unique, so the unstable
-    // sort is deterministic: requests come out in id order and each
-    // request's events in recording order. Comparing the pair as one
-    // packed `u128` sorts faster than the tuple's field-by-field order.
-    let mut starts = Vec::with_capacity(replicas.len());
-    let mut keys: Vec<(u64, usize)> = Vec::with_capacity(replicas.iter().map(Vec::len).sum());
-    for stream in replicas {
-        let base = keys.len();
-        starts.push(base);
-        keys.extend(
-            stream
-                .iter()
-                .enumerate()
-                .map(|(i, e)| (e.request, base + i)),
-        );
-    }
-    keys.sort_unstable_by_key(|&(request, pos)| {
-        u128::from(request) << 64 | u128::from(conv::u64_from_usize(pos))
-    });
-
     let mut out = Vec::new();
     let mut events: Vec<(u64, usize, EventKind)> = Vec::new();
     let mut intervals: Vec<DecodeInterval> = Vec::new();
-    for group in keys.chunk_by(|a, b| a.0 == b.0) {
-        let Some(&(request, _)) = group.first() else {
-            continue;
-        };
-        events.clear();
-        events.extend(group.iter().map(|&(_, pos)| {
-            // `starts[0] == 0 <= pos`, so the partition point is >= 1.
-            let replica = starts.partition_point(|&s| s <= pos) - 1;
-            let e = &replicas[replica][pos - starts[replica]];
-            (nanos(e.time), replica, e.kind)
-        }));
+    let mut attribute = |request: u64, events: &mut Vec<(u64, usize, EventKind)>| {
         // Stable sort: `Enqueue` is stamped at arrival time (possibly
         // before previously recorded events), so streams are not
         // globally time-ordered; ties keep recording order.
         events.sort_by_key(|&(t, _, _)| t);
-        if let Some(attr) = walk(request, &events, &prefill_ts, &mut intervals) {
+        if let Some(attr) = walk(request, events, &prefill_ts, &mut intervals) {
             debug_assert!(attr.conserved(), "attribution must conserve e2e time");
             out.push(attr);
         }
+        events.clear();
+    };
+    let mut current = None;
+    for loc in group_by_request(replicas) {
+        let e = loc.event(replicas);
+        if let Some(request) = current.filter(|&request| request != e.request) {
+            attribute(request, &mut events);
+        }
+        current = Some(e.request);
+        events.push((nanos(e.time), loc.replica(), e.kind));
+    }
+    if let Some(request) = current {
+        attribute(request, &mut events);
     }
     out
+}
+
+/// Where an event was recorded: its replica's stream and its index
+/// there, in 8 bytes.
+#[derive(Debug, Default, Clone, Copy)]
+struct Loc {
+    replica: u32,
+    index: u32,
+}
+
+impl Loc {
+    /// Event `index` of replica `replica`'s stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a replica or stream index of 2^32 or more.
+    fn new(replica: usize, index: usize) -> Self {
+        let narrow = |n: usize| {
+            // ador-lint: allow(panic) — invariant: a stream of 2^32 32-byte events would hold 128 GiB
+            u32::try_from(n).expect("fewer than 2^32 replicas and events per stream")
+        };
+        Self {
+            replica: narrow(replica),
+            index: narrow(index),
+        }
+    }
+
+    fn replica(self) -> usize {
+        conv::usize_from_u32(self.replica)
+    }
+
+    fn event(self, replicas: &[Vec<Event>]) -> &Event {
+        &replicas[self.replica()][conv::usize_from_u32(self.index)]
+    }
+}
+
+/// Every event's location, ordered by request id and, within a request,
+/// in recording order (replica by replica, each stream in order).
+///
+/// A least-significant-digit radix sort on each id's offset from the
+/// smallest id, over only the bits those offsets use, so it runs in time
+/// linear in the events. Dense ids (a fleet's, numbered from a base)
+/// take one counting pass when their offsets fit a histogram of at most
+/// a quarter as many counts as events (or 256); otherwise each pass
+/// sorts by 8 more bits, and ids spread over all 64 bits take eight.
+/// Passes are stable and read each id through its location, so the
+/// working memory is the locations (8 bytes per event, twice when a
+/// second pass runs) and the histogram.
+fn group_by_request(replicas: &[Vec<Event>]) -> Vec<Loc> {
+    let n: usize = replicas.iter().map(Vec::len).sum();
+    if n == 0 {
+        return Vec::new();
+    }
+    let (lo, hi) = replicas
+        .iter()
+        .flatten()
+        .fold((u64::MAX, 0), |(lo, hi), e| {
+            (lo.min(e.request), hi.max(e.request))
+        });
+    let bits = u64::BITS - (hi - lo).leading_zeros();
+    let one_pass = 1usize
+        .checked_shl(bits)
+        .is_some_and(|counts| counts <= (n / 4).max(256));
+    let (width, passes) = if one_pass {
+        (bits, 1)
+    } else {
+        (8, bits.div_ceil(8))
+    };
+    let mask = (1 << width) - 1;
+    let mut counts = vec![0; 1 << width];
+    let recorded = replicas.iter().enumerate().flat_map(|(r, stream)| {
+        stream
+            .iter()
+            .enumerate()
+            .map(move |(i, e)| (Loc::new(r, i), e.request))
+    });
+    let mut order = vec![Loc::default(); n];
+    counting_pass(recorded, &mut order, &mut counts, |id| {
+        conv::usize_from_u64((id - lo) & mask)
+    });
+    if passes > 1 {
+        let mut spare = vec![Loc::default(); n];
+        for pass in 1..passes {
+            let located = order.iter().map(|&loc| (loc, loc.event(replicas).request));
+            counting_pass(located, &mut spare, &mut counts, |id| {
+                conv::usize_from_u64((id - lo) >> (pass * width) & mask)
+            });
+            std::mem::swap(&mut order, &mut spare);
+        }
+    }
+    order
+}
+
+/// One stable counting-sort pass: scatters the locations of `src`
+/// (location, request id) pairs into `dst`, as long, in ascending
+/// `digit(id)` order and in `src` order within a digit. `counts` holds
+/// one counter per digit value; it is overwritten.
+fn counting_pass(
+    src: impl Iterator<Item = (Loc, u64)> + Clone,
+    dst: &mut [Loc],
+    counts: &mut [usize],
+    digit: impl Fn(u64) -> usize,
+) {
+    counts.fill(0);
+    for (_, id) in src.clone() {
+        counts[digit(id)] += 1;
+    }
+    // Each digit's first output slot.
+    let mut next = 0;
+    for count in counts.iter_mut() {
+        next += *count;
+        *count = next - *count;
+    }
+    for (loc, id) in src {
+        let slot = &mut counts[digit(id)];
+        dst[*slot] = loc;
+        *slot += 1;
+    }
 }
 
 /// Per-replica sorted prefill-chunk timelines: the witness used to
@@ -611,8 +720,6 @@ fn overlaps_prefill(ts: &[u64], start: u64, end: u64) -> bool {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeMap;
-
     use super::*;
 
     fn ev(time: f64, request: u64, kind: EventKind) -> Event {
@@ -793,28 +900,93 @@ mod tests {
         assert_eq!(merged.total_lost_ns(), merged.totals.lost_ns());
     }
 
-    /// The grouping `attribute_events` used before its single sort: one
-    /// `BTreeMap` probe per event and one `Vec` per request. Kept as the
-    /// oracle the sort-based grouping must match exactly.
+    /// The grouping `attribute_events` used before its radix sort: one
+    /// `sort_unstable` of packed (request id, recording position) keys,
+    /// a `partition_point` per event to find its replica, and libm
+    /// rounding to nanoseconds. Kept as the oracle the radix grouping
+    /// must match exactly.
     fn reference_attribute_events(replicas: &[Vec<Event>]) -> Vec<RequestAttribution> {
-        let prefill_ts = prefill_timelines(replicas);
-        let mut per_request: BTreeMap<u64, Vec<(u64, usize, EventKind)>> = BTreeMap::new();
-        for (replica, stream) in replicas.iter().enumerate() {
-            for e in stream {
-                per_request
-                    .entry(e.request)
-                    .or_default()
-                    .push((nanos(e.time), replica, e.kind));
-            }
-        }
-        let mut intervals = Vec::new();
-        per_request
-            .into_iter()
-            .filter_map(|(request, mut events)| {
-                events.sort_by_key(|&(t, _, _)| t);
-                walk(request, &events, &prefill_ts, &mut intervals)
+        let nanos = |t: Seconds| conv::u64_from_f64((t.get() * 1e9).round());
+        let prefill_ts: Vec<Vec<u64>> = replicas
+            .iter()
+            .map(|stream| {
+                let mut ts: Vec<u64> = stream
+                    .iter()
+                    .filter(|e| matches!(e.kind, EventKind::PrefillChunk { .. }))
+                    .map(|e| nanos(e.time))
+                    .collect();
+                ts.sort_unstable();
+                ts
             })
-            .collect()
+            .collect();
+        let mut starts = Vec::with_capacity(replicas.len());
+        let mut keys: Vec<(u64, usize)> = Vec::new();
+        for stream in replicas {
+            let base = keys.len();
+            starts.push(base);
+            keys.extend(
+                stream
+                    .iter()
+                    .enumerate()
+                    .map(|(i, e)| (e.request, base + i)),
+            );
+        }
+        keys.sort_unstable_by_key(|&(request, pos)| u128::from(request) << 64 | pos as u128);
+        let mut out = Vec::new();
+        let mut intervals = Vec::new();
+        for group in keys.chunk_by(|a, b| a.0 == b.0) {
+            let mut events: Vec<(u64, usize, EventKind)> = group
+                .iter()
+                .map(|&(_, pos)| {
+                    let replica = starts.partition_point(|&s| s <= pos) - 1;
+                    let e = &replicas[replica][pos - starts[replica]];
+                    (nanos(e.time), replica, e.kind)
+                })
+                .collect();
+            events.sort_by_key(|&(t, _, _)| t);
+            out.extend(walk(group[0].0, &events, &prefill_ts, &mut intervals));
+        }
+        out
+    }
+
+    #[test]
+    fn nanos_rounds_like_libm() {
+        let libm = |x: f64| conv::u64_from_f64((x * 1e9).round());
+        let mut state = 7u64;
+        let mut edges = vec![
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            -1e-9,
+            f64::from_bits(1),
+            0.5e-9,
+            1.5e-9,
+            2.5e-9,
+            0.4999999999999999e-9,
+            (1u64 << 53) as f64 * 1e-9,
+            (1u64 << 53) as f64 * 1e-9 + 0.5e-9,
+            18_446_744_073.709_553,
+            f64::MAX,
+        ];
+        for _ in 0..100_000 {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let bits = (state ^ (state >> 29)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            edges.push(f64::from_bits(bits));
+            // Whole and half nanoseconds, and their neighbours.
+            let half = (bits % (1 << 40)) as f64 * 0.5e-9;
+            edges.extend([
+                half,
+                f64::from_bits(half.to_bits() + 1),
+                f64::from_bits(half.to_bits().saturating_sub(1)),
+            ]);
+        }
+        for x in edges {
+            // `Seconds::new` rejects what arithmetic on `Seconds` can reach.
+            let t = Seconds::new(1.0) * x;
+            assert_eq!(nanos(t), libm(t.get()), "{x:e}");
+        }
     }
 
     /// SplitMix64, the random source of [`random_fleet`].
@@ -893,8 +1065,8 @@ mod tests {
         }
     }
 
-    /// A random multi-replica recording. Requests get sparse random ids
-    /// and are whole, split across two replicas (in either index order),
+    /// A random multi-replica recording. Requests get dense, strided or
+    /// sparse random ids and are whole, split across two replicas (in either index order),
     /// shed, or cut short in flight; a few decode for a long time, so a
     /// per-token lifecycle can outgrow the stable sort's on-stack
     /// scratch. Per replica, events are recorded in time order except
@@ -904,10 +1076,23 @@ mod tests {
     /// oldest events.
     fn random_fleet(rng: &mut Rng, per_token: bool) -> Vec<Vec<Event>> {
         let replicas = 1 + rng.below(4) as usize;
+        // Ids: dense from a base (up to `u64::MAX`), strided, or random
+        // over all 64 bits, so the grouping takes one radix pass, two or
+        // eight.
+        let base = if rng.chance(50) {
+            u64::MAX - 99
+        } else {
+            rng.below(1 << 40)
+        };
+        let stride = [1, 1_009, 0][rng.below(3) as usize];
         // (replica, recording key, generation order, event)
         let mut recorded: Vec<(usize, u64, usize, Event)> = Vec::new();
-        for _ in 0..rng.below(24) {
-            let id = rng.next();
+        for k in 0..rng.below(24) {
+            let id = if stride == 0 {
+                rng.next()
+            } else {
+                base.wrapping_add(k * stride)
+            };
             let home = rng.below(replicas as u64) as usize;
             let mut life = Life {
                 at: rng.below(40),
@@ -967,8 +1152,8 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
-        /// The single-sort grouping returns exactly what the per-request
-        /// map grouping did, at both event detail levels.
+        /// The radix grouping returns exactly what the single-sort
+        /// grouping did, at both event detail levels.
         #[test]
         fn grouping_matches_the_reference(seed in 0u64..u64::MAX, per_token in 0u8..2) {
             let streams = random_fleet(&mut Rng(seed), per_token == 1);

@@ -57,6 +57,13 @@ pub fn u32_from_usize(n: usize) -> u32 {
     u32::try_from(n).unwrap_or(u32::MAX)
 }
 
+/// Narrows a `u64` count to `usize`, saturating at `usize::MAX`
+/// (lossless on 64-bit platforms).
+#[inline]
+pub fn usize_from_u64(n: u64) -> usize {
+    usize::try_from(n).unwrap_or(usize::MAX)
+}
+
 /// Widens a `u32` count to `usize`. Lossless on every supported
 /// platform (`usize` is at least 32 bits).
 #[inline]

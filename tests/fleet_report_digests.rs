@@ -1,0 +1,126 @@
+//! Golden digests of whole fleet reports: the `Debug` text of every
+//! field of a `FleetReport` (per-replica and fleet QoS, tenants, the
+//! telemetry block and the attribution block) folded into one FNV-1a
+//! value per scenario. The benchmark's digests cover neither telemetry
+//! nor attribution, so a change to how the report is built (its sorts,
+//! its groupings, its rounding) must leave these values unchanged.
+
+use ador::cluster::scenarios::{
+    disagg_cluster, disagg_engine, disagg_mix, session_fleet, session_workload, spec_fleet,
+    spec_mix, DISAGG_RATE,
+};
+use ador::cluster::{ClusterConfig, ClusterSim, FleetReport, FleetSpec, ReplicaSpec, RouterPolicy};
+use ador::model::presets;
+use ador::perf::Deployment;
+use ador::serving::SpeculationPolicy;
+use ador::telemetry::{EventDetail, TelemetryConfig};
+use ador::units::Seconds;
+
+/// Folds `bytes` into an FNV-1a hash.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The report's digest, once it is known to carry every block.
+fn digest(report: &FleetReport) -> u64 {
+    assert!(report.completed > 0 && report.fleet.is_some());
+    assert!(report.telemetry.is_some() && report.attribution.is_some());
+    fnv1a(0xcbf2_9ce4_8422_2325, format!("{report:?}").as_bytes())
+}
+
+/// A full trace with a series and attribution at `detail`.
+fn traced(detail: EventDetail) -> TelemetryConfig {
+    TelemetryConfig::trace()
+        .with_detail(detail)
+        .with_series(Seconds::from_millis(250.0))
+        .with_attribution()
+}
+
+fn aggregated(cfg: ClusterConfig, mix: &ador::cluster::TenantMix, requests: usize) -> FleetReport {
+    let arch = ador::baselines::ador_table3();
+    let model = presets::llama3_8b();
+    ClusterSim::new(&arch, &model, Deployment::single_device(), cfg)
+        .and_then(|sim| sim.run(mix, requests, 5))
+        .expect("the scenario runs")
+}
+
+fn disaggregated(detail: EventDetail) -> FleetReport {
+    let model = presets::llama3_8b();
+    let engine = disagg_engine().with_telemetry(traced(detail));
+    let fleet = FleetSpec::prefill_decode(
+        &ReplicaSpec::new(ador::baselines::prefill_optimized(), engine),
+        2,
+        &ReplicaSpec::new(ador::baselines::decode_optimized(), engine),
+        2,
+    );
+    ClusterSim::new_fleet(
+        &fleet,
+        &model,
+        Deployment::single_device(),
+        disagg_cluster(true),
+    )
+    .and_then(|sim| sim.run(&disagg_mix(DISAGG_RATE), 80, 5))
+    .expect("the scenario runs")
+}
+
+/// (scenario, digest) for the whole grid, in a fixed order.
+fn grid() -> Vec<(String, u64)> {
+    let mut out = Vec::new();
+    for detail in [EventDetail::Lifecycle, EventDetail::PerToken] {
+        let sessions = session_fleet(2, RouterPolicy::CacheAffinity).with_telemetry(traced(detail));
+        let report = aggregated(sessions, &session_workload(10.0), 80);
+        assert!(report
+            .fleet
+            .as_ref()
+            .is_some_and(|q| q.prefix_hit_tokens > 0));
+        out.push((format!("sessions {detail:?}"), digest(&report)));
+        let report = disaggregated(detail);
+        assert!(report.kv_transfers > 0);
+        out.push((format!("disaggregated {detail:?}"), digest(&report)));
+        for policy in [SpeculationPolicy::Off, SpeculationPolicy::SloAdaptive] {
+            let cfg = spec_fleet(2, policy).with_telemetry(traced(detail));
+            let report = aggregated(cfg, &spec_mix(92.0), 60);
+            let drafted = report.fleet.as_ref().map_or(0, |q| q.drafted_tokens);
+            assert_eq!(drafted > 0, policy == SpeculationPolicy::SloAdaptive);
+            out.push((
+                format!("speculation {policy:?} {detail:?}"),
+                digest(&report),
+            ));
+        }
+    }
+    out
+}
+
+#[test]
+fn fleet_reports_match_their_golden_digests() {
+    // Recorded with the stable `partial_cmp` latency sort and the
+    // comparison-sorted attribution grouping; the integer-key sorts and
+    // the radix grouping reproduce every value.
+    let golden: [(&str, u64); 8] = [
+        ("sessions Lifecycle", 0xc8a2_4a3b_3f4b_b198),
+        ("disaggregated Lifecycle", 0x85cd_dc16_7bc9_6ef7),
+        ("speculation Off Lifecycle", 0x5a09_fabd_346f_dcdf),
+        ("speculation SloAdaptive Lifecycle", 0xa537_bf53_9794_2d65),
+        ("sessions PerToken", 0xcf11_a99a_63f6_6e17),
+        ("disaggregated PerToken", 0xf761_b60f_1218_85c3),
+        ("speculation Off PerToken", 0x0f94_cc72_6ee3_d8bb),
+        ("speculation SloAdaptive PerToken", 0x6916_1bab_3a2d_40fa),
+    ];
+    let measured = grid();
+    let expected: Vec<(String, u64)> = golden
+        .iter()
+        .map(|&(name, digest)| (name.to_owned(), digest))
+        .collect();
+    assert_eq!(
+        measured,
+        expected,
+        "measured digests:\n{}",
+        measured
+            .iter()
+            .map(|(name, d)| format!("(\"{name}\", {d:#018x}),"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
+}
