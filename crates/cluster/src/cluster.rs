@@ -148,12 +148,14 @@ impl ClusterConfig {
 /// this order only keeps the event trace deterministic). The transfer
 /// heap holds `Due<u64, (Request, usize)>`: a decode-side continuation
 /// and its ledger slot, due when its context finishes landing and keyed
-/// by request id, so delivery order is part of the pinned trace.
+/// by request id, so delivery order is part of the pinned trace. The
+/// request stream's generator queues its drawn turns the same way (see
+/// `tenant::Pending`).
 #[derive(Debug, Clone, Copy)]
-struct Due<K, V> {
-    time: Seconds,
-    key: K,
-    value: V,
+pub(crate) struct Due<K, V> {
+    pub(crate) time: Seconds,
+    pub(crate) key: K,
+    pub(crate) value: V,
 }
 
 impl<K: Ord, V> PartialEq for Due<K, V> {
@@ -174,7 +176,7 @@ impl<K: Ord, V> Ord for Due<K, V> {
     fn cmp(&self, other: &Self) -> Ordering {
         self.time
             .partial_cmp(&other.time)
-            // ador-lint: allow(panic) — invariant: event times are finite sums of latencies
+            // ador-lint: allow(panic) — invariant: event times are finite sums of latencies and draws
             .expect("event times are never NaN")
             .then(self.key.cmp(&other.key))
     }
@@ -434,7 +436,8 @@ impl<'a> ClusterSim<'a> {
     /// # Errors
     ///
     /// Returns [`TenantMix::check`]'s error for a class that cannot
-    /// generate `count` requests ([`SimError::InvalidArrivalRate`],
+    /// generate `count` requests ([`SimError::InvalidArrivalRate`], also
+    /// for an on/off MMPP whose sojourns could overflow the clock,
     /// [`SimError::InvalidAcceptRate`] or
     /// [`SimError::InvalidSessionShape`]), and propagates engine errors
     /// (see [`Engine::submit`] / [`Engine::step`]).
@@ -1145,6 +1148,60 @@ mod tests {
                     if rate.to_bits() == arrivals.mean_rate().to_bits()),
                 "{arrivals:?}: {err:?}"
             );
+        }
+    }
+
+    #[test]
+    fn an_mmpp_whose_sojourns_overflow_the_clock_is_an_error() {
+        // One OFF draw of up to ~36 means overflows at 1e308 s. Alone in
+        // a mix, the class reaches such a draw before its 50th arrival at
+        // these seeds, and would panic on an infinite arrival.
+        use crate::ArrivalProcess;
+        let arrivals = ArrivalProcess::OnOffMmpp {
+            rate_on: 4.0,
+            mean_on: Seconds::new(4.0),
+            mean_off: Seconds::new(1e308),
+        };
+        let mut class = TenantClass::summarization(1.0);
+        class.arrivals = arrivals;
+        let mix = TenantMix::new(vec![class]);
+        let arch = ador_table3();
+        let model = presets::llama3_8b();
+        for seed in [32, 34] {
+            let cfg = ClusterConfig::new(2, RouterPolicy::JoinShortestQueue);
+            let err = ClusterSim::new(&arch, &model, Deployment::single_device(), cfg)
+                .unwrap()
+                .run(&mix, 50, seed)
+                .unwrap_err();
+            assert!(
+                matches!(err, SimError::InvalidArrivalRate { rate }
+                    if rate.to_bits() == arrivals.mean_rate().to_bits()),
+                "seed {seed}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_preset_and_pinned_mix_passes_its_check() {
+        let presets = [
+            TenantClass::chatbot(1.0),
+            TenantClass::summarization(1.0),
+            TenantClass::code_completion(1.0),
+            TenantClass::chat_sessions(1.0),
+        ];
+        let pinned = [
+            scenarios::skewed_two_tenant(scenarios::SKEWED_MIX_RATE),
+            scenarios::session_workload(scenarios::SESSION_RATE),
+            scenarios::spec_mix(scenarios::SPEC_RATE),
+            scenarios::scale_mix(128),
+            scenarios::disagg_mix(scenarios::DISAGG_RATE),
+        ];
+        for mix in presets
+            .map(|class| TenantMix::new(vec![class]))
+            .into_iter()
+            .chain(pinned)
+        {
+            assert!(mix.check(1_000_000).is_ok(), "{mix:?}");
         }
     }
 

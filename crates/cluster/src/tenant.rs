@@ -15,10 +15,15 @@
 //! whose growing shared prefixes a prefix-caching engine
 //! ([`ador_serving::SimConfig::prefix_caching`]) exploits.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use ador_serving::{arrival_rate_fits, Request, SimError, Slo, TraceProfile};
 use ador_units::{conv, Seconds};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+use crate::cluster::Due;
 
 /// A request tagged with the tenant class that issued it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -120,21 +125,28 @@ impl ArrivalProcess {
         arrivals
     }
 
-    /// The latest of `count` arrivals as far as the gap draws decide:
-    /// `count` gaps of at most `-ln(f64::EPSILON)` mean gaps each (at the
-    /// ON rate for an on/off MMPP, whose OFF sojourns come on top).
-    fn latest_gap_sum(&self, count: usize) -> f64 {
-        let rate = match *self {
-            ArrivalProcess::Poisson { rate } => rate,
-            ArrivalProcess::OnOffMmpp { rate_on, .. } => rate_on,
-        };
-        conv::f64_from_usize(count) * -f64::EPSILON.ln() / rate
+    /// The latest time any of `count` arrivals can land, with every
+    /// exponential draw at most `-ln(f64::EPSILON)` means (see
+    /// `exp_sample`). A Poisson process sums `count` gaps. An on/off
+    /// MMPP's accepted gaps stay inside its ON sojourns, so after `k`
+    /// ON/OFF cycles its clock is at most `k` largest ON and OFF draws;
+    /// `k` is not bounded by `count` (a cycle may emit nothing), so it is
+    /// bounded by what any loop can count, `MMPP_CYCLES`.
+    fn latest_arrival(&self, count: usize) -> f64 {
+        let most = -f64::EPSILON.ln();
+        match *self {
+            ArrivalProcess::Poisson { rate } => conv::f64_from_usize(count) * most / rate,
+            ArrivalProcess::OnOffMmpp {
+                mean_on, mean_off, ..
+            } => MMPP_CYCLES * most * (mean_on.get() + mean_off.get()),
+        }
     }
 
     /// Whether the process can draw `count` arrivals: a rate at which
     /// `count` gaps cannot overflow the clock ([`arrival_rate_fits`])
     /// and, for an on/off MMPP, a positive mean ON sojourn (a zero one
-    /// never emits) and a non-negative mean OFF sojourn.
+    /// never emits), a non-negative mean OFF sojourn, and sojourns whose
+    /// cycles cannot overflow the clock either (`latest_arrival`).
     fn is_valid(&self, count: usize) -> bool {
         match *self {
             ArrivalProcess::Poisson { rate } => arrival_rate_fits(rate, count),
@@ -142,10 +154,20 @@ impl ArrivalProcess {
                 rate_on,
                 mean_on,
                 mean_off,
-            } => arrival_rate_fits(rate_on, count) && mean_on.get() > 0.0 && mean_off.get() >= 0.0,
+            } => {
+                arrival_rate_fits(rate_on, count)
+                    && mean_on.get() > 0.0
+                    && mean_off.get() >= 0.0
+                    && self.latest_arrival(count).is_finite()
+            }
         }
     }
 }
+
+/// ON/OFF cycles no on/off MMPP outlives: 2^64, more than any loop can
+/// count, so a clock that stays finite after this many cycles of largest
+/// sojourn draws never overflows.
+const MMPP_CYCLES: f64 = 18_446_744_073_709_551_616.0;
 
 /// Whether `rate` is a probability (NaN is not).
 fn is_probability(rate: f64) -> bool {
@@ -321,7 +343,7 @@ impl TenantClass {
                 rate: self.accept_rate,
             });
         }
-        let latest_start = self.arrivals.latest_gap_sum(count);
+        let latest_start = self.arrivals.latest_arrival(count);
         if let Some(shape) = self
             .session
             .filter(|shape| !shape.is_valid() || !shape.turns_fit(latest_start))
@@ -456,15 +478,19 @@ impl TenantMix {
     /// mean rate) for a class whose arrival rate is not positive and
     /// finite or so small that `count` gaps overflow the clock
     /// ([`arrival_rate_fits`]), or whose on/off MMPP has a non-positive
-    /// mean ON or a negative mean OFF sojourn;
+    /// mean ON or a negative mean OFF sojourn, or sojourns so long that
+    /// its clock could overflow (2^64 ON/OFF cycles of largest draws,
+    /// more than any run can count, must end at a finite time);
     /// [`SimError::InvalidAcceptRate`] (with `id: None`) for an
     /// acceptance rate outside `[0, 1]`; and
     /// [`SimError::InvalidSessionShape`] for a session shape with fewer
     /// than one mean turn, a NaN or infinite one, a negative or infinite
     /// think time, or a think time so long that a session's turns could
     /// arrive past the end of the clock (its longest session of largest
-    /// think draws, started after `count` largest arrival gaps). The
-    /// first failing class, in index order, decides.
+    /// think draws, started at the latest arrival the class's process
+    /// can draw: after `count` largest gaps, or, for an on/off MMPP,
+    /// after those 2^64 cycles). The first failing class, in index
+    /// order, decides.
     pub fn check(&self, count: usize) -> Result<(), SimError> {
         self.classes.iter().try_for_each(|class| class.check(count))
     }
@@ -496,83 +522,52 @@ impl TenantMix {
         self
     }
 
-    /// Generates the first `count` requests of the multiplexed stream:
-    /// each class draws its own seeded arrival/length sequence (session
-    /// classes expand each arrival into a multi-turn conversation with a
-    /// growing, `prefix_group`-tagged context), the per-class streams
-    /// merge by arrival time, and ids are assigned in merged order
-    /// (`0..count`). Fully deterministic under `seed`.
+    /// Generates the first `count` requests of the multiplexed stream,
+    /// fully deterministic under `seed`.
+    ///
+    /// Each class draws from its own seeded RNG: first all `count` of
+    /// its arrivals, then, in arrival order, each arrival's requests. A
+    /// one-shot class's arrival is one request; a session class's
+    /// arrival starts a session, drawn whole: its turn count, then per
+    /// turn its lengths and the think time to the next, each follow-up
+    /// re-prompting with the growing, `prefix_group`-tagged context. The
+    /// stream is ordered by arrival, then tenant, then the class's draw
+    /// order, and ids are assigned in that order (`0..count`). Sessions
+    /// are drawn only as the stream reaches their start, so a class
+    /// draws only the sessions that start before the last kept request
+    /// (or at its instant); the draws after them would change none of
+    /// the kept requests.
     ///
     /// # Panics
     ///
     /// Panics on a mix that fails [`TenantMix::check`] for `count`.
     pub fn generate(&self, count: usize, seed: u64) -> Vec<ClusterRequest> {
-        let mut merged: Vec<(Seconds, usize, usize, usize, Option<u64>)> = Vec::new();
-        for (tenant, class) in self.classes.iter().enumerate() {
-            // Decorrelate classes with a per-class seed; any class alone
-            // can supply the whole truncated stream (sessions yield at
-            // least one turn per arrival), so `count` draws each is
-            // always enough.
-            let mut rng = StdRng::seed_from_u64(seed.wrapping_add(
-                (conv::u64_from_usize(tenant) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            ));
-            let starts = class.arrivals.sample_arrivals(&mut rng, count);
-            match class.session {
-                None => {
-                    for arrival in starts {
-                        let input = class.profile.sample_input(&mut rng);
-                        let output = class.profile.sample_output(&mut rng);
-                        merged.push((arrival, tenant, input, output, None));
-                    }
-                }
-                Some(shape) => {
-                    for (session, start) in starts.into_iter().enumerate() {
-                        let group = session_group(seed, tenant, session);
-                        let turns = shape.sample_turns(&mut rng);
-                        let mut arrival = start;
-                        let mut context = 0usize;
-                        for _ in 0..turns {
-                            // Follow-up turns re-prompt with the full
-                            // previous context plus a fresh user message.
-                            let fresh = if context == 0 {
-                                class.profile.sample_input(&mut rng)
-                            } else {
-                                shape.followup.sample_input(&mut rng)
-                            };
-                            let input = (context + fresh).min(class.profile.max_tokens.max(1));
-                            let output = class.profile.sample_output(&mut rng);
-                            merged.push((arrival, tenant, input, output, Some(group)));
-                            context = input + output;
-                            if context + 1 >= class.profile.max_tokens {
-                                // Context window exhausted: end the session.
-                                break;
-                            }
-                            arrival += Seconds::new(exp_sample(&mut rng, shape.mean_think.get()));
-                        }
-                    }
-                }
-            }
-        }
-        merged.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                // ador-lint: allow(panic) — invariant: arrivals are finite draws from the workload
-                .expect("arrival times are never NaN")
-                .then(a.1.cmp(&b.1))
-        });
-        merged
-            .into_iter()
-            .take(count)
+        let check = self.check(count);
+        assert!(
+            check.is_ok(),
+            "the mix cannot generate {count} requests: {check:?}"
+        );
+        let classes = self
+            .classes
+            .iter()
             .enumerate()
-            .map(|(id, (arrival, tenant, input, output, group))| {
+            .map(|(tenant, class)| ClassDraws::new(class, tenant, count, seed))
+            .collect();
+        merge(classes, count)
+            .into_iter()
+            .enumerate()
+            .map(|(id, turn)| {
                 // Every request carries its class's contract and draft
                 // acceptance profile: the SLO feeds goodput accounting
                 // and SLO-adaptive speculation depth, the acceptance rate
                 // the seeded verify draws.
+                let (tenant, _) = turn.key;
                 let class = &self.classes[tenant];
+                let (input, output, group) = turn.value;
                 ClusterRequest {
                     request: Request {
                         prefix_group: group,
-                        ..Request::new(conv::u64_from_usize(id), arrival, input, output)
+                        ..Request::new(conv::u64_from_usize(id), turn.time, input, output)
                     }
                     .with_slo(class.slo)
                     .with_accept_rate(class.accept_rate),
@@ -581,6 +576,143 @@ impl TenantMix {
             })
             .collect()
     }
+}
+
+/// A drawn turn waiting for its place in the stream: due at its
+/// arrival, keyed by (tenant, the class's draw index), so [`Due`]'s
+/// order is the stream's, and holding its (input tokens, output tokens,
+/// prefix group).
+type Pending = Due<(usize, usize), (usize, usize, Option<u64>)>;
+
+/// One class's draws for one stream.
+#[derive(Debug, Clone)]
+struct ClassDraws<'a> {
+    class: &'a TenantClass,
+    tenant: usize,
+    seed: u64,
+    rng: StdRng,
+    /// Every arrival, drawn up front; non-decreasing.
+    starts: Vec<Seconds>,
+    /// Arrivals drawn out so far: the next is `starts[sessions]`.
+    sessions: usize,
+    /// Turns drawn so far: the next turn's draw index.
+    turns: usize,
+}
+
+impl<'a> ClassDraws<'a> {
+    /// Seeds the class's RNG and draws its first `count` arrivals. Each
+    /// arrival yields at least one request, so any class alone can
+    /// supply a stream of `count`.
+    fn new(class: &'a TenantClass, tenant: usize, count: usize, seed: u64) -> Self {
+        // Decorrelate classes with a per-class seed.
+        let mut rng =
+            StdRng::seed_from_u64(seed.wrapping_add(
+                (conv::u64_from_usize(tenant) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            ));
+        let starts = class.arrivals.sample_arrivals(&mut rng, count);
+        Self {
+            class,
+            tenant,
+            seed,
+            rng,
+            starts,
+            sessions: 0,
+            turns: 0,
+        }
+    }
+
+    /// The next arrival to draw out, if any is left.
+    fn next_start(&self) -> Option<Seconds> {
+        self.starts.get(self.sessions).copied()
+    }
+
+    /// Draws the next arrival's requests whole and hands each to
+    /// `queue`, in draw order: one request for a one-shot class, a
+    /// session's turns for a session class.
+    fn draw_session(&mut self, mut queue: impl FnMut(Pending)) {
+        let Some(start) = self.next_start() else {
+            return;
+        };
+        let session = self.sessions;
+        self.sessions += 1;
+        let class = self.class;
+        let Some(shape) = class.session else {
+            let input = class.profile.sample_input(&mut self.rng);
+            let output = class.profile.sample_output(&mut self.rng);
+            queue(self.turn(start, input, output, None));
+            return;
+        };
+        let group = Some(session_group(self.seed, self.tenant, session));
+        let turns = shape.sample_turns(&mut self.rng);
+        let mut arrival = start;
+        let mut context = 0usize;
+        for _ in 0..turns {
+            // Follow-up turns re-prompt with the full previous context
+            // plus a fresh user message.
+            let fresh = if context == 0 {
+                class.profile.sample_input(&mut self.rng)
+            } else {
+                shape.followup.sample_input(&mut self.rng)
+            };
+            let input = (context + fresh).min(class.profile.max_tokens.max(1));
+            let output = class.profile.sample_output(&mut self.rng);
+            queue(self.turn(arrival, input, output, group));
+            context = input + output;
+            if context + 1 >= class.profile.max_tokens {
+                // Context window exhausted: end the session.
+                break;
+            }
+            arrival += Seconds::new(exp_sample(&mut self.rng, shape.mean_think.get()));
+        }
+    }
+
+    /// Keys a drawn turn by the class's tenant and next draw index.
+    fn turn(&mut self, time: Seconds, input: usize, output: usize, group: Option<u64>) -> Pending {
+        let key = (self.tenant, self.turns);
+        self.turns += 1;
+        let value = (input, output, group);
+        Due { time, key, value }
+    }
+}
+
+/// The first `count` turns of the classes' merged stream (`classes` in
+/// tenant order), ordered by arrival, then tenant, then draw index: the
+/// order a stable sort of every drawn turn by arrival and tenant gives.
+///
+/// Arrivals are drawn out in (start, tenant) order into one min-heap of
+/// pending turns. The heap's least turn is final once no undrawn arrival
+/// sorts before it by (start, tenant): every turn of an arrival comes at
+/// or after its start, and one of the same class at the same instant
+/// draws later. So no class draws an arrival that starts after the last
+/// kept turn.
+fn merge(mut classes: Vec<ClassDraws<'_>>, count: usize) -> Vec<Pending> {
+    let mut pending: BinaryHeap<Reverse<Pending>> = BinaryHeap::new();
+    let mut stream = Vec::with_capacity(count);
+    while stream.len() < count {
+        // The undrawn arrival first by (start, tenant); `<` keeps the
+        // lowest tenant among equal starts.
+        let mut next: Option<(Seconds, usize)> = None;
+        for (tenant, class) in classes.iter().enumerate() {
+            if let Some(start) = class.next_start() {
+                if next.is_none_or(|(first, _)| start < first) {
+                    next = Some((start, tenant));
+                }
+            }
+        }
+        let least = pending.peek().map(|Reverse(turn)| (turn.time, turn.key.0));
+        match next {
+            Some((start, tenant)) if least.is_none_or(|turn| (start, tenant) < turn) => {
+                classes[tenant].draw_session(|turn| pending.push(Reverse(turn)));
+            }
+            _ => match pending.pop() {
+                Some(Reverse(turn)) => stream.push(turn),
+                // Unreachable: every class drew `count` arrivals of at
+                // least one turn each.
+                None => break,
+            },
+        }
+    }
+    stream
 }
 
 /// Deterministic, collision-resistant session identity (splitmix64 over
@@ -600,6 +732,7 @@ mod tests {
     #![allow(clippy::unwrap_used)]
 
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn poisson_mean_rate_is_the_rate() {
@@ -817,5 +950,215 @@ mod tests {
     #[should_panic(expected = "positive rates")]
     fn zero_rate_class_rejected() {
         let _ = TenantClass::chatbot(0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot generate 50 requests")]
+    fn generate_panics_on_a_mix_that_fails_its_check() {
+        // A literal `TenantClass::new` would refuse: a zero mean ON
+        // sojourn never emits.
+        let mut class = TenantClass::summarization(1.0);
+        class.arrivals = ArrivalProcess::OnOffMmpp {
+            rate_on: 4.0,
+            mean_on: Seconds::ZERO,
+            mean_off: Seconds::new(12.0),
+        };
+        let _ = TenantMix::new(vec![class]).generate(50, 1);
+    }
+
+    /// The reference generator `generate` must equal: every class
+    /// expands all `count` of its arrivals into every turn, one stable
+    /// sort by arrival and tenant orders them, and the first `count`
+    /// are kept.
+    fn expand_all(mix: &TenantMix, count: usize, seed: u64) -> Vec<ClusterRequest> {
+        let mut merged: Vec<(Seconds, usize, usize, usize, Option<u64>)> = Vec::new();
+        for (tenant, class) in mix.classes.iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(seed.wrapping_add(
+                (conv::u64_from_usize(tenant) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            ));
+            let starts = class.arrivals.sample_arrivals(&mut rng, count);
+            match class.session {
+                None => {
+                    for arrival in starts {
+                        let input = class.profile.sample_input(&mut rng);
+                        let output = class.profile.sample_output(&mut rng);
+                        merged.push((arrival, tenant, input, output, None));
+                    }
+                }
+                Some(shape) => {
+                    for (session, start) in starts.into_iter().enumerate() {
+                        let group = session_group(seed, tenant, session);
+                        let turns = shape.sample_turns(&mut rng);
+                        let mut arrival = start;
+                        let mut context = 0usize;
+                        for _ in 0..turns {
+                            let fresh = if context == 0 {
+                                class.profile.sample_input(&mut rng)
+                            } else {
+                                shape.followup.sample_input(&mut rng)
+                            };
+                            let input = (context + fresh).min(class.profile.max_tokens.max(1));
+                            let output = class.profile.sample_output(&mut rng);
+                            merged.push((arrival, tenant, input, output, Some(group)));
+                            context = input + output;
+                            if context + 1 >= class.profile.max_tokens {
+                                break;
+                            }
+                            arrival += Seconds::new(exp_sample(&mut rng, shape.mean_think.get()));
+                        }
+                    }
+                }
+            }
+        }
+        merged.sort_by(|a, b| {
+            a.0.partial_cmp(&b.0)
+                .expect("arrival times are never NaN")
+                .then(a.1.cmp(&b.1))
+        });
+        merged
+            .into_iter()
+            .take(count)
+            .enumerate()
+            .map(|(id, (arrival, tenant, input, output, group))| {
+                let class = &mix.classes[tenant];
+                ClusterRequest {
+                    request: Request {
+                        prefix_group: group,
+                        ..Request::new(id as u64, arrival, input, output)
+                    }
+                    .with_slo(class.slo)
+                    .with_accept_rate(class.accept_rate),
+                    tenant,
+                }
+            })
+            .collect()
+    }
+
+    /// A mix of 1 to 4 classes drawn from `spec`: Poisson or on/off MMPP
+    /// arrivals (some with no OFF time), one-shot classes or sessions of
+    /// 1, 1.5, 4 or 12 mean turns, think times of 0 (a session's turns
+    /// share its start) or more, and context windows small enough to end
+    /// most sessions early.
+    fn random_mix(spec: u64) -> TenantMix {
+        let mut rng = StdRng::seed_from_u64(spec);
+        let classes = rng.gen_range(1..=4usize);
+        TenantMix::new(
+            (0..classes)
+                .map(|_| {
+                    let arrivals = if rng.gen_range(0..2u32) == 0 {
+                        ArrivalProcess::Poisson {
+                            rate: rng.gen_range(0.5..40.0),
+                        }
+                    } else {
+                        ArrivalProcess::OnOffMmpp {
+                            rate_on: rng.gen_range(1.0..80.0),
+                            mean_on: Seconds::new(rng.gen_range(0.1..5.0)),
+                            mean_off: Seconds::new([0.0, 0.5, 12.0][rng.gen_range(0..3usize)]),
+                        }
+                    };
+                    let profile = TraceProfile {
+                        max_tokens: [48, 600, 4096][rng.gen_range(0..3usize)],
+                        ..TraceProfile::ultrachat_like()
+                    };
+                    let class = TenantClass::new("random", profile, Slo::strict(), arrivals);
+                    match [None, Some(1.0), Some(1.5), Some(4.0), Some(12.0)]
+                        [rng.gen_range(0..5usize)]
+                    {
+                        None => class,
+                        Some(mean_turns) => class.with_sessions(SessionShape {
+                            mean_turns,
+                            mean_think: Seconds::new([0.0, 0.3, 8.0][rng.gen_range(0..3usize)]),
+                            ..SessionShape::chat()
+                        }),
+                    }
+                })
+                .collect(),
+        )
+    }
+
+    /// Where two streams first differ: in length, or at a request with
+    /// other arrival bits or other `Debug` text.
+    fn first_difference(a: &[ClusterRequest], b: &[ClusterRequest]) -> Option<String> {
+        if a.len() != b.len() {
+            return Some(format!("{} requests against {}", a.len(), b.len()));
+        }
+        a.iter()
+            .zip(b)
+            .find(|(x, y)| {
+                x.request.arrival.get().to_bits() != y.request.arrival.get().to_bits()
+                    || format!("{x:?}") != format!("{y:?}")
+            })
+            .map(|(x, y)| format!("{x:?} against {y:?}"))
+    }
+
+    /// Each turn's arrival bits and `Debug` text: `Due`'s equality
+    /// compares only its order key.
+    fn turn_bits(turns: &[Pending]) -> Vec<(u64, String)> {
+        turns
+            .iter()
+            .map(|t| (t.time.get().to_bits(), format!("{t:?}")))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The lazily drawn stream is the expand-all one, request for
+        /// request, at counts 0, 1 and up to a few thousand.
+        #[test]
+        fn generate_matches_the_expand_all_oracle(
+            spec in 0u64..u64::MAX,
+            seed in 0u64..u64::MAX,
+            count in 2usize..3_000,
+        ) {
+            let mix = random_mix(spec);
+            for count in [0, 1, count] {
+                prop_assert_eq!(
+                    first_difference(&mix.generate(count, seed), &expand_all(&mix, count, seed)),
+                    None,
+                    "count {}", count
+                );
+            }
+        }
+
+        /// `merge` against a stable sort of every drawn turn when turns
+        /// share instants across sessions and classes: each arrival is
+        /// floored to a whole second past 2^52 s, where the clock counts
+        /// whole seconds, so think times round to whole seconds too and a
+        /// turn often lands on another class's start.
+        #[test]
+        fn merge_orders_shared_instants_as_a_stable_sort(
+            spec in 0u64..u64::MAX,
+            seed in 0u64..u64::MAX,
+            count in 0usize..1_500,
+        ) {
+            let mix = random_mix(spec);
+            let classes: Vec<ClassDraws<'_>> = mix
+                .classes()
+                .iter()
+                .enumerate()
+                .map(|(tenant, class)| {
+                    let mut draws = ClassDraws::new(class, tenant, count, seed);
+                    for start in &mut draws.starts {
+                        *start = Seconds::new(4_503_599_627_370_496.0 + start.get().floor());
+                    }
+                    draws
+                })
+                .collect();
+            let mut all = Vec::new();
+            for mut draws in classes.clone() {
+                while draws.next_start().is_some() {
+                    draws.draw_session(|turn| all.push(turn));
+                }
+            }
+            all.sort_by(|a, b| {
+                a.time
+                    .partial_cmp(&b.time)
+                    .expect("arrival times are never NaN")
+                    .then(a.key.0.cmp(&b.key.0))
+            });
+            all.truncate(count);
+            prop_assert_eq!(turn_bits(&merge(classes, count)), turn_bits(&all));
+        }
     }
 }

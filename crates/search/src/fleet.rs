@@ -149,6 +149,7 @@ impl FleetSearchOutcome {
 ///
 /// Returns [`TenantMix::check`]'s error for a mix class that cannot
 /// generate `input.requests` requests ([`SimError::InvalidArrivalRate`],
+/// also for an on/off MMPP whose sojourns could overflow the clock,
 /// [`SimError::InvalidAcceptRate`] or
 /// [`SimError::InvalidSessionShape`]), [`SimError::EmptyConfig`] when
 /// `replicas == 0` (no fleet to build), and otherwise propagates the

@@ -188,7 +188,8 @@ pub enum SimError {
     /// ([`arrival_rate_fits`]): the [`SimConfig::arrival_rate`] of a
     /// single-engine run, or a fleet tenant class's arrival process,
     /// which when bursty (on/off) also needs a positive mean ON and a
-    /// non-negative mean OFF sojourn.
+    /// non-negative mean OFF sojourn, short enough that its cycles cannot
+    /// overflow the clock.
     InvalidArrivalRate {
         /// The configured [`SimConfig::arrival_rate`], or the tenant
         /// class's long-run mean rate (req/s).

@@ -4,12 +4,20 @@
 //! value per scenario. The benchmark's digests cover neither telemetry
 //! nor attribution, so a change to how the report is built (its sorts,
 //! its groupings, its rounding) must leave these values unchanged.
+//!
+//! Digests of the same kind pin the request streams
+//! `TenantMix::generate` draws for the benchmark's workloads and the
+//! pinned scenarios, so a change to how a stream is built must leave
+//! every request unchanged.
 
 use ador::cluster::scenarios::{
-    disagg_cluster, disagg_engine, disagg_mix, session_fleet, session_workload, spec_fleet,
-    spec_mix, DISAGG_RATE,
+    disagg_cluster, disagg_engine, disagg_mix, session_fleet, session_workload, skewed_two_tenant,
+    spec_fleet, spec_mix, DISAGG_RATE, DISAGG_REQUESTS, SKEWED_MIX_RATE, SKEWED_MIX_REQUESTS,
+    SKEWED_MIX_SEED, SPEC_RATE, SPEC_REQUESTS, SPEC_SEED,
 };
-use ador::cluster::{ClusterConfig, ClusterSim, FleetReport, FleetSpec, ReplicaSpec, RouterPolicy};
+use ador::cluster::{
+    ClusterConfig, ClusterSim, FleetReport, FleetSpec, ReplicaSpec, RouterPolicy, TenantMix,
+};
 use ador::model::presets;
 use ador::perf::Deployment;
 use ador::serving::SpeculationPolicy;
@@ -116,6 +124,69 @@ fn fleet_reports_match_their_golden_digests() {
     assert_eq!(
         measured,
         expected,
+        "measured digests:\n{}",
+        measured
+            .iter()
+            .map(|(name, d)| format!("(\"{name}\", {d:#018x}),"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
+}
+
+/// One digest over the streams `mix` draws for `count` requests at each
+/// of `seeds`, in order.
+fn stream_digest(mix: &TenantMix, count: usize, seeds: impl IntoIterator<Item = u64>) -> u64 {
+    seeds.into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, seed| {
+        let stream = mix.generate(count, seed);
+        assert_eq!(stream.len(), count);
+        fnv1a(hash, format!("{stream:?}").as_bytes())
+    })
+}
+
+#[test]
+fn request_streams_match_their_golden_digests() {
+    // The benchmark's stream seeds at `--seed 1`: streams 1 to 6 of the
+    // fleet workloads, and the eight co-exploration seeds of a
+    // design_sweep pass.
+    let perfbench = || ((1 << 20) + 1)..=((1 << 20) + 6);
+    let measured = vec![
+        (
+            "session_workload(20) x 6000",
+            stream_digest(&session_workload(20.0), 6_000, perfbench()),
+        ),
+        (
+            "disagg_mix(60) x 6000",
+            stream_digest(&disagg_mix(60.0), 6_000, perfbench()),
+        ),
+        (
+            "disagg_mix(30) x 400",
+            stream_digest(&disagg_mix(DISAGG_RATE), DISAGG_REQUESTS, 8..=15),
+        ),
+        (
+            "skewed_two_tenant",
+            stream_digest(
+                &skewed_two_tenant(SKEWED_MIX_RATE),
+                SKEWED_MIX_REQUESTS,
+                [SKEWED_MIX_SEED],
+            ),
+        ),
+        (
+            "spec_mix",
+            stream_digest(&spec_mix(SPEC_RATE), SPEC_REQUESTS, [SPEC_SEED]),
+        ),
+    ];
+    // Recorded with the expand-all-then-sort generator; the lazily
+    // expanded one draws the same requests.
+    let golden: [(&str, u64); 5] = [
+        ("session_workload(20) x 6000", 0x8b4b_7253_daf5_f5e7),
+        ("disagg_mix(60) x 6000", 0x6b82_e36f_4de3_cddc),
+        ("disagg_mix(30) x 400", 0x47dc_29e4_9162_72b7),
+        ("skewed_two_tenant", 0xcfd6_a1bc_836e_72e8),
+        ("spec_mix", 0x7f74_fbac_c3fd_cb82),
+    ];
+    assert_eq!(
+        measured,
+        golden,
         "measured digests:\n{}",
         measured
             .iter()
