@@ -14,7 +14,7 @@
 //! every instant.
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use ador_hw::Architecture;
 use ador_model::ModelConfig;
@@ -146,9 +146,9 @@ impl ClusterConfig {
 /// `(time, key)`, so equal times pop in key order. The ready heap holds
 /// `Due<usize, ()>` keyed by replica index (engines are independent, so
 /// this order only keeps the event trace deterministic). The transfer
-/// heap holds `Due<u64, (Request, usize)>`: a decode-side continuation
-/// and its ledger slot, due when its context finishes landing and keyed
-/// by request id, so delivery order is part of the pinned trace. The
+/// heap holds `Due<u64, usize>`: the ledger slot of a split request, due
+/// when its context finishes landing and keyed by request id, so
+/// delivery order is part of the pinned trace. The
 /// request stream's generator queues its drawn turns the same way (see
 /// `tenant::Pending`).
 #[derive(Debug, Clone, Copy)]
@@ -225,9 +225,12 @@ pub struct ClusterSim<'a> {
     engines: Vec<Engine<'a>>,
     router: Router,
     cfg: ClusterConfig,
-    stream: VecDeque<ClusterRequest>,
+    /// The offered stream, sorted by arrival, and how many of its
+    /// requests were routed or shed so far.
+    stream: Vec<ClusterRequest>,
+    routed: usize,
     classes: Vec<TenantClass>,
-    /// Per-request tenant and split bookkeeping, built by
+    /// Per-request stream positions and prefill halves, built by
     /// [`ClusterSim::submit_stream`].
     ledger: Ledger,
     submitted_per_tenant: Vec<usize>,
@@ -266,7 +269,7 @@ pub struct ClusterSim<'a> {
     /// prefill replica and landing on its decode replica, so
     /// `submitted == completed + rejected + in_flight + in_transfer`
     /// holds at every [`ClusterSim::advance`] boundary.
-    transfers: BinaryHeap<Reverse<Due<u64, (Request, usize)>>>,
+    transfers: BinaryHeap<Reverse<Due<u64, usize>>>,
     /// Per-engine cursor into [`Engine::outcomes`]: completions before
     /// it are already classified (split bookkeeping done).
     seen_outcomes: Vec<usize>,
@@ -406,7 +409,8 @@ impl<'a> ClusterSim<'a> {
             router: Router::new(cfg.policy),
             decode_router: Router::new(cfg.decode_policy),
             cfg,
-            stream: VecDeque::new(),
+            stream: Vec::new(),
+            routed: 0,
             classes: Vec::new(),
             ledger: Ledger::default(),
             submitted_per_tenant: Vec::new(),
@@ -452,12 +456,22 @@ impl<'a> ClusterSim<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates engine errors (see [`Engine::submit`] / [`Engine::step`]).
+    /// Returns [`SimError::InvalidRequest`] for the first request, in
+    /// stream order, whose arrival is NaN or infinite (`Seconds`
+    /// arithmetic does not check its results), before anything is
+    /// simulated, and propagates engine errors (see [`Engine::submit`] /
+    /// [`Engine::step`]).
     pub fn run_stream(
         mut self,
         mix: &TenantMix,
         stream: Vec<ClusterRequest>,
     ) -> Result<FleetReport, SimError> {
+        let non_finite = stream
+            .iter()
+            .find(|cr| !cr.request.arrival.get().is_finite());
+        if let Some(cr) = non_finite {
+            return Err(SimError::InvalidRequest { id: cr.request.id });
+        }
         self.submit_stream(mix, stream);
         while self.advance()? {}
         Ok(self.finish())
@@ -469,8 +483,9 @@ impl<'a> ClusterSim<'a> {
     ///
     /// # Panics
     ///
-    /// Panics on duplicate request ids, out-of-range tenant tags, or if a
-    /// stream was already loaded.
+    /// Panics on a NaN arrival (which [`ClusterSim::run_stream`] returns
+    /// as an error instead), duplicate request ids, out-of-range tenant
+    /// tags, or if a stream was already loaded.
     pub fn submit_stream(&mut self, mix: &TenantMix, mut stream: Vec<ClusterRequest>) {
         assert!(
             self.classes.is_empty() && self.stream.is_empty(),
@@ -496,7 +511,7 @@ impl<'a> ClusterSim<'a> {
             self.submitted_per_tenant[cr.tenant] += 1;
         }
         self.ledger = Ledger::new(&stream);
-        self.stream = stream.into();
+        self.stream = stream;
     }
 
     /// Advances the fleet by one boundary instant and returns `false`
@@ -547,7 +562,7 @@ impl<'a> ClusterSim<'a> {
     /// [`KvLink`]'s latency is strictly positive). `None` means no event
     /// can create a new submission anywhere — the fleet just drains.
     fn horizon(&self) -> Option<Seconds> {
-        let arrival = self.stream.front().map(|cr| cr.request.arrival);
+        let arrival = self.stream.get(self.routed).map(|cr| cr.request.arrival);
         let transfer = self.transfers.peek().map(|&Reverse(t)| t.time);
         let guard = self.link.and_then(|link| {
             self.front_pool
@@ -588,11 +603,11 @@ impl<'a> ClusterSim<'a> {
             self.transfers.pop();
             self.deliver_transfer(t)?;
         }
-        while let Some(&cr) = self.stream.front() {
+        while let Some(&cr) = self.stream.get(self.routed) {
             if cr.request.arrival > instant {
                 break;
             }
-            self.stream.pop_front();
+            self.routed += 1;
             self.clock = self.clock.max(cr.request.arrival);
             self.route_and_submit(cr)?;
         }
@@ -600,19 +615,22 @@ impl<'a> ClusterSim<'a> {
     }
 
     /// Classifies every newly completed engine outcome (replica index
-    /// order, cursor per replica): prefill halves become in-flight
-    /// transfers, decode halves are stitched with their stored prefill
-    /// half into one end-to-end outcome, and unsplit single-output
-    /// requests finish directly.
+    /// order, cursor per replica) by its ledger slot: a completion whose
+    /// request already has a prefill half is its decode half, stitched
+    /// with that half into one end-to-end outcome; otherwise an offered
+    /// request of more than one output token (routing split it) finished
+    /// its prefill half and becomes an in-flight transfer, and any other
+    /// request finished whole.
     fn scan_completions(&mut self) {
         for idx in 0..self.engines.len() {
             while let Some(&o) = self.engines[idx].outcomes().get(self.seen_outcomes[idx]) {
+                let index = self.seen_outcomes[idx];
                 self.seen_outcomes[idx] += 1;
                 let slot = self.ledger.slot(o.request.id);
-                if o.request.imported_context > 0 {
-                    self.stitch(slot, o);
-                } else if let Some(orig) = self.ledger.split_orig(slot) {
-                    self.launch_transfer(idx, slot, orig, o);
+                if let Some(prefill) = self.ledger.prefill(slot) {
+                    self.stitch(slot, prefill, &o);
+                } else if self.offered(slot).request.output_tokens > 1 {
+                    self.launch_transfer(slot, idx, index);
                 } else {
                     self.stitched.push(o);
                 }
@@ -620,14 +638,15 @@ impl<'a> ClusterSim<'a> {
         }
     }
 
-    /// The prefill half of `orig` (ledger `slot`) just completed on
-    /// replica `src`: price the KV handoff (latency + context ×
-    /// bytes-per-token over the link) and schedule the decode-side
-    /// continuation at its maturity.
-    fn launch_transfer(&mut self, src: usize, slot: usize, orig: Request, prefill: RequestOutcome) {
+    /// The prefill half of the request in ledger `slot` just completed
+    /// as outcome `index` of replica `src`: record it, price the KV
+    /// handoff (latency + context × bytes-per-token over the link) and
+    /// schedule the decode-side continuation at its maturity.
+    fn launch_transfer(&mut self, slot: usize, src: usize, index: usize) {
         // ador-lint: allow(panic) — invariant: only classification with a link launches transfers
         let link = self.link.expect("disaggregated fleet");
-        let done_at = orig.arrival + prefill.e2e;
+        let orig = self.offered(slot).request;
+        let done_at = orig.arrival + self.engines[src].outcomes()[index].e2e;
         // The whole landed context moves: the prompt plus its first token.
         let ctx = orig.input_tokens + 1;
         let wire = Seconds::new(
@@ -635,16 +654,6 @@ impl<'a> ClusterSim<'a> {
                 / link.bandwidth().as_bytes_per_sec(),
         );
         let maturity = done_at + link.latency() + wire;
-        let request = Request {
-            id: orig.id,
-            arrival: maturity,
-            input_tokens: ctx,
-            output_tokens: orig.output_tokens - 1,
-            prefix_group: None,
-            slo: orig.slo,
-            accept_rate: orig.accept_rate,
-            imported_context: orig.input_tokens,
-        };
         self.kv_transfers += 1;
         self.kv_transferred_tokens += conv::u64_from_usize(ctx);
         if self.telemetry_cfg.enabled() {
@@ -659,19 +668,20 @@ impl<'a> ClusterSim<'a> {
                 },
             ));
         }
-        self.ledger.land_prefill(slot, prefill);
+        self.ledger.record_prefill(slot, src, index);
         self.transfers.push(Reverse(Due {
             time: maturity,
-            key: request.id,
-            value: (request, slot),
+            key: orig.id,
+            value: slot,
         }));
     }
 
     /// The decode half of the request in ledger `slot` just completed:
-    /// join it with its stored prefill half into the original request's
-    /// end-to-end outcome.
-    fn stitch(&mut self, slot: usize, decode: RequestOutcome) {
-        let (orig, prefill) = self.ledger.close_split(slot);
+    /// join it with its prefill half, outcome `index` of replica
+    /// `replica`, into the offered request's end-to-end outcome.
+    fn stitch(&mut self, slot: usize, (replica, index): (usize, usize), decode: &RequestOutcome) {
+        let orig = self.offered(slot).request;
+        let prefill = &self.engines[replica].outcomes()[index];
         let ttft = prefill.ttft;
         let e2e = (decode.request.arrival + decode.e2e) - orig.arrival;
         // Token 1 lands at the prefill side's first-token instant, token
@@ -689,19 +699,31 @@ impl<'a> ClusterSim<'a> {
     }
 
     /// Lands one matured transfer: route within the decode pool and
-    /// submit the continuation there (transfers are never shed —
-    /// admission control happened at the front door).
-    fn deliver_transfer(&mut self, t: Due<u64, (Request, usize)>) -> Result<(), SimError> {
-        let (request, slot) = t.value;
+    /// submit the decode continuation of the offered request there
+    /// (transfers are never shed — admission control happened at the
+    /// front door). The continuation arrives with the whole landed
+    /// context imported and generates the rest of the response.
+    fn deliver_transfer(&mut self, t: Due<u64, usize>) -> Result<(), SimError> {
         self.clock = self.clock.max(t.time);
-        let tenant = self.ledger.tenant(slot);
+        let cr = *self.offered(t.value);
+        let orig = cr.request;
         let idx = self.decode_router.route_pool(
-            tenant,
+            cr.tenant,
             self.classes.len(),
             None,
             &self.snapshots,
             &self.decode_pool,
         );
+        let request = Request {
+            id: orig.id,
+            arrival: t.time,
+            input_tokens: orig.input_tokens + 1,
+            output_tokens: orig.output_tokens - 1,
+            prefix_group: None,
+            slo: orig.slo,
+            accept_rate: orig.accept_rate,
+            imported_context: orig.input_tokens,
+        };
         if self.telemetry_cfg.enabled() {
             self.transfer_events.push((
                 idx,
@@ -754,8 +776,6 @@ impl<'a> ClusterSim<'a> {
         let mut job = cr.request;
         if self.link.is_some() && job.output_tokens > 1 {
             job.output_tokens = 1;
-            let slot = self.ledger.slot(job.id);
-            self.ledger.open_split(slot, cr.request);
         }
         self.submit(idx, job)?;
         self.assignments.push((cr.request.id, Some(idx)));
@@ -832,7 +852,7 @@ impl<'a> ClusterSim<'a> {
     /// a replica (queued, prefilling or decoding). KV handoffs on the
     /// wire are counted separately by [`ClusterSim::in_transfer`].
     pub fn in_flight(&self) -> usize {
-        self.stream.len() + self.engines.iter().map(|e| e.in_flight()).sum::<usize>()
+        self.stream.len() - self.routed + self.engines.iter().map(|e| e.in_flight()).sum::<usize>()
     }
 
     /// KV-context transfers currently on the wire between pools (always
@@ -846,7 +866,7 @@ impl<'a> ClusterSim<'a> {
 
     /// Whether every offered request has completed or been shed.
     pub fn is_done(&self) -> bool {
-        self.stream.is_empty()
+        self.routed == self.stream.len()
             && self.transfers.is_empty()
             && self.engines.iter().all(|e| e.is_drained())
     }
@@ -872,9 +892,6 @@ impl<'a> ClusterSim<'a> {
     pub fn finish(mut self) -> FleetReport {
         assert!(self.is_done(), "finish() requires a drained fleet");
         if self.link.is_some() {
-            // Safety net for callers that drained through their own loop:
-            // classification normally already ran inside advance().
-            self.scan_completions();
             debug_assert_eq!(
                 self.ledger.len(),
                 self.stitched.len() + self.rejected(),
@@ -1023,12 +1040,12 @@ impl<'a> ClusterSim<'a> {
         let mut missed = vec![false; self.ledger.len()];
         for o in self.e2e_outcomes() {
             let slot = self.ledger.slot(o.request.id);
-            missed[slot] = !self.classes[self.ledger.tenant(slot)].slo.met(o);
+            missed[slot] = !self.classes[self.offered(slot).tenant].slo.met(o);
         }
         let mut per_tenant = vec![AttributionReport::default(); self.classes.len()];
         for attr in ador_telemetry::attribute_events(events) {
             let slot = self.ledger.slot(attr.request);
-            per_tenant[self.ledger.tenant(slot)].record(&attr, missed[slot]);
+            per_tenant[self.offered(slot).tenant].record(&attr, missed[slot]);
         }
         for (tenant, &rejected) in self.rejected_per_tenant.iter().enumerate() {
             per_tenant[tenant].record_shed(conv::u64_from_usize(rejected));
@@ -1056,7 +1073,12 @@ impl<'a> ClusterSim<'a> {
 
     /// The tenant of a completed request.
     fn tenant_of(&self, outcome: &RequestOutcome) -> usize {
-        self.ledger.tenant(self.ledger.slot(outcome.request.id))
+        self.offered(self.ledger.slot(outcome.request.id)).tenant
+    }
+
+    /// The request in ledger `slot` as offered, with its tenant.
+    fn offered(&self, slot: usize) -> &ClusterRequest {
+        &self.stream[self.ledger.position(slot)]
     }
 }
 
@@ -1137,9 +1159,15 @@ mod tests {
             mean_on: Seconds::ZERO,
             mean_off: Seconds::new(12.0),
         };
+        // ON sojourns so short that an arrival takes ~1e300 cycles.
+        let hardly_on = ArrivalProcess::OnOffMmpp {
+            rate_on: 4.0,
+            mean_on: Seconds::new(1e-300),
+            mean_off: Seconds::new(12.0),
+        };
         let poisson = [0.0, -1.0, f64::NAN, f64::INFINITY, 1e-307, 1e-320]
             .map(|rate| ArrivalProcess::Poisson { rate });
-        for arrivals in poisson.into_iter().chain([never_on]) {
+        for arrivals in poisson.into_iter().chain([never_on, hardly_on]) {
             let mut class = TenantClass::chatbot(1.0);
             class.arrivals = arrivals;
             let err = run_with(class).unwrap_err();
@@ -1293,6 +1321,29 @@ mod tests {
                     if r.to_bits() == rate.to_bits()),
                 "{rate}: {err:?}"
             );
+        }
+    }
+
+    #[test]
+    fn a_non_finite_arrival_is_an_error_before_anything_is_simulated() {
+        let arch = ador_table3();
+        let model = presets::llama3_8b();
+        let mix = two_class_mix(6.0);
+        // `Seconds` arithmetic does not check its results: ∞ − ∞ is NaN.
+        let inf = Seconds::new(1.0) * f64::INFINITY;
+        for arrival in [inf - inf, inf] {
+            let mut stream = mix.generate(20, 5);
+            // The first request has no response, which its engine would
+            // reject once it arrives; the non-finite arrival is found first.
+            stream[0].request.output_tokens = 0;
+            stream[7].request.arrival = arrival;
+            let id = stream[7].request.id;
+            let cfg = ClusterConfig::new(2, RouterPolicy::JoinShortestQueue);
+            let err = ClusterSim::new(&arch, &model, Deployment::single_device(), cfg)
+                .unwrap()
+                .run_stream(&mix, stream)
+                .unwrap_err();
+            assert_eq!(err, SimError::InvalidRequest { id }, "{arrival:?}");
         }
     }
 
@@ -1463,6 +1514,31 @@ mod tests {
             // Split halves never leak into the per-request populations: every
             // stitched e2e covers at least its TTFT plus the handoff.
             assert!(fleet_qos.e2e.mean > fleet_qos.ttft.mean);
+        }
+    }
+
+    #[test]
+    fn disaggregated_fleet_serves_requests_that_carry_imported_context() {
+        // A recorded trace may offer requests with imported context of
+        // their own; which half completed is read from the ledger, so the
+        // field decides nothing. One request splits, one does not.
+        let model = presets::llama3_8b();
+        let fleet = pd_fleet(1, 1);
+        let cfg = ClusterConfig::new(0, RouterPolicy::JoinShortestQueue)
+            .with_disaggregation(disagg_link());
+        let mix = TenantMix::new(vec![TenantClass::chatbot(1.0)]);
+        for output_tokens in [8, 1] {
+            let request =
+                Request::new(3, Seconds::ZERO, 256, output_tokens).with_imported_context(128);
+            let report = ClusterSim::new_fleet(&fleet, &model, Deployment::single_device(), cfg)
+                .unwrap()
+                .run_stream(&mix, vec![ClusterRequest { request, tenant: 0 }])
+                .unwrap();
+            assert_eq!(report.completed, 1, "{output_tokens} output tokens");
+            assert_eq!(report.kv_transfers, usize::from(output_tokens > 1));
+            let qos = report.fleet.unwrap();
+            assert_eq!(qos.generated_tokens, output_tokens);
+            assert_eq!(report.tenants[0].completed, 1);
         }
     }
 

@@ -31,13 +31,10 @@ pub enum PoolRole {
     Decode,
 }
 
-/// One replica's full description: a display name, the hardware it runs
-/// on, its engine scheduler knobs, and its pool role.
+/// One replica's full description: the hardware it runs on (named by
+/// its `arch.name`), its engine scheduler knobs, and its pool role.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplicaSpec {
-    /// Display name (conventionally the hardware profile name, e.g.
-    /// `"prefill-optimized"`).
-    pub name: String,
     /// The hardware this replica runs on. Owned, so fleets can mix
     /// architectures freely; the engine borrows it for the run.
     pub arch: Architecture,
@@ -50,11 +47,9 @@ pub struct ReplicaSpec {
 }
 
 impl ReplicaSpec {
-    /// Creates a [`PoolRole::Unified`] replica spec. The name is taken
-    /// from the architecture.
+    /// Creates a [`PoolRole::Unified`] replica spec.
     pub fn new(arch: Architecture, engine: SimConfig) -> Self {
         Self {
-            name: arch.name.clone(),
             arch,
             engine,
             role: PoolRole::Unified,

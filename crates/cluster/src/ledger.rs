@@ -1,47 +1,40 @@
-//! The fleet's per-request ledger: each request's tenant and, while its
-//! prefill/decode split is in flight, the split's bookkeeping.
+//! The fleet's per-request ledger: where each request sits in the
+//! offered stream and, once the prefill half of a split request
+//! completes, where that half's outcome sits.
 
-use ador_serving::{Request, RequestOutcome};
 use ador_units::conv;
 
 use crate::ClusterRequest;
 
 /// Per-request bookkeeping of one fleet run, indexed by *slot*: a
-/// request's position in the stream's ids sorted ascending. Lookups by
-/// id are binary searches over that sorted list (the determinism
-/// contract rules out hash maps), and ids may be any `u64`s.
+/// request's position in the stream's ids sorted ascending. Ids may be
+/// any `u64`s; a lookup by id is O(1) when they are dense and a binary
+/// search otherwise (the determinism contract rules out hash maps).
 ///
-/// A slot holds only the tenant and, for a request split across pools,
-/// a handle into a slab of in-flight splits. Slab entries are recycled
-/// once their decode half is stitched, so the slab stays as small as the
-/// number of splits in flight at once.
+/// A slot holds the request's position in the offered stream, which
+/// holds the request as offered and its tenant, and, once the prefill
+/// half of a split request completes, that half's replica and index in
+/// the replica's outcomes. So a split request in flight is kept once, in
+/// the stream, and its prefill half where its engine left it.
 #[derive(Debug, Default)]
 pub(crate) struct Ledger {
     /// Every request id of the stream, ascending.
     ids: Vec<u64>,
     /// Index-aligned with `ids`.
     slots: Vec<Slot>,
-    splits: Vec<Split>,
-    /// Slab entries free for reuse.
-    free: Vec<u32>,
 }
 
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    tenant: u32,
-    split: Option<u32>,
-}
-
-/// One in-flight split: the original request and, once it completes,
-/// its prefill half.
-#[derive(Debug, Clone, Copy)]
-struct Split {
-    orig: Request,
-    prefill: Option<RequestOutcome>,
+    /// The request's position in the offered stream.
+    position: u32,
+    /// The completed prefill half of a split request: its replica and its
+    /// index in that replica's outcomes.
+    prefill: Option<(u32, u32)>,
 }
 
 impl Ledger {
-    /// The ledger of one stream.
+    /// The ledger of one stream, in the order the fleet offers it.
     ///
     /// # Panics
     ///
@@ -49,7 +42,8 @@ impl Ledger {
     pub(crate) fn new(stream: &[ClusterRequest]) -> Self {
         let mut entries: Vec<(u64, u32)> = stream
             .iter()
-            .map(|cr| (cr.request.id, conv::u32_from_usize(cr.tenant)))
+            .enumerate()
+            .map(|(position, cr)| (cr.request.id, conv::u32_from_usize(position)))
             .collect();
         entries.sort_unstable();
         for pair in entries.windows(2) {
@@ -61,13 +55,11 @@ impl Ledger {
             ids: entries.iter().map(|&(id, _)| id).collect(),
             slots: entries
                 .iter()
-                .map(|&(_, tenant)| Slot {
-                    tenant,
-                    split: None,
+                .map(|&(_, position)| Slot {
+                    position,
+                    prefill: None,
                 })
                 .collect(),
-            splits: Vec::new(),
-            free: Vec::new(),
         }
     }
 
@@ -96,55 +88,24 @@ impl Ledger {
         })
     }
 
-    /// The tenant of the request in `slot`.
-    pub(crate) fn tenant(&self, slot: usize) -> usize {
-        conv::usize_from_u32(self.slots[slot].tenant)
+    /// The offered stream's position of the request in `slot`.
+    pub(crate) fn position(&self, slot: usize) -> usize {
+        conv::usize_from_u32(self.slots[slot].position)
     }
 
-    /// Records that the request in `slot` was split into a prefill half
-    /// and a decode continuation; `orig` is the request as offered.
-    pub(crate) fn open_split(&mut self, slot: usize, orig: Request) {
-        let split = Split {
-            orig,
-            prefill: None,
-        };
-        let handle = match self.free.pop() {
-            Some(handle) => {
-                self.splits[conv::usize_from_u32(handle)] = split;
-                handle
-            }
-            None => {
-                self.splits.push(split);
-                conv::u32_from_usize(self.splits.len() - 1)
-            }
-        };
-        self.slots[slot].split = Some(handle);
+    /// The completed prefill half of `slot`'s request, as (replica, index
+    /// in its outcomes); `None` until that half completes, and for a
+    /// request never split.
+    pub(crate) fn prefill(&self, slot: usize) -> Option<(usize, usize)> {
+        let (replica, index) = self.slots[slot].prefill?;
+        Some((conv::usize_from_u32(replica), conv::usize_from_u32(index)))
     }
 
-    /// The original request of `slot`'s in-flight split (`None` when
-    /// the request was never split).
-    pub(crate) fn split_orig(&self, slot: usize) -> Option<Request> {
-        let handle = self.slots[slot].split?;
-        Some(self.splits[conv::usize_from_u32(handle)].orig)
-    }
-
-    /// Stores the completed prefill half of `slot`'s split.
-    pub(crate) fn land_prefill(&mut self, slot: usize, prefill: RequestOutcome) {
-        if let Some(handle) = self.slots[slot].split {
-            self.splits[conv::usize_from_u32(handle)].prefill = Some(prefill);
-        }
-    }
-
-    /// Closes `slot`'s split once its decode half completed: returns the
-    /// original request and the prefill half, and frees the slab entry.
-    pub(crate) fn close_split(&mut self, slot: usize) -> (Request, RequestOutcome) {
-        // ador-lint: allow(panic) — invariant: a decode half always follows its recorded split
-        let handle = self.slots[slot].split.take().expect("split");
-        let split = self.splits[conv::usize_from_u32(handle)];
-        self.free.push(handle);
-        // ador-lint: allow(panic) — invariant: the prefill half was stored before the transfer
-        let prefill = split.prefill.expect("prefill half");
-        (split.orig, prefill)
+    /// Records that the prefill half of `slot`'s request completed as
+    /// outcome `index` of replica `replica`.
+    pub(crate) fn record_prefill(&mut self, slot: usize, replica: usize, index: usize) {
+        let narrow = conv::u32_from_usize;
+        self.slots[slot].prefill = Some((narrow(replica), narrow(index)));
     }
 }
 
@@ -157,7 +118,7 @@ mod tests {
 
     use ador_model::presets;
     use ador_perf::Deployment;
-    use ador_serving::SimConfig;
+    use ador_serving::{Request, SimConfig};
     use ador_telemetry::{Event, EventDetail, EventKind, TelemetryConfig};
     use ador_units::Seconds;
 
@@ -175,34 +136,20 @@ mod tests {
     }
 
     #[test]
-    fn slots_follow_sorted_ids_and_split_entries_are_reused() {
+    fn slots_follow_sorted_ids_and_hold_stream_positions() {
         let stream = [tagged(u64::MAX, 1), tagged(7, 0), tagged(1 << 40, 2)];
         let mut ledger = Ledger::new(&stream);
         assert_eq!(ledger.len(), 3);
         assert_eq!(ledger.slot(7), 0);
         assert_eq!(ledger.slot(1 << 40), 1);
         assert_eq!(ledger.slot(u64::MAX), 2);
-        assert_eq!(ledger.tenant(ledger.slot(u64::MAX)), 1);
-
-        let outcome = |id: u64| RequestOutcome {
-            request: Request::new(id, Seconds::ZERO, 8, 1),
-            ttft: Seconds::new(0.5),
-            mean_tbt: Seconds::ZERO,
-            max_tbt: Seconds::ZERO,
-            e2e: Seconds::new(0.5),
-        };
-        ledger.open_split(2, stream[0].request);
-        assert_eq!(ledger.split_orig(2), Some(stream[0].request));
-        assert_eq!(ledger.split_orig(0), None);
-        ledger.land_prefill(2, outcome(u64::MAX));
-        let (orig, prefill) = ledger.close_split(2);
-        assert_eq!(orig, stream[0].request);
-        assert_eq!(prefill, outcome(u64::MAX));
-        assert_eq!(ledger.split_orig(2), None, "a closed split is gone");
-        // The freed slab entry serves the next split.
-        ledger.open_split(0, stream[1].request);
-        assert_eq!(ledger.splits.len(), 1);
-        assert_eq!(ledger.split_orig(0), Some(stream[1].request));
+        for (position, cr) in stream.iter().enumerate() {
+            assert_eq!(ledger.position(ledger.slot(cr.request.id)), position);
+        }
+        assert_eq!(ledger.prefill(2), None, "no half completed yet");
+        ledger.record_prefill(2, 3, 41);
+        assert_eq!(ledger.prefill(2), Some((3, 41)));
+        assert_eq!(ledger.prefill(0), None, "other slots are untouched");
     }
 
     #[test]

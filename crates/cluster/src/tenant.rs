@@ -145,8 +145,13 @@ impl ArrivalProcess {
     /// Whether the process can draw `count` arrivals: a rate at which
     /// `count` gaps cannot overflow the clock ([`arrival_rate_fits`])
     /// and, for an on/off MMPP, a positive mean ON sojourn (a zero one
-    /// never emits), a non-negative mean OFF sojourn, and sojourns whose
-    /// cycles cannot overflow the clock either (`latest_arrival`).
+    /// never emits), a non-negative mean OFF sojourn, sojourns whose
+    /// cycles cannot overflow the clock either (`latest_arrival`), and
+    /// ON sojourns long enough that the draws cost at most `MMPP_DRAWS`
+    /// expected gaps. Each gap drawn lands an arrival or ends an ON
+    /// sojourn, which holds `rate_on · mean_on` arrivals on average, so
+    /// `count` arrivals cost about `count · (1 + 1/(rate_on · mean_on))`
+    /// gaps.
     fn is_valid(&self, count: usize) -> bool {
         match *self {
             ArrivalProcess::Poisson { rate } => arrival_rate_fits(rate, count),
@@ -159,6 +164,8 @@ impl ArrivalProcess {
                     && mean_on.get() > 0.0
                     && mean_off.get() >= 0.0
                     && self.latest_arrival(count).is_finite()
+                    && conv::f64_from_usize(count) * (1.0 + 1.0 / (rate_on * mean_on.get()))
+                        <= MMPP_DRAWS
             }
         }
     }
@@ -168,6 +175,12 @@ impl ArrivalProcess {
 /// count, so a clock that stays finite after this many cycles of largest
 /// sojourn draws never overflows.
 const MMPP_CYCLES: f64 = 18_446_744_073_709_551_616.0;
+
+/// Expected gap draws an on/off MMPP may spend on its arrivals: 2^30,
+/// under half a minute of drawing at the sampler's ~23 ns per ON/OFF
+/// cycle (one x86-64 core, release build). At one arrival per ON sojourn
+/// that is 2^29 requests, a 56 GiB stream.
+const MMPP_DRAWS: f64 = 1_073_741_824.0;
 
 /// Whether `rate` is a probability (NaN is not).
 fn is_probability(rate: f64) -> bool {

@@ -47,18 +47,9 @@ use crate::event::{Event, EventKind};
 
 /// Converts a sim timestamp to integer nanoseconds (exactly once per
 /// event, so downstream arithmetic is exact): `(t * 1e9).round()`,
-/// saturating, without the libm call `round` makes on baseline x86-64
-/// (the idiom of `ador_units::Bytes::from_f64`). Below 2^53 the
-/// truncation and the fraction `ns - whole` are exact; at and above it
-/// `ns` is whole already.
+/// saturating, without libm ([`conv::u64_from_f64_rounded`]).
 fn nanos(t: Seconds) -> u64 {
-    let ns = t.get() * 1e9;
-    let whole = conv::u64_from_f64(ns); // truncates toward zero, saturating
-    if ns - conv::f64_from_u64(whole) >= 0.5 {
-        whole.saturating_add(1)
-    } else {
-        whole
-    }
+    conv::u64_from_f64_rounded(t.get() * 1e9)
 }
 
 /// The conserved per-request latency decomposition, in integer
@@ -947,46 +938,6 @@ mod tests {
             out.extend(walk(group[0].0, &events, &prefill_ts, &mut intervals));
         }
         out
-    }
-
-    #[test]
-    fn nanos_rounds_like_libm() {
-        let libm = |x: f64| conv::u64_from_f64((x * 1e9).round());
-        let mut state = 7u64;
-        let mut edges = vec![
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            0.0,
-            -0.0,
-            -1e-9,
-            f64::from_bits(1),
-            0.5e-9,
-            1.5e-9,
-            2.5e-9,
-            0.4999999999999999e-9,
-            (1u64 << 53) as f64 * 1e-9,
-            (1u64 << 53) as f64 * 1e-9 + 0.5e-9,
-            18_446_744_073.709_553,
-            f64::MAX,
-        ];
-        for _ in 0..100_000 {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let bits = (state ^ (state >> 29)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            edges.push(f64::from_bits(bits));
-            // Whole and half nanoseconds, and their neighbours.
-            let half = (bits % (1 << 40)) as f64 * 0.5e-9;
-            edges.extend([
-                half,
-                f64::from_bits(half.to_bits() + 1),
-                f64::from_bits(half.to_bits().saturating_sub(1)),
-            ]);
-        }
-        for x in edges {
-            // `Seconds::new` rejects what arithmetic on `Seconds` can reach.
-            let t = Seconds::new(1.0) * x;
-            assert_eq!(nanos(t), libm(t.get()), "{x:e}");
-        }
     }
 
     /// SplitMix64, the random source of [`random_fleet`].

@@ -3,7 +3,7 @@
 use core::fmt;
 use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use crate::{Seconds, Utilization};
+use crate::{conv, Seconds, Utilization};
 
 /// A volume of data in bytes.
 ///
@@ -53,21 +53,12 @@ impl Bytes {
 
     /// Rounds a fractional byte count to the nearest whole byte, halves
     /// away from zero; NaN and negative counts give zero, and counts above
-    /// `u64::MAX` saturate.
+    /// `u64::MAX` saturate ([`conv::u64_from_f64_rounded`]).
     ///
     /// Useful when scaling a volume by a dimensionless factor.
     #[inline]
     pub fn from_f64(n: f64) -> Self {
-        // `n.max(0.0).round() as u64` without the libm call `round` makes
-        // on baseline x86-64. Below 2^53 the truncation and the fraction
-        // `n - whole` are exact; at and above it `n` is whole already.
-        let n = n.max(0.0);
-        let whole = n as u64; // truncates toward zero, saturating
-        if n - whole as f64 >= 0.5 {
-            Self(whole.saturating_add(1))
-        } else {
-            Self(whole)
-        }
+        Self(conv::u64_from_f64_rounded(n))
     }
 
     /// Returns the raw byte count.
@@ -452,67 +443,6 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_bandwidth_rejected() {
         let _ = Bandwidth::from_bytes_per_sec(-1.0);
-    }
-
-    /// The libm rounding `Bytes::from_f64` replaced: its oracle.
-    fn libm_round(n: f64) -> u64 {
-        n.max(0.0).round() as u64
-    }
-
-    #[test]
-    fn from_f64_rounds_like_libm_at_every_edge() {
-        let two = |e: i32| 2f64.powi(e);
-        let edges = [
-            f64::NAN,
-            -f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            0.0,
-            -0.0,
-            f64::from_bits(1), // the smallest subnormal
-            f64::MIN_POSITIVE,
-            0.5,
-            1.5,
-            2.5,
-            -0.5,
-            -1.5,
-            two(52) - 0.5,
-            two(52) + 1.0,
-            two(53) - 1.0,
-            two(53),
-            two(53) + 2.0,
-            two(63),
-            two(64),
-            f64::MAX,
-            f64::MIN,
-        ];
-        for edge in edges {
-            // Each edge and its two neighbours in the f64 bit order.
-            for x in [
-                edge,
-                f64::from_bits(edge.to_bits().wrapping_sub(1)),
-                f64::from_bits(edge.to_bits() + 1),
-            ] {
-                assert_eq!(
-                    Bytes::from_f64(x).get(),
-                    libm_round(x),
-                    "{x:e} = {:#x}",
-                    x.to_bits()
-                );
-            }
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(20_000))]
-        #[test]
-        fn from_f64_rounds_like_libm(bits in 0u64..=u64::MAX, whole in 0u64..1 << 54, quarters in 0u64..4) {
-            // Arbitrary bit patterns, then values on and between the halves.
-            let x = f64::from_bits(bits);
-            prop_assert_eq!(Bytes::from_f64(x).get(), libm_round(x));
-            let near = whole as f64 + quarters as f64 * 0.25;
-            prop_assert_eq!(Bytes::from_f64(near).get(), libm_round(near));
-        }
     }
 
     #[test]
