@@ -456,21 +456,32 @@ impl<'a> ClusterSim<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidRequest`] for the first request, in
-    /// stream order, whose arrival is NaN or infinite (`Seconds`
-    /// arithmetic does not check its results), before anything is
-    /// simulated, and propagates engine errors (see [`Engine::submit`] /
-    /// [`Engine::step`]).
+    /// Returns [`SimError::InvalidRequest`], before anything is
+    /// simulated, for the first request in stream order whose arrival is
+    /// NaN or infinite (`Seconds` arithmetic does not check its results)
+    /// or whose tenant tag indexes no class of `mix`, and else for the
+    /// smallest request id the stream holds twice. Propagates engine
+    /// errors (see [`Engine::submit`] / [`Engine::step`]).
     pub fn run_stream(
         mut self,
         mix: &TenantMix,
         stream: Vec<ClusterRequest>,
     ) -> Result<FleetReport, SimError> {
-        let non_finite = stream
+        let classes = mix.classes().len();
+        let invalid = stream
             .iter()
-            .find(|cr| !cr.request.arrival.get().is_finite());
-        if let Some(cr) = non_finite {
+            .find(|cr| !cr.request.arrival.get().is_finite() || cr.tenant >= classes);
+        if let Some(cr) = invalid {
             return Err(SimError::InvalidRequest { id: cr.request.id });
+        }
+        let mut ids: Vec<u64> = stream.iter().map(|cr| cr.request.id).collect();
+        ids.sort_unstable();
+        let duplicate = ids.windows(2).find_map(|pair| match pair {
+            [a, b] if a == b => Some(*a),
+            _ => None,
+        });
+        if let Some(id) = duplicate {
+            return Err(SimError::InvalidRequest { id });
         }
         self.submit_stream(mix, stream);
         while self.advance()? {}
@@ -483,9 +494,9 @@ impl<'a> ClusterSim<'a> {
     ///
     /// # Panics
     ///
-    /// Panics on a NaN arrival (which [`ClusterSim::run_stream`] returns
-    /// as an error instead), duplicate request ids, out-of-range tenant
-    /// tags, or if a stream was already loaded.
+    /// Panics on a NaN arrival, duplicate request ids or out-of-range
+    /// tenant tags (which [`ClusterSim::run_stream`] returns as errors
+    /// instead), or if a stream was already loaded.
     pub fn submit_stream(&mut self, mix: &TenantMix, mut stream: Vec<ClusterRequest>) {
         assert!(
             self.classes.is_empty() && self.stream.is_empty(),
@@ -1324,27 +1335,61 @@ mod tests {
         }
     }
 
+    /// Runs `stream` on a two-replica fleet serving `mix`, whose first
+    /// request has no response: its engine would reject it once it
+    /// arrives, so an error naming another request was found before
+    /// anything was simulated.
+    fn run_malformed(mix: &TenantMix, mut stream: Vec<ClusterRequest>) -> SimError {
+        stream[0].request.output_tokens = 0;
+        let cfg = ClusterConfig::new(2, RouterPolicy::JoinShortestQueue);
+        ClusterSim::new(
+            &ador_table3(),
+            &presets::llama3_8b(),
+            Deployment::single_device(),
+            cfg,
+        )
+        .unwrap()
+        .run_stream(mix, stream)
+        .unwrap_err()
+    }
+
     #[test]
     fn a_non_finite_arrival_is_an_error_before_anything_is_simulated() {
-        let arch = ador_table3();
-        let model = presets::llama3_8b();
         let mix = two_class_mix(6.0);
         // `Seconds` arithmetic does not check its results: ∞ − ∞ is NaN.
         let inf = Seconds::new(1.0) * f64::INFINITY;
         for arrival in [inf - inf, inf] {
             let mut stream = mix.generate(20, 5);
-            // The first request has no response, which its engine would
-            // reject once it arrives; the non-finite arrival is found first.
-            stream[0].request.output_tokens = 0;
             stream[7].request.arrival = arrival;
             let id = stream[7].request.id;
-            let cfg = ClusterConfig::new(2, RouterPolicy::JoinShortestQueue);
-            let err = ClusterSim::new(&arch, &model, Deployment::single_device(), cfg)
-                .unwrap()
-                .run_stream(&mix, stream)
-                .unwrap_err();
+            let err = run_malformed(&mix, stream);
             assert_eq!(err, SimError::InvalidRequest { id }, "{arrival:?}");
         }
+    }
+
+    #[test]
+    fn a_duplicate_request_id_is_an_error_before_anything_is_simulated() {
+        let mix = two_class_mix(6.0);
+        let mut stream = mix.generate(20, 5);
+        let (low, high) = (
+            stream[3].request.id.min(stream[4].request.id),
+            stream[3].request.id.max(stream[4].request.id),
+        );
+        stream[12].request.id = high;
+        stream[15].request.id = low;
+        let err = run_malformed(&mix, stream);
+        assert_eq!(err, SimError::InvalidRequest { id: low });
+    }
+
+    #[test]
+    fn an_out_of_range_tenant_is_an_error_before_anything_is_simulated() {
+        let mix = two_class_mix(6.0);
+        let mut stream = mix.generate(20, 5);
+        stream[9].tenant = 2;
+        stream[14].tenant = usize::MAX;
+        let id = stream[9].request.id;
+        let err = run_malformed(&mix, stream);
+        assert_eq!(err, SimError::InvalidRequest { id });
     }
 
     #[test]

@@ -561,13 +561,15 @@ impl<'a> Engine<'a> {
     /// the clock is below `horizon` would, and leaves every output
     /// bit-identical to them: outcomes, counters, reports, events and
     /// series points. Stretches of *steady decode* iterations (every
-    /// admitted request decoding one token, none completing, nothing
-    /// arriving, queued, evicted, speculated or traced per token) are
-    /// fast-forwarded: each is priced and stamped with the same lookup
-    /// and the same clock additions as the general step, then committed
-    /// request by request, so every accumulator sees the same float
-    /// operations in the same order. [`Engine::step`] never
-    /// fast-forwards; it stays the one-iteration reference.
+    /// admitted request decoding one token, nothing arriving, admitted,
+    /// preempted, speculated or traced per token) are fast-forwarded,
+    /// cold prefix blocks evicted, requests waiting behind a full batch
+    /// and requests finishing at the stretch's last iteration included:
+    /// each iteration is priced and stamped with the same lookup and the
+    /// same clock additions as the general step, then committed request
+    /// by request, so every accumulator sees the same float operations
+    /// in the same order. [`Engine::step`] never fast-forwards; it stays
+    /// the one-iteration reference.
     ///
     /// # Errors
     ///
@@ -588,22 +590,29 @@ impl<'a> Engine<'a> {
 
     /// A steady decode run: up to [`MAX_RUN`] iterations, starting at the
     /// clock, in which every admitted request decodes exactly one token.
-    /// It runs only when every admitted request is decoding with at least
-    /// two tokens left (so none completes), the queue is empty, no
-    /// pending arrival is due, speculation is off, no recorder takes
-    /// per-token commits, and the free KV budget holds one more token per
-    /// request for each iteration (so nothing is evicted or preempted).
-    /// Otherwise it changes nothing and returns `Ok(false)`.
+    /// It runs only when every admitted request is decoding, no pending
+    /// arrival is due, the queue is empty or the batch is full (so
+    /// admission never reads the queue), speculation is off, and no
+    /// recorder takes per-token commits. It lasts until the first request
+    /// emits its last token, and while the free KV budget plus the cold
+    /// prefix blocks hold one more token per request for each iteration
+    /// (so nothing is preempted). Otherwise it changes nothing and
+    /// returns `Ok(false)`.
     ///
     /// Each iteration is priced with the lookup `timing` makes,
     /// `decode(n, max(ctx_sum / n, 1))`, whose mean context grows by
     /// exactly one per iteration, and its price is added to the clock one
     /// add at a time while the clock is below `horizon` and the next
     /// arrival. The stamped iterations then commit request by request
-    /// through [`Job::emit_token`], and their counters iteration by
-    /// iteration through [`Engine::sample_iteration`], the helper
-    /// `commit` uses. A pricing error commits the iterations before it
-    /// and is returned.
+    /// through [`Job::emit_token`], and iteration by iteration evict what
+    /// `admission` evicts ([`Engine::make_room`]), retire at the last
+    /// iteration the requests it finished ([`Engine::retire`]) and sample
+    /// their counters ([`Engine::sample_iteration`]), each through the
+    /// helper the general step uses. Nothing in a run moves the prefix
+    /// cache's LRU clock before that retirement, so the evictions come
+    /// out as the general step's. A pricing error commits the iterations
+    /// before it, makes the failing iteration's eviction (`admission`
+    /// runs before `timing`) and is returned.
     fn steady_run(&mut self, horizon: Seconds) -> Result<bool, SimError> {
         #[cfg(feature = "profile")]
         let mut mark = crate::profile::probe_now();
@@ -613,16 +622,20 @@ impl<'a> Engine<'a> {
             .map_or(horizon, |r| r.arrival.min(horizon));
         let per_token_trace =
             self.sink.is_some() && self.cfg.telemetry.detail == EventDetail::PerToken;
+        let admits = !self.waiting.is_empty() && self.active.len() < self.cfg.max_batch;
         if stop <= self.now
-            || !self.waiting.is_empty()
+            || admits
             || self.active.is_empty()
             || self.cfg.speculation.speculates()
             || per_token_trace
         {
             return Ok(false);
         }
-        // No request may complete inside the run, nor may its KV growth
-        // need an eviction or a preemption.
+        // No request may complete before the run's last iteration, nor may
+        // its KV growth need a preemption. An eviction takes its tokens
+        // from the evictable blocks and the ledger alike, so the budget
+        // plus the evictable blocks minus the ledger falls by exactly `n`
+        // per iteration, evictions or not.
         let n = self.active.len();
         let (mut ctx_sum, mut room) = (0, MAX_RUN);
         for a in &self.active {
@@ -630,9 +643,10 @@ impl<'a> Engine<'a> {
                 return Ok(false);
             }
             ctx_sum += a.context();
-            room = room.min(a.job.request.output_tokens - a.job.generated - 1);
+            room = room.min(a.job.request.output_tokens - a.job.generated);
         }
-        room = room.min(self.kv_budget_tokens.saturating_sub(self.kv_in_use) / n);
+        let evictable = self.cache.as_ref().map_or(0, PrefixCache::evictable_tokens);
+        room = room.min((self.kv_budget_tokens + evictable).saturating_sub(self.kv_in_use) / n);
         if room == 0 {
             return Ok(false);
         }
@@ -661,21 +675,35 @@ impl<'a> Engine<'a> {
         self.profile.record(Stage::Timing, &mut mark);
 
         let k = self.scratch.stamps.len();
-        for a in &mut self.active {
+        let finished = &mut self.scratch.finished;
+        finished.clear();
+        for (i, a) in self.active.iter_mut().enumerate() {
             a.kv_held += k;
             for &at in &self.scratch.stamps {
                 a.job.emit_token(at);
             }
+            if a.job.done() {
+                finished.push(i);
+            }
         }
-        let (kv_in_use, generated) = (self.kv_in_use, self.tally.generated_tokens);
         for j in 0..k {
             self.now = self.scratch.stamps[j];
-            self.kv_in_use = kv_in_use + n * (j + 1);
-            self.tally.generated_tokens = generated + n * (j + 1);
+            let fits = self.make_room(n);
+            debug_assert!(fits, "a steady run outgrew budget plus evictable blocks");
+            self.kv_in_use += n;
+            self.tally.generated_tokens += n;
+            if j + 1 == k {
+                self.retire();
+            }
             self.sample_iteration(n);
         }
+        if failed.is_some() {
+            self.make_room(n);
+        }
         self.steps += k;
-        self.prev_step_prefilled = false;
+        if k > 0 {
+            self.prev_step_prefilled = false;
+        }
         #[cfg(debug_assertions)]
         self.check_invariants();
         #[cfg(feature = "profile")]
@@ -838,21 +866,7 @@ impl<'a> Engine<'a> {
         // plan entry goes with it.
         let plan = &self.scratch.plan;
         let mut growth: usize = plan.iter().flatten().map(|v| v.committed).sum();
-        loop {
-            let over = (self.kv_in_use + growth).saturating_sub(self.kv_budget_tokens);
-            if over == 0 {
-                break;
-            }
-            if let Some(cache) = &mut self.cache {
-                let freed = cache.evict(over);
-                self.kv_in_use -= freed;
-                if freed >= over {
-                    break;
-                }
-            }
-            if self.active.len() <= 1 {
-                break;
-            }
+        while !self.make_room(growth) && self.active.len() > 1 {
             let was_decoding = self.preempt_youngest();
             let victim = self.scratch.plan.pop().flatten();
             debug_assert_eq!(
@@ -1134,10 +1148,22 @@ impl<'a> Engine<'a> {
             }
         }
         let completed = self.scratch.finished.len();
+        self.retire();
+        self.sample_iteration(batch_now);
+        #[cfg(debug_assertions)]
+        self.check_invariants();
+        completed
+    }
+
+    /// Retires the requests in `scratch.finished` (ascending active
+    /// slots), highest slot first so the lower slots stay put. Each one
+    /// publishes its finished context (prompt + response) into the cache
+    /// — the follow-up turn of a session prompts with exactly this
+    /// context — then leaves the batch, drops its block references and
+    /// its private KV, and completes at the clock. Shared by `commit`
+    /// and the steady run.
+    fn retire(&mut self) {
         while let Some(i) = self.scratch.finished.pop() {
-            // Publish the finished context (prompt + response) into
-            // the cache — the follow-up turn of a session prompts with
-            // exactly this context — then drop the private remainder.
             self.cache_publish(i);
             let a = self.active.remove(i);
             if let (Some(cache), Some(group)) = (&mut self.cache, a.job.request.prefix_group) {
@@ -1152,11 +1178,6 @@ impl<'a> Engine<'a> {
             );
             self.outcomes.push(finish(a.job, self.now));
         }
-
-        self.sample_iteration(batch_now);
-        #[cfg(debug_assertions)]
-        self.check_invariants();
-        completed
     }
 
     /// Samples one finished iteration's counters: the decode-batch
@@ -1277,17 +1298,27 @@ impl<'a> Engine<'a> {
         );
     }
 
+    /// Evicts cold cached prefix blocks, least recently used first, until
+    /// `growth` more KV tokens fit the budget or nothing evictable is
+    /// left, and returns whether they fit. The one eviction rule of
+    /// `admission`'s pressure loop, `charge_kv` and the steady run.
+    fn make_room(&mut self, growth: usize) -> bool {
+        let over = (self.kv_in_use + growth).saturating_sub(self.kv_budget_tokens);
+        if over == 0 {
+            return true;
+        }
+        let freed = self.cache.as_mut().map_or(0, |c| c.evict(over));
+        self.kv_in_use -= freed;
+        freed >= over
+    }
+
     /// Charges `tokens` of fresh KV growth to the ledger, evicting cold
     /// cached prefix blocks when the free budget does not cover it. The
     /// scheduler only grants growth that budget-plus-evictable headroom
     /// can absorb, so eviction always reclaims enough.
     fn charge_kv(&mut self, tokens: usize) {
-        let over = (self.kv_in_use + tokens).saturating_sub(self.kv_budget_tokens);
-        if over > 0 {
-            let freed = self.cache.as_mut().map_or(0, |c| c.evict(over));
-            debug_assert!(freed >= over, "scheduler granted KV growth beyond headroom");
-            self.kv_in_use -= freed;
-        }
+        let fits = self.make_room(tokens);
+        debug_assert!(fits, "scheduler granted KV growth beyond headroom");
         self.kv_in_use += tokens;
     }
 
@@ -1845,8 +1876,134 @@ mod tests {
         }
     }
 
+    /// Drives `requests`, submitted up front, through an engine stepped
+    /// by `step` and a twin advanced by `step_until` to the same
+    /// horizons: the end of every seventh iteration (where a run must
+    /// stop exactly) and the midpoint of the two iterations ending there
+    /// (inside a run), then to the end. Asserts equal fingerprints at
+    /// each horizon and equal reports, event streams and series points
+    /// at the end, and returns the stepped engine's final counters.
+    fn assert_twins_agree(cfg: SimConfig, requests: &[Request]) -> EngineCounters {
+        let arch = ador_table3();
+        let model = presets::llama3_8b();
+        let build = || {
+            let mut eng = engine(&arch, &model, cfg);
+            for r in requests {
+                eng.submit(*r).unwrap();
+            }
+            eng
+        };
+        let (mut stepped, mut twin, mut probe) = (build(), build(), build());
+        let mut horizons = Vec::new();
+        let mut ends = [Seconds::ZERO; 3];
+        for i in 0.. {
+            if probe.step().unwrap() == StepEvent::Idle {
+                break;
+            }
+            ends = [ends[1], ends[2], probe.now()];
+            if i % 7 == 0 {
+                horizons.push(ends[2]);
+                horizons.push(ends[0] + (ends[2] - ends[0]) * 0.5);
+            }
+        }
+        horizons.sort_by(|a, b| a.get().total_cmp(&b.get()));
+        for horizon in horizons {
+            step_to(&mut stepped, horizon);
+            twin.step_until(horizon).unwrap();
+            assert_eq!(fingerprint(&stepped), fingerprint(&twin), "at {horizon}");
+        }
+        while stepped.step().unwrap() != StepEvent::Idle {}
+        twin.step_until(Seconds::new(f64::MAX)).unwrap();
+        assert_eq!(fingerprint(&stepped), fingerprint(&twin));
+        assert_eq!(
+            format!("{:?}", stepped.report()),
+            format!("{:?}", twin.report())
+        );
+        let events = |eng: &mut Engine<'_>| eng.take_event_sink().map(|mut r| r.drain());
+        assert_eq!(
+            format!("{:?}", events(&mut stepped)),
+            format!("{:?}", events(&mut twin))
+        );
+        let points = |eng: &mut Engine<'_>| eng.take_series().map(SeriesCollector::finish);
+        assert_eq!(
+            format!("{:?}", points(&mut stepped)),
+            format!("{:?}", points(&mut twin))
+        );
+        stepped.counters()
+    }
+
+    /// Lifecycle tracing with a time series: the run must emit each
+    /// `Complete` event and series point the general step does.
+    fn traced() -> ador_telemetry::TelemetryConfig {
+        ador_telemetry::TelemetryConfig::trace()
+            .with_detail(EventDetail::Lifecycle)
+            .with_series(Seconds::from_millis(5.0))
+    }
+
+    #[test]
+    fn a_run_evicts_the_cold_blocks_the_general_step_evicts() {
+        // Twelve one-turn sessions of distinct groups, one a second,
+        // finish and leave their contexts as cold blocks that fill the
+        // budget; four long decodes then arrive, and their growth must
+        // evict those blocks one at a time, oldest first, through steady
+        // stretches.
+        let arch = ador_table3();
+        let model = presets::llama3_8b();
+        let cfg = SimConfig::new(1.0, 8)
+            .with_prefix_caching(true)
+            .with_kv_memory_fraction(0.006)
+            .with_telemetry(traced());
+        let budget = engine(&arch, &model, cfg).kv_budget_tokens();
+        let prompt = budget / 6;
+        let mut requests: Vec<Request> = (0..12)
+            .map(|id| Request::new(id, Seconds::new(id as f64), prompt, 2).with_prefix_group(id))
+            .collect();
+        requests.extend(
+            (12..16).map(|id| Request::new(id, Seconds::new(20.0), 64, prompt / 2 + id as usize)),
+        );
+        let counters = assert_twins_agree(cfg, &requests);
+        assert!(
+            counters.prefix_evicted_tokens > prompt,
+            "the decodes must evict cold blocks ({} tokens evicted)",
+            counters.prefix_evicted_tokens
+        );
+        assert_eq!(counters.preemptions, 0, "evictions alone make room");
+    }
+
+    #[test]
+    fn a_run_waits_behind_a_full_batch() {
+        // Twelve requests for a batch of four: eight wait in the queue
+        // while the batch decodes, and each completion admits one.
+        let cfg = SimConfig::new(1.0, 4).with_telemetry(traced());
+        let requests: Vec<Request> = (0..12)
+            .map(|id| Request::new(id, Seconds::ZERO, 128, 40 + 13 * id as usize))
+            .collect();
+        let counters = assert_twins_agree(cfg, &requests);
+        assert_eq!(counters.peak_queue_depth, 8);
+    }
+
+    #[test]
+    fn a_run_retires_the_requests_it_finishes() {
+        // Staggered response lengths, two of them equal: every stretch
+        // between completions is one run, and one run finishes two
+        // requests at once, which retire highest slot first.
+        let cfg = SimConfig::new(1.0, 8)
+            .with_prefix_caching(true)
+            .with_telemetry(traced());
+        let requests: Vec<Request> = [(0, 90), (1, 37), (2, 150), (3, 37), (4, 211)]
+            .into_iter()
+            .map(|(id, output)| {
+                Request::new(id, Seconds::ZERO, 300, output).with_prefix_group(id % 2)
+            })
+            .collect();
+        let counters = assert_twins_agree(cfg, &requests);
+        assert_eq!(counters.generated_tokens, 90 + 37 + 150 + 37 + 211);
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        #![proptest_config(ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 64 } else { 256 }
+        ))]
         /// `step_until` fast-forwards steady decode runs and `step` never
         /// does, so an engine driven by `step` and its twin driven by
         /// `step_until` to the same horizons (random instants, most of
@@ -1857,7 +2014,8 @@ mod tests {
         /// (eviction and preemption), imported context, speculation
         /// (where the run must fall back), Lifecycle tracing with a
         /// series and PerToken tracing, and requests submitted up front
-        /// or at their arrivals, as a fleet submits them.
+        /// or at their arrivals, as a fleet submits them. Release builds
+        /// run four times the cases.
         #[test]
         fn step_until_matches_stepping_bit_for_bit(
             seed in 0u64..1_000_000,
@@ -1980,22 +2138,19 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_pricing_error_inside_a_run_keeps_the_iterations_before_it() {
-        // With the whole KV pool as the budget, a decode whose context
-        // bucket rounds up past the pool fails to price. The run meets
-        // that mid-way: it must commit the iterations before the failing
-        // one and return the error, as stepping does.
+    /// Runs `requests` on the whole KV pool under `cfg` through an
+    /// engine stepped by `step` until a decode's context bucket rounds up
+    /// past the pool and fails to price, and through a twin advanced by
+    /// `step_until` to the end. Both must return that error and leave the
+    /// same state. Returns the stepped engine's counters.
+    fn assert_twins_fail_alike(cfg: SimConfig, requests: &[Request]) -> EngineCounters {
         let arch = ador_table3();
         let model = presets::llama3_8b();
-        let cfg = SimConfig::new(1.0, 8).with_kv_memory_fraction(1.0);
-        let mut stepped = engine(&arch, &model, cfg);
-        let mut twin = engine(&arch, &model, cfg);
-        let budget = stepped.kv_budget_tokens();
-        let input = budget / 128 * 128 - 40;
-        for eng in [&mut stepped, &mut twin] {
-            eng.submit(Request::new(0, Seconds::ZERO, input, budget - input))
-                .unwrap();
+        let cfg = cfg.with_kv_memory_fraction(1.0);
+        let (mut stepped, mut twin) = (engine(&arch, &model, cfg), engine(&arch, &model, cfg));
+        for r in requests {
+            stepped.submit(*r).unwrap();
+            twin.submit(*r).unwrap();
         }
         let stepped_err = loop {
             match stepped.step() {
@@ -2010,11 +2165,70 @@ mod tests {
             SimError::Perf(ador_perf::PerfError::KvCacheTooLarge { .. })
         ));
         assert_eq!(twin_err, stepped_err);
-        assert!(
-            twin.counters().generated_tokens > 2,
-            "the run made progress"
-        );
         assert_eq!(fingerprint(&stepped), fingerprint(&twin));
+        stepped.counters()
+    }
+
+    /// The KV budget of the whole pool, in tokens.
+    fn pool_tokens() -> usize {
+        let (arch, model) = (ador_table3(), presets::llama3_8b());
+        engine(
+            &arch,
+            &model,
+            SimConfig::new(1.0, 8).with_kv_memory_fraction(1.0),
+        )
+        .kv_budget_tokens()
+    }
+
+    #[test]
+    fn a_pricing_error_inside_a_run_keeps_the_iterations_before_it() {
+        // The run meets the failing decode mid-way: it must commit the
+        // iterations before it and return the error, as stepping does.
+        let pool = pool_tokens();
+        let input = pool / 128 * 128 - 40;
+        let counters = assert_twins_fail_alike(
+            SimConfig::new(1.0, 8),
+            &[Request::new(0, Seconds::ZERO, input, pool - input)],
+        );
+        assert!(counters.generated_tokens > 2, "the run made progress");
+    }
+
+    #[test]
+    fn a_pricing_error_at_a_runs_first_iteration_changes_nothing() {
+        // A prompt of whole buckets prefills, and the first decode after
+        // it fails: the run must leave the prefill step's flag set.
+        let pool = pool_tokens();
+        let input = pool / 128 * 128;
+        let counters = assert_twins_fail_alike(
+            SimConfig::new(1.0, 8),
+            &[Request::new(0, Seconds::ZERO, input, pool - input)],
+        );
+        assert_eq!(counters.generated_tokens, 1, "only the prefill's token");
+    }
+
+    #[test]
+    fn a_pricing_error_inside_a_run_makes_its_iterations_eviction() {
+        // A one-token session leaves `cold` blocks resident, then a batch
+        // of 64 equal decodes, prefilled in one step, grows until its
+        // mean context's bucket rounds up past the pool's 64th part. With
+        // `cold` chosen from the pool's remainder, the failing iteration
+        // is the first whose growth must evict, and `admission` evicts
+        // before `timing` fails, so the run must too.
+        let (pool, n) = (pool_tokens(), 64);
+        let whole = pool / (n * 128) * 128;
+        let cold = (pool % (n * 128)).saturating_sub(64) / 64;
+        assert!(cold > 0, "the pool leaves no remainder for cold blocks");
+        let mut requests = vec![
+            Request::new(0, Seconds::ZERO, cold * PREFIX_BLOCK_TOKENS + 1, 1).with_prefix_group(1),
+        ];
+        requests
+            .extend((1..=n as u64).map(|id| Request::new(id, Seconds::new(1.0), whole - 200, 400)));
+        let cfg = SimConfig::new(1.0, n)
+            .with_prefix_caching(true)
+            .with_prefill_chunk(1 << 30);
+        let counters = assert_twins_fail_alike(cfg, &requests);
+        assert_eq!(counters.prefix_evicted_tokens, PREFIX_BLOCK_TOKENS);
+        assert_eq!(counters.generated_tokens, 1 + n * 201);
     }
 
     #[test]

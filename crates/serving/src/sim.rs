@@ -203,7 +203,9 @@ pub enum SimError {
         hi: f64,
     },
     /// A replayed request has a zero-length prompt or response, or an
-    /// arrival time that is NaN or infinite.
+    /// arrival time that is NaN or infinite; or, in a fleet's request
+    /// stream, a tenant tag that indexes no class of the mix, or an id
+    /// another request of the stream has too.
     InvalidRequest {
         /// Id of the offending request.
         id: u64,
@@ -271,7 +273,8 @@ impl fmt::Display for SimError {
             SimError::InvalidRequest { id } => {
                 write!(
                     f,
-                    "request {id} has a zero-length prompt or response or a non-finite arrival"
+                    "request {id} has a zero-length prompt or response, a non-finite arrival, \
+                     an out-of-range tenant tag or a duplicate id"
                 )
             }
             SimError::InvalidKvLink { latency, bandwidth } => write!(

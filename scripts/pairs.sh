@@ -12,8 +12,14 @@
 # out of PAIRS by the metric's `better` (ties count for neither), the
 # median gap and the parent's interquartile range. Untraced runs report
 # the `end_to_end` metrics; traced runs (`--trace 1`) report the
-# `per_layer` ones. A claimed gain needs wins >= 9 of 10 and a gap
-# larger than the parent's IQR. Needs only bash and awk.
+# `per_layer` ones. A claimed gain needs the change to win at least nine
+# tenths of the pairs and its median to beat the parent's, in the
+# metric's `better` direction, by more than the parent's IQR. Under each
+# metric two verdict lines follow: `claim` says whether the pairs meet
+# that rule, and `bound` whether the change's median is no worse than
+# the parent's by more than the metric's `bound` fraction in
+# BENCHMARK.json (per-layer metrics declare none). Needs only bash and
+# awk.
 set -euo pipefail
 
 if [ "$#" -lt 5 ]; then
@@ -34,7 +40,8 @@ case $trace in
 esac
 manifest="$(cd "$(dirname "$0")/.." && pwd)/BENCHMARK.json"
 
-# One "name better" line per metric of the manifest's section.
+# One "name better bound" line per metric of the manifest's section;
+# the bound is "none" where the metric declares none.
 metrics=$(awk -v section="$section" '
     /"end_to_end"/ { on = section == "end_to_end" }
     /"per_layer"/ { on = section == "per_layer" }
@@ -43,7 +50,9 @@ metrics=$(awk -v section="$section" '
         sub(/"name": *"/, "", n); sub(/"$/, "", n)
         match($0, /"better": *"[^"]*"/); b = substr($0, RSTART, RLENGTH)
         sub(/"better": *"/, "", b); sub(/"$/, "", b)
-        print n, b
+        l = "none"
+        if (match($0, /"bound": *[0-9.eE+-]+/)) { l = substr($0, RSTART, RLENGTH); sub(/"bound": */, "", l) }
+        print n, b, l
     }' "$manifest")
 names=$(echo "$metrics" | awk '{print $1}' | tr '\n' ' ')
 
@@ -77,8 +86,8 @@ done
 # Per-layer names are longer than the end-to-end ones.
 width=$(echo "$metrics" | awk '{ if (length($1) > w) w = length($1) } END { print (w > 14 ? w : 14) }')
 
-echo "$metrics" | while read -r name better; do
-    awk -v name="$name" -v better="$better" -v pairs="$pairs" -v width="$width" "$value"'
+echo "$metrics" | while read -r name better bound; do
+    awk -v name="$name" -v better="$better" -v bound="$bound" -v pairs="$pairs" -v width="$width" "$value"'
         function sort(a, n,    i, j, t) {
             for (i = 2; i <= n; i++)
                 for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
@@ -102,5 +111,19 @@ echo "$metrics" | while read -r name better; do
             printf "%-" width "s (%s better) parent %.6g [%.6g, %.6g]  change %.6g [%.6g, %.6g]  wins %d/%d  gap %.6g  parent IQR %.6g\n",
                 name, better, pm, quantile(ps, np, 0.25), quantile(ps, np, 0.75),
                 cm, quantile(cs, nc, 0.25), quantile(cs, nc, 0.75), wins, pairs, gap, iqr
+            # How far the change median lies toward the better side, and
+            # toward the worse side as a fraction of the parent median.
+            gain = (better == "lower") ? pm - cm : cm - pm
+            need = int((9 * pairs + 9) / 10)
+            printf "    claim %s: wins %d/%d (need %d), median gain %.6g (need > parent IQR %.6g)\n",
+                (wins >= need && gain > iqr) ? "met" : "not met", wins, pairs, need, gain, iqr
+            if (bound == "none") {
+                print "    bound none declared"
+            } else {
+                worse = (pm == 0) ? 0 : -gain / ((pm < 0) ? -pm : pm)
+                printf "    bound %s: change median %.2f%% %s than the parent (bound %g%% worse)\n",
+                    (worse <= bound + 0) ? "within" : "exceeded", 100 * ((worse < 0) ? -worse : worse),
+                    (worse > 0) ? "worse" : "better", 100 * bound
+            }
         }' "$runs"
 done

@@ -15,7 +15,12 @@
 //!   fast-forwards, whose profile counts every iteration as a step;
 //! * profiling is deterministic: same-seed runs produce the same stage
 //!   `calls` layout (allocation *counts* are a pure function of the
-//!   deterministic work, so replays agree).
+//!   deterministic work, so replays agree). A session scenario driven by
+//!   `step_until` — prefix caching on a scarce KV budget, a queue behind
+//!   a full batch, completions — pins its exact count of general
+//!   iterations (arrivals-stage passes) against its steps, so a steady
+//!   run that stops where it need not shows as a changed count. A run
+//!   charges the evictions and retirements it makes to the commit stage.
 //!
 //! The counting `GlobalAlloc` lives here, not in the library: the
 //! workspace crates are `forbid(unsafe_code)`, so the harness owns the
@@ -252,4 +257,59 @@ fn fast_forwarded_steady_decode_allocates_only_in_timing() {
         "{steps} iterations in {runs} runs: steady decode must fast-forward"
     );
     assert_only_timing_allocates(&before, &after);
+}
+
+/// Multi-turn sessions for one prefix-caching engine: twelve sessions of
+/// four turns, for a batch of eight. Each turn prompts with its
+/// session's whole previous context plus 64 fresh tokens, two seconds
+/// after the previous turn's arrival.
+fn sessions() -> Vec<Request> {
+    let mut requests = Vec::new();
+    for s in 0..12u64 {
+        let output = 48 + (s as usize * 13) % 40;
+        let mut prompt = 512 + 64 * s as usize;
+        for t in 0..4u64 {
+            let arrival = Seconds::new(0.05 * s as f64 + 2.0 * t as f64);
+            requests.push(Request::new(4 * s + t, arrival, prompt, output).with_prefix_group(s));
+            prompt += output + 64;
+        }
+    }
+    requests.sort_by(|a, b| a.arrival.get().total_cmp(&b.arrival.get()));
+    requests
+}
+
+#[test]
+fn steady_runs_cover_evictions_full_batches_and_completions() {
+    // A KV budget too small to keep every session's context cached, and
+    // each request submitted at its arrival, as a fleet submits them.
+    let arch = ador::baselines::ador_table3();
+    let model = presets::llama3_8b();
+    let cfg = SimConfig::new(1.0, 8)
+        .with_prefix_caching(true)
+        .with_kv_memory_fraction(0.02);
+    let mut engine = ServingSim::new(&arch, &model, Deployment::single_device(), cfg)
+        .expect("engine builds")
+        .engine();
+    let requests = sessions();
+    for r in &requests {
+        engine.step_until(r.arrival).expect("run to the arrival");
+        engine.submit(*r).expect("submit");
+    }
+    engine.step_until(Seconds::new(f64::MAX)).expect("drain");
+    assert_eq!(engine.completed(), requests.len());
+    let counters = engine.counters();
+    assert!(
+        counters.prefix_evicted_tokens > 0 && counters.peak_queue_depth > 0,
+        "the scenario must evict cold blocks and queue behind a full batch"
+    );
+
+    // Every iteration counts once in `steps`, whichever path ran it. The
+    // arrivals stage counts the general step's passes: one per general
+    // iteration, idle call and preemption retry. Before steady runs
+    // evicted, waited behind a full batch and retired the requests they
+    // finished, the same drive made 320 such passes for the same 601
+    // iterations.
+    let profile = engine.step_profile();
+    assert_eq!(profile.steps, 601);
+    assert_eq!(profile.stage(Stage::Arrivals).calls, 81);
 }
