@@ -27,6 +27,7 @@ use ador_telemetry::{
 };
 use ador_units::{conv, Seconds};
 
+use crate::fleet;
 use crate::ledger::Ledger;
 use crate::report::{imbalance, FleetAttribution, FleetTelemetry};
 use crate::{
@@ -295,8 +296,11 @@ pub struct ClusterSim<'a> {
 }
 
 impl<'a> ClusterSim<'a> {
-    /// Builds a fleet of identical replicas. They price their steps in
-    /// one shared table ([`StepCosts`]).
+    /// Builds a fleet of `cfg.replicas` identical replicas: exactly the
+    /// fleet [`ClusterSim::new_fleet`] builds from as many copies of
+    /// `ReplicaSpec::new(arch.clone(), cfg.engine)`, through the same
+    /// builder and telemetry rule (here `cfg.engine.telemetry`). They
+    /// price their steps in one shared table ([`StepCosts`]).
     ///
     /// # Errors
     ///
@@ -309,17 +313,8 @@ impl<'a> ClusterSim<'a> {
         deployment: Deployment,
         cfg: ClusterConfig,
     ) -> Result<Self, SimError> {
-        if cfg.replicas == 0 {
-            return Err(SimError::EmptyConfig);
-        }
-        let mut costs = StepCosts::new();
-        let engines = (0..cfg.replicas)
-            .map(
-                |_| Ok(ServingSim::new(arch, model, deployment, cfg.engine)?.engine_in(&mut costs)),
-            )
-            .collect::<Result<Vec<_>, SimError>>()?;
-        let roles = vec![PoolRole::Unified; cfg.replicas];
-        Self::assemble(engines, roles, model, cfg.engine.telemetry, cfg)
+        let replicas = (0..cfg.replicas).map(|_| (arch, cfg.engine, PoolRole::Unified));
+        Self::build(replicas, model, deployment, cfg, &mut StepCosts::new())
     }
 
     /// Builds a heterogeneous fleet from an explicit replica mix: each
@@ -328,7 +323,9 @@ impl<'a> ClusterSim<'a> {
     /// specs' [`PoolRole`]s decide which pool each replica serves.
     /// `cfg.replicas` is ignored — the fleet's length wins. Replicas of
     /// equal hardware price their steps in one shared table
-    /// ([`StepCosts`]).
+    /// ([`StepCosts`]). The fleet's telemetry config, which decides
+    /// whether the report carries a telemetry block, is the first
+    /// enabled replica config's, else `cfg.engine.telemetry`.
     ///
     /// # Errors
     ///
@@ -355,50 +352,45 @@ impl<'a> ClusterSim<'a> {
         fleet: &'a FleetSpec,
         model: &'a ModelConfig,
         deployment: Deployment,
+        cfg: ClusterConfig,
+        costs: &mut StepCosts<'a>,
+    ) -> Result<Self, SimError> {
+        let replicas = fleet
+            .replicas
+            .iter()
+            .map(|spec| (&spec.arch, spec.engine, spec.role));
+        Self::build(replicas, model, deployment, cfg, costs)
+    }
+
+    /// The one fleet builder: one engine per (architecture, engine
+    /// config, pool role) replica, in order, each pricing its steps in
+    /// `costs`.
+    fn build(
+        replicas: impl Iterator<Item = (&'a Architecture, SimConfig, PoolRole)>,
+        model: &'a ModelConfig,
+        deployment: Deployment,
         mut cfg: ClusterConfig,
         costs: &mut StepCosts<'a>,
     ) -> Result<Self, SimError> {
-        if fleet.is_empty() {
+        let (mut engines, mut roles, mut telemetry) = (Vec::new(), Vec::new(), None);
+        for (arch, engine, role) in replicas {
+            engines.push(ServingSim::new(arch, model, deployment, engine)?.engine_in(costs));
+            roles.push(role);
+            telemetry = telemetry.or(engine.telemetry.enabled().then_some(engine.telemetry));
+        }
+        if engines.is_empty() {
             return Err(SimError::EmptyConfig);
         }
-        cfg.replicas = fleet.len();
-        let engines = fleet
-            .replicas
-            .iter()
-            .map(|spec| {
-                Ok(ServingSim::new(&spec.arch, model, deployment, spec.engine)?.engine_in(costs))
-            })
-            .collect::<Result<Vec<_>, SimError>>()?;
-        let roles: Vec<PoolRole> = fleet.replicas.iter().map(|spec| spec.role).collect();
-        let telemetry_cfg = fleet
-            .replicas
-            .iter()
-            .map(|spec| spec.engine.telemetry)
-            .find(TelemetryConfig::enabled)
-            .unwrap_or(cfg.engine.telemetry);
-        Self::assemble(engines, roles, model, telemetry_cfg, cfg)
-    }
-
-    fn assemble(
-        engines: Vec<Engine<'a>>,
-        roles: Vec<PoolRole>,
-        model: &ModelConfig,
-        telemetry_cfg: TelemetryConfig,
-        cfg: ClusterConfig,
-    ) -> Result<Self, SimError> {
+        cfg.replicas = engines.len();
         let link = match cfg.topology {
             Topology::Aggregated => None,
             Topology::Disaggregated(link) => Some(link),
         };
         // Under disaggregation a replica serves the pools its role allows
         // (`Unified` joins both); an aggregated fleet ignores roles.
-        let pool = |excluded: PoolRole| -> Vec<usize> {
-            (0..roles.len())
-                .filter(|&i| link.is_none() || roles[i] != excluded)
-                .collect()
-        };
-        let front_pool = pool(PoolRole::Decode);
-        let decode_pool = pool(PoolRole::Prefill);
+        let served = |&role: &PoolRole| link.map_or(PoolRole::Unified, |_| role);
+        let front_pool = fleet::pool(roles.iter().map(served), PoolRole::Decode);
+        let decode_pool = fleet::pool(roles.iter().map(served), PoolRole::Prefill);
         if link.is_some() && (front_pool.is_empty() || decode_pool.is_empty()) {
             return Err(SimError::EmptyConfig);
         }
@@ -429,7 +421,7 @@ impl<'a> ClusterSim<'a> {
             transfer_events: Vec::new(),
             kv_transfers: 0,
             kv_transferred_tokens: 0,
-            telemetry_cfg,
+            telemetry_cfg: telemetry.unwrap_or(cfg.engine.telemetry),
             roles,
         })
     }
@@ -474,16 +466,8 @@ impl<'a> ClusterSim<'a> {
         if let Some(cr) = invalid {
             return Err(SimError::InvalidRequest { id: cr.request.id });
         }
-        let mut ids: Vec<u64> = stream.iter().map(|cr| cr.request.id).collect();
-        ids.sort_unstable();
-        let duplicate = ids.windows(2).find_map(|pair| match pair {
-            [a, b] if a == b => Some(*a),
-            _ => None,
-        });
-        if let Some(id) = duplicate {
-            return Err(SimError::InvalidRequest { id });
-        }
-        self.submit_stream(mix, stream);
+        self.load(mix, stream)
+            .map_err(|id| SimError::InvalidRequest { id })?;
         while self.advance()? {}
         Ok(self.finish())
     }
@@ -497,7 +481,19 @@ impl<'a> ClusterSim<'a> {
     /// Panics on a NaN arrival, duplicate request ids or out-of-range
     /// tenant tags (which [`ClusterSim::run_stream`] returns as errors
     /// instead), or if a stream was already loaded.
-    pub fn submit_stream(&mut self, mix: &TenantMix, mut stream: Vec<ClusterRequest>) {
+    pub fn submit_stream(&mut self, mix: &TenantMix, stream: Vec<ClusterRequest>) {
+        let duplicate = self.load(mix, stream).err();
+        assert!(
+            duplicate.is_none(),
+            "duplicate request id {}",
+            duplicate.unwrap_or_default()
+        );
+    }
+
+    /// [`ClusterSim::submit_stream`]'s body, which returns the smallest
+    /// duplicated request id, found by the ledger's one sort of the ids,
+    /// instead of panicking on it.
+    fn load(&mut self, mix: &TenantMix, mut stream: Vec<ClusterRequest>) -> Result<(), u64> {
         assert!(
             self.classes.is_empty() && self.stream.is_empty(),
             "a cluster runs one stream per lifetime"
@@ -521,8 +517,9 @@ impl<'a> ClusterSim<'a> {
             );
             self.submitted_per_tenant[cr.tenant] += 1;
         }
-        self.ledger = Ledger::new(&stream);
+        self.ledger = Ledger::new(&stream)?;
         self.stream = stream;
+        Ok(())
     }
 
     /// Advances the fleet by one boundary instant and returns `false`
@@ -1407,6 +1404,51 @@ mod tests {
     }
 
     #[test]
+    fn a_kv_memory_fraction_outside_zero_one_is_an_error() {
+        let arch = ador_table3();
+        let model = presets::llama3_8b();
+        for fraction in [0.0, -0.1, 1.5, 1e300, f64::INFINITY, f64::NAN] {
+            let cfg = ClusterConfig::new(2, RouterPolicy::CacheAffinity)
+                .with_engine(SimConfig::new(1.0, 8).with_kv_memory_fraction(fraction))
+                .with_prefix_caching(true);
+            let err = ClusterSim::new(&arch, &model, Deployment::single_device(), cfg).err();
+            assert!(
+                matches!(err, Some(SimError::InvalidKvMemoryFraction { fraction: f })
+                    if f.to_bits() == fraction.to_bits()),
+                "{fraction}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn new_builds_the_fleet_new_fleet_builds_from_copies_of_one_spec() {
+        let arch = ador_table3();
+        let model = presets::llama3_8b();
+        let deployment = Deployment::single_device();
+        let mix = two_class_mix(6.0);
+        let stream = mix.generate(60, 11);
+        let traced = TelemetryConfig::trace()
+            .with_series(Seconds::from_millis(50.0))
+            .with_attribution();
+        for telemetry in [TelemetryConfig::OFF, traced] {
+            let cfg =
+                ClusterConfig::new(3, RouterPolicy::JoinShortestQueue).with_telemetry(telemetry);
+            let spec = crate::ReplicaSpec::new(arch.clone(), cfg.engine);
+            let fleet = FleetSpec::homogeneous(&spec, cfg.replicas);
+            let new = ClusterSim::new(&arch, &model, deployment, cfg)
+                .unwrap()
+                .run_stream(&mix, stream.clone())
+                .unwrap();
+            let new_fleet = ClusterSim::new_fleet(&fleet, &model, deployment, cfg)
+                .unwrap()
+                .run_stream(&mix, stream.clone())
+                .unwrap();
+            assert_eq!(new.attribution.is_some(), telemetry.attribution_enabled());
+            assert_eq!(new, new_fleet);
+        }
+    }
+
+    #[test]
     fn fleet_engines_ignore_the_request_count() {
         // A fleet feeds its engines its own stream and never reads
         // `SimConfig::requests`, so a zero there must not reject it.
@@ -1663,6 +1705,31 @@ mod tests {
         let err =
             ClusterSim::new_fleet(&fleet, &model, Deployment::single_device(), cfg).unwrap_err();
         assert_eq!(err, SimError::EmptyConfig);
+    }
+
+    #[test]
+    fn fresh_arrivals_land_only_on_the_prefill_pool_of_a_fleet_with_a_unified_member() {
+        let model = presets::llama3_8b();
+        let spec = crate::ReplicaSpec::new(ador_table3(), SimConfig::new(1.0, 64));
+        let fleet = FleetSpec::new(vec![
+            spec.clone().with_role(PoolRole::Prefill),
+            spec.clone().with_role(PoolRole::Decode),
+            spec.clone(),
+            spec.with_role(PoolRole::Decode),
+        ]);
+        assert_eq!(fleet.prefill_pool(), vec![0, 2]);
+        let cfg =
+            ClusterConfig::new(0, RouterPolicy::RoundRobin).with_disaggregation(disagg_link());
+        let report = ClusterSim::new_fleet(&fleet, &model, Deployment::single_device(), cfg)
+            .unwrap()
+            .run(&two_class_mix(6.0), 40, 3)
+            .unwrap();
+        assert_eq!(report.completed, 40);
+        assert!(report.kv_transfers > 0);
+        let mut landed: Vec<usize> = report.assignments.iter().filter_map(|&(_, r)| r).collect();
+        landed.sort_unstable();
+        landed.dedup();
+        assert_eq!(landed, fleet.prefill_pool());
     }
 
     #[test]

@@ -117,24 +117,26 @@ impl FleetSpec {
     /// Indices serving the prefill side of a disaggregated fleet
     /// ([`PoolRole::Prefill`] and [`PoolRole::Unified`] replicas).
     pub fn prefill_pool(&self) -> Vec<usize> {
-        self.replicas
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.role != PoolRole::Decode)
-            .map(|(i, _)| i)
-            .collect()
+        pool(self.replicas.iter().map(|s| s.role), PoolRole::Decode)
     }
 
     /// Indices serving the decode side of a disaggregated fleet
     /// ([`PoolRole::Decode`] and [`PoolRole::Unified`] replicas).
     pub fn decode_pool(&self) -> Vec<usize> {
-        self.replicas
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.role != PoolRole::Prefill)
-            .map(|(i, _)| i)
-            .collect()
+        pool(self.replicas.iter().map(|s| s.role), PoolRole::Prefill)
     }
+}
+
+/// The pool rule: the indices, in fleet order, of the replicas whose role
+/// is not `excluded`. The prefill pool excludes [`PoolRole::Decode`], the
+/// decode pool [`PoolRole::Prefill`], and a [`PoolRole::Unified`] replica
+/// joins both.
+pub(crate) fn pool(roles: impl Iterator<Item = PoolRole>, excluded: PoolRole) -> Vec<usize> {
+    roles
+        .enumerate()
+        .filter(|&(_, role)| role != excluded)
+        .map(|(i, _)| i)
+        .collect()
 }
 
 /// The interconnect a disaggregated fleet ships KV contexts over.

@@ -34,12 +34,13 @@ struct Slot {
 }
 
 impl Ledger {
-    /// The ledger of one stream, in the order the fleet offers it.
+    /// The ledger of one stream, in the order the fleet offers it. Its
+    /// one sort of the stream's ids also finds their duplicates.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a duplicate request id.
-    pub(crate) fn new(stream: &[ClusterRequest]) -> Self {
+    /// Returns the smallest request id the stream holds twice.
+    pub(crate) fn new(stream: &[ClusterRequest]) -> Result<Self, u64> {
         let mut entries: Vec<(u64, u32)> = stream
             .iter()
             .enumerate()
@@ -47,11 +48,12 @@ impl Ledger {
             .collect();
         entries.sort_unstable();
         for pair in entries.windows(2) {
-            if let [(a, _), (b, _)] = pair {
-                assert!(a != b, "duplicate request id {a}");
+            match pair {
+                [(a, _), (b, _)] if a == b => return Err(*a),
+                _ => {}
             }
         }
-        Self {
+        Ok(Self {
             ids: entries.iter().map(|&(id, _)| id).collect(),
             slots: entries
                 .iter()
@@ -60,7 +62,7 @@ impl Ledger {
                     prefill: None,
                 })
                 .collect(),
-        }
+        })
     }
 
     /// Requests in the stream.
@@ -138,7 +140,7 @@ mod tests {
     #[test]
     fn slots_follow_sorted_ids_and_hold_stream_positions() {
         let stream = [tagged(u64::MAX, 1), tagged(7, 0), tagged(1 << 40, 2)];
-        let mut ledger = Ledger::new(&stream);
+        let mut ledger = Ledger::new(&stream).unwrap();
         assert_eq!(ledger.len(), 3);
         assert_eq!(ledger.slot(7), 0);
         assert_eq!(ledger.slot(1 << 40), 1);
@@ -168,7 +170,7 @@ mod tests {
         let gapped: Vec<ClusterRequest> = run(17).collect();
         let outlier: Vec<ClusterRequest> = run(41).chain([tagged(3, 0)]).collect();
         for stream in [dense, gapped, outlier] {
-            let ledger = Ledger::new(&stream);
+            let ledger = Ledger::new(&stream).unwrap();
             let mut ids: Vec<u64> = stream.iter().map(|cr| cr.request.id).collect();
             ids.sort_unstable();
             for (slot, &id) in ids.iter().enumerate() {

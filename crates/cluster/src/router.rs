@@ -52,14 +52,6 @@ pub enum RouterPolicy {
 /// queueing behind a saturated replica costs every subsequent request.
 pub const AFFINITY_SPILL: f64 = 0.5;
 
-/// Upper bound on live [`RouterPolicy::CacheAffinity`] pins. When the
-/// table would grow past this, pins not used within the last
-/// `AFFINITY_PIN_CAP` routing decisions are pruned — those sessions are
-/// long ended (or their prefixes long evicted), so dropping the pin
-/// costs at most one re-prefill. Keeps router memory bounded by recent
-/// traffic instead of total sessions ever served.
-pub const AFFINITY_PIN_CAP: usize = 1 << 16;
-
 impl fmt::Display for RouterPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
@@ -107,20 +99,21 @@ impl ReplicaSnapshot {
 /// (round-robin carries a cursor; cache-affinity carries the
 /// session-to-replica pin table). Fully deterministic: ties break toward
 /// the lowest replica index.
+///
+/// The pin table is unbounded: it keeps one replica index per session
+/// ever routed, which is less than a fleet already keeps per request
+/// (its stream, ledger and routing trace), so it never dominates a
+/// run's memory.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Router {
     policy: RouterPolicy,
     rr_next: usize,
     /// Cache-affinity pin table: the replica that last served each
-    /// prefix group, with the routing-decision tick of its last use
-    /// (for [`AFFINITY_PIN_CAP`] pruning). A front-door session table,
-    /// not an inspection of replica caches — a pinned prefix may have
-    /// been evicted, in which case the pinned replica simply
-    /// re-prefills it. A `BTreeMap` so the pruning pass visits pins in
-    /// a defined order (the determinism contract; see `ador-lint`).
-    affinity: BTreeMap<u64, (usize, u64)>,
-    /// Routing decisions taken so far (the pin table's logical clock).
-    routed: u64,
+    /// prefix group. A front-door session table, not an inspection of
+    /// replica caches — a pinned prefix may have been evicted, in which
+    /// case the pinned replica simply re-prefills it. A `BTreeMap`, as
+    /// the determinism contract asks of every map (see `ador-lint`).
+    affinity: BTreeMap<u64, usize>,
 }
 
 impl Router {
@@ -130,7 +123,6 @@ impl Router {
             policy,
             rr_next: 0,
             affinity: BTreeMap::new(),
-            routed: 0,
         }
     }
 
@@ -216,9 +208,8 @@ impl Router {
                 let Some(group) = prefix_group else {
                     return fallback;
                 };
-                self.routed += 1;
                 let chosen = match self.affinity.get(&group) {
-                    Some(&(pinned, _))
+                    Some(&pinned)
                         if pinned < n
                             && snap(pinned).kv_load()
                                 <= snap(fallback).kv_load() + AFFINITY_SPILL =>
@@ -227,16 +218,7 @@ impl Router {
                     }
                     _ => fallback,
                 };
-                if self.affinity.len() >= AFFINITY_PIN_CAP && !self.affinity.contains_key(&group) {
-                    // Prune pins idle for a full cap's worth of decisions:
-                    // those sessions ended long ago (cost of a wrong prune
-                    // is one re-prefill, not correctness).
-                    let horizon = self
-                        .routed
-                        .saturating_sub(conv::u64_from_usize(AFFINITY_PIN_CAP));
-                    self.affinity.retain(|_, &mut (_, used)| used > horizon);
-                }
-                self.affinity.insert(group, (chosen, self.routed));
+                self.affinity.insert(group, chosen);
                 chosen
             }
         }

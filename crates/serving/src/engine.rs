@@ -199,13 +199,9 @@ pub enum StepEvent {
     /// The engine was empty and its clock jumped to the next pending
     /// arrival; no work was performed.
     Jumped,
-    /// One fused engine iteration ran.
-    Worked {
-        /// Wall-clock duration of the iteration.
-        step_time: Seconds,
-        /// Requests that emitted their final token this iteration.
-        completed: usize,
-    },
+    /// One fused engine iteration ran. Its duration shows in
+    /// [`Engine::now`], its completions in [`Engine::outcomes`].
+    Worked,
 }
 
 /// The incremental scheduler core: the state of one engine replica,
@@ -633,9 +629,8 @@ impl<'a> Engine<'a> {
         }
         // No request may complete before the run's last iteration, nor may
         // its KV growth need a preemption. An eviction takes its tokens
-        // from the evictable blocks and the ledger alike, so the budget
-        // plus the evictable blocks minus the ledger falls by exactly `n`
-        // per iteration, evictions or not.
+        // from the evictable blocks and the ledger alike, so the
+        // headroom falls by exactly `n` per iteration, evictions or not.
         let n = self.active.len();
         let (mut ctx_sum, mut room) = (0, MAX_RUN);
         for a in &self.active {
@@ -645,8 +640,7 @@ impl<'a> Engine<'a> {
             ctx_sum += a.context();
             room = room.min(a.job.request.output_tokens - a.job.generated);
         }
-        let evictable = self.cache.as_ref().map_or(0, PrefixCache::evictable_tokens);
-        room = room.min((self.kv_budget_tokens + evictable).saturating_sub(self.kv_in_use) / n);
+        room = room.min(self.kv_headroom() / n);
         if room == 0 {
             return Ok(false);
         }
@@ -748,19 +742,16 @@ impl<'a> Engine<'a> {
                 self.profile.record(Stage::Admission, &mut mark);
                 continue;
             }
-            let step_time = self.timing()?;
+            self.timing()?;
             #[cfg(feature = "profile")]
             self.profile.record(Stage::Timing, &mut mark);
-            let completed = self.commit();
+            self.commit();
             #[cfg(feature = "profile")]
             {
                 self.profile.record(Stage::Commit, &mut mark);
                 self.profile.steps += 1;
             }
-            return Ok(StepEvent::Worked {
-                step_time,
-                completed,
-            });
+            return Ok(StepEvent::Worked);
         }
     }
 
@@ -891,12 +882,10 @@ impl<'a> Engine<'a> {
         } else {
             0
         };
-        // Headroom for fresh KV growth: free budget plus whatever
-        // eviction could reclaim. Growth granted against the
-        // evictable share is collected lazily by `charge_kv`.
-        let evictable = self.cache.as_ref().map_or(0, PrefixCache::evictable_tokens);
-        let mut kv_headroom =
-            (self.kv_budget_tokens + evictable).saturating_sub(self.kv_in_use + growth);
+        // Headroom for fresh KV growth beyond this step's decode
+        // growth. Growth granted against the evictable share is
+        // collected lazily by `charge_kv`.
+        let mut kv_headroom = self.kv_headroom().saturating_sub(growth);
         let chunks = &mut self.scratch.chunks;
         chunks.clear();
         for (i, a) in self.active.iter().enumerate() {
@@ -1018,7 +1007,7 @@ impl<'a> Engine<'a> {
     /// step share, i.e. mean depth × base — the batched-drafter
     /// amortization, not a per-step charge in the deepest request's
     /// depth.
-    fn timing(&mut self) -> Result<Seconds, SimError> {
+    fn timing(&mut self) -> Result<(), SimError> {
         let chunks = &self.scratch.chunks;
         let prefill_tokens: usize = chunks.iter().map(|&(_, t)| t).sum();
         let (mut decoders, mut ctx_sum, mut drafted) = (0, 0, 0);
@@ -1052,13 +1041,13 @@ impl<'a> Engine<'a> {
         self.now += step_time;
         self.steps += 1;
         self.prev_step_prefilled = prefill_tokens > 0;
-        Ok(step_time)
+        Ok(())
     }
 
     /// Commit: lands the prefill chunks, commits every planned run and
     /// every first token, retires the finished requests and samples the
-    /// step's counters. Returns how many requests finished.
-    fn commit(&mut self) -> usize {
+    /// step's counters.
+    fn commit(&mut self) {
         // Apply prefill progress token-granularly; prompts whose pass
         // completed publish their full-block prefix into the cache so
         // later requests of the same group (and later session turns)
@@ -1147,12 +1136,10 @@ impl<'a> Engine<'a> {
                 self.scratch.finished.push(i);
             }
         }
-        let completed = self.scratch.finished.len();
         self.retire();
         self.sample_iteration(batch_now);
         #[cfg(debug_assertions)]
         self.check_invariants();
-        completed
     }
 
     /// Retires the requests in `scratch.finished` (ascending active
@@ -1296,6 +1283,14 @@ impl<'a> Engine<'a> {
                 completed_tokens: conv::u64_from_usize(self.tally.generated_tokens),
             },
         );
+    }
+
+    /// KV tokens free for growth: the budget plus what eviction could
+    /// reclaim, less what is resident. The one headroom rule of
+    /// `admission` and the steady run.
+    fn kv_headroom(&self) -> usize {
+        let evictable = self.cache.as_ref().map_or(0, PrefixCache::evictable_tokens);
+        (self.kv_budget_tokens + evictable).saturating_sub(self.kv_in_use)
     }
 
     /// Evicts cold cached prefix blocks, least recently used first, until

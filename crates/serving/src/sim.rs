@@ -74,7 +74,8 @@ pub struct SimConfig {
     /// Prefill token budget per engine iteration, shared by in-flight
     /// chunked prefills and new admissions.
     pub prefill_chunk: usize,
-    /// Fraction of post-weight device memory usable for KV cache.
+    /// Fraction of post-weight device memory usable for KV cache, in
+    /// `(0, 1]` ([`ServingSim::new`] refuses the rest).
     pub kv_memory_fraction: f64,
     /// Prefill/decode interleaving policy.
     pub policy: SchedulerPolicy,
@@ -178,6 +179,13 @@ pub enum SimError {
     /// The configuration admits no requests (zero batch or prefill
     /// chunk), or a run was given none.
     EmptyConfig,
+    /// A [`SimConfig::kv_memory_fraction`] outside `(0, 1]` (NaN
+    /// included): a fraction above 1 claims memory the device does not
+    /// have, and a huge one saturates the KV budget.
+    InvalidKvMemoryFraction {
+        /// The configured fraction.
+        fraction: f64,
+    },
     /// The device cannot hold a request's KV cache.
     NoKvHeadroom {
         /// Tokens of KV budget available.
@@ -254,6 +262,9 @@ impl fmt::Display for SimError {
         match self {
             SimError::Perf(e) => write!(f, "performance model error: {e}"),
             SimError::EmptyConfig => write!(f, "simulation admits no requests"),
+            SimError::InvalidKvMemoryFraction { fraction } => {
+                write!(f, "KV memory fraction must lie in (0, 1], got {fraction}")
+            }
             SimError::NoKvHeadroom { budget_tokens } => {
                 write!(
                     f,
@@ -341,8 +352,10 @@ impl<'a> ServingSim<'a> {
     /// # Errors
     ///
     /// Returns [`SimError::Perf`] if the model does not fit the deployment,
-    /// [`SimError::EmptyConfig`] for a zero batch or chunk count, or
-    /// [`SimError::NoKvHeadroom`] if no KV space remains after weights.
+    /// [`SimError::EmptyConfig`] for a zero batch or chunk count,
+    /// [`SimError::InvalidKvMemoryFraction`] for a KV memory fraction
+    /// outside `(0, 1]`, or [`SimError::NoKvHeadroom`] if no KV space
+    /// remains after weights.
     /// A speculating config ([`SpeculationConfig::speculates`]) returns
     /// [`SimError::InvalidAcceptRate`] if its default acceptance lies
     /// outside `[0, 1]`, and [`SimError::InvalidDraftTimeRatio`] if its
@@ -357,6 +370,10 @@ impl<'a> ServingSim<'a> {
         // read it, and `run` rejects an empty request list.
         if cfg.max_batch == 0 || cfg.prefill_chunk == 0 {
             return Err(SimError::EmptyConfig);
+        }
+        let fraction = cfg.kv_memory_fraction;
+        if !(fraction > 0.0 && fraction <= 1.0) {
+            return Err(SimError::InvalidKvMemoryFraction { fraction });
         }
         let spec = cfg.speculation;
         if spec.speculates() {
@@ -624,6 +641,26 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, SimError::EmptyConfig);
+    }
+
+    #[test]
+    fn a_kv_memory_fraction_outside_zero_one_is_an_error() {
+        // A huge fraction saturates the budget at `usize::MAX`, where
+        // prefix-cache headroom arithmetic overflows; a fraction above 1
+        // claims memory the device does not have.
+        let arch = ador_table3();
+        let model = presets::llama3_8b();
+        for fraction in [0.0, -0.1, 1.5, 1e300, f64::INFINITY, f64::NAN] {
+            let cfg = SimConfig::new(1.0, 8).with_kv_memory_fraction(fraction);
+            let err = ServingSim::new(&arch, &model, Deployment::single_device(), cfg).err();
+            assert!(
+                matches!(err, Some(SimError::InvalidKvMemoryFraction { fraction: f })
+                    if f.to_bits() == fraction.to_bits()),
+                "{fraction}: {err:?}"
+            );
+        }
+        let whole = SimConfig::new(1.0, 8).with_kv_memory_fraction(1.0);
+        assert!(ServingSim::new(&arch, &model, Deployment::single_device(), whole).is_ok());
     }
 
     #[test]
